@@ -334,21 +334,25 @@ func BenchmarkMerkleApply(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		updates[fmt.Sprintf("update-%d", i)] = merkle.HashValue([]byte("w"))
 	}
-	run := func(b *testing.B) {
-		start := merkle.HashOps()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = base.Apply(updates)
+	run := func(apply func()) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			start := merkle.HashOps()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(merkle.HashOps()-start)/float64(b.N), "hashes/op")
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(merkle.HashOps()-start)/float64(b.N), "hashes/op")
 	}
-	b.Run("old", func(b *testing.B) {
-		merkle.SetBulkApply(false)
-		defer merkle.SetBulkApply(true)
-		run(b)
-	})
-	b.Run("bulk", run)
+	b.Run("old", run(func() {
+		t := base
+		for k, vh := range updates {
+			t = t.Insert([]byte(k), vh)
+		}
+	}))
+	b.Run("bulk", run(func() { _ = base.Apply(updates) }))
 }
 
 // --- Sharded storage microbenchmarks (the readscale experiment
@@ -618,6 +622,7 @@ func BenchmarkMultiProve(b *testing.B) {
 			}
 			multiBytes := len(protocol.EncodeMultiProof(&mp))
 			singleBytes := singleProofCost(tr, keys)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.ProveMulti(keys); err != nil {
@@ -667,6 +672,7 @@ func BenchmarkVerifyMulti(b *testing.B) {
 				singleHashes += merkle.HashOps() - hs
 			}
 			start := merkle.HashOps()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := merkle.VerifyMulti(root, answers, mp); err != nil {

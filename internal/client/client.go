@@ -73,7 +73,9 @@ type Client struct {
 	cfg  Config
 	self NodeID
 	seq  atomic.Uint32
-	rng  *rand.Rand
+	// rngMu guards rng: transactions of one Client may commit concurrently.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
 	// certSeen memoizes batch-header digests whose certificates already
 	// verified: read-only transactions under load repeatedly fetch the
@@ -297,7 +299,9 @@ func (t *Txn) Commit() error {
 		Writes:     t.writes,
 		Partitions: t.c.cfg.Part.PartitionsOf(t.reads, t.writes),
 	}
+	t.c.rngMu.Lock()
 	coord := txn.Partitions[t.c.rng.Intn(len(txn.Partitions))]
+	t.c.rngMu.Unlock()
 	// Contact rotation: a silent contact (crashed replica, or a deposed
 	// leader that dropped the request) costs one sub-timeout, then the
 	// next replica is tried with the SAME transaction and reply channel —

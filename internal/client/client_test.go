@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,5 +223,35 @@ func TestTxnIDsMonotonePerClient(t *testing.T) {
 			t.Fatalf("txn IDs not increasing: %v then %v", prev, next)
 		}
 		prev = next
+	}
+}
+
+// TestConcurrentCommitsOnOneClient: transactions of one Client commit from
+// many goroutines at once. The coordinator choice draws from the client's
+// one random source, which math/rand does not make safe for concurrent
+// use; run under -race.
+func TestConcurrentCommitsOnOneClient(t *testing.T) {
+	sys := startSystem(t, 2)
+	c := newClient(sys, 9, 10*time.Second)
+	const commits = 64
+	errs := make([]error, commits)
+	var wg sync.WaitGroup
+	for i := 0; i < commits; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			txn := c.Begin()
+			// Two keys, so the coordinator is a choice among partitions
+			// whenever they live on different clusters.
+			txn.Write(fmt.Sprintf("key-%03d", i), []byte("a"))
+			txn.Write(fmt.Sprintf("fresh-%03d", i), []byte("b"))
+			errs[i] = txn.Commit()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, client.ErrAborted) {
+			t.Errorf("commit %d: %v", i, err)
+		}
 	}
 }

@@ -170,6 +170,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 		}
 	}
 	vals := n.st.MultiGetAsOf(localKeys, snap.batchID)
+	reply.Values = make([]protocol.ROValue, 0, len(m.Keys))
 	if !n.cfg.DisableMultiProofRO && len(m.Keys) > 0 {
 		// One pruned-subtree proof covers every key — membership and
 		// absence alike — so shared path prefixes ship and re-hash once

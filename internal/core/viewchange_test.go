@@ -90,14 +90,25 @@ func TestEquivocatingLeaderDeposed(t *testing.T) {
 
 	pokeUntilCommit(t, c, keys, 20*time.Second)
 
-	honestInNewView := 0
-	for r := int32(1); r < 4; r++ {
-		if sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView() > 0 {
-			honestInNewView++
+	// The commit that just returned proves a 2f+1 quorum works in a view
+	// above 0, not that every honest replica has entered it yet: the last
+	// one installs the new view when the NewView message reaches it. Give
+	// it a deadline rather than the instant the first commit returns.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		honestInNewView := 0
+		for r := int32(1); r < 4; r++ {
+			if sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView() > 0 {
+				honestInNewView++
+			}
 		}
-	}
-	if honestInNewView < 3 {
-		t.Fatalf("only %d/3 honest replicas deposed the equivocating leader", honestInNewView)
+		if honestInNewView == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/3 honest replicas deposed the equivocating leader", honestInNewView)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// With the byzantine node demoted to follower (f=1 tolerated), the

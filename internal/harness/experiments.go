@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"transedge/internal/cryptoutil"
-	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 )
 
@@ -475,26 +474,27 @@ func Pipeline(s Scale) []Point {
 	return out
 }
 
-// setHotpathOptimizations flips the three headline hot-path
-// optimizations — digest memoization, early-exit certificate
-// verification, bulk Merkle apply — together, so the hotpath experiment
-// can record before ("pre") and after ("post") rows from one binary.
-// Untoggled micro-optimizations (pooled encoder buffers, the client
-// certificate cache) stay on in both modes, so the pre/post gap slightly
-// understates the full distance to the PR-1 build.
+// setHotpathOptimizations flips the two switchable hot-path
+// optimizations — digest memoization and early-exit certificate
+// verification — together, so the hotpath experiment can record before
+// ("pre") and after ("post") rows from one binary. Everything else stays
+// on in both modes: the bulk Merkle apply (Apply is always the bulk
+// merge) and the micro-optimizations (pooled encoder buffers, the client
+// certificate cache), so the pre/post gap understates the distance to the
+// PR-1 build. BENCH_hotpath.json holds rows recorded while the bulk apply
+// switched too.
 func setHotpathOptimizations(on bool) {
 	protocol.SetDigestMemo(on)
 	cryptoutil.SetFastVerify(on)
-	merkle.SetBulkApply(on)
 }
 
 // Hotpath — before/after sweep of the per-slot CPU hot paths every
-// pipelined batch pays: digest memoization, early-exit/parallel
-// certificate verification, and single-pass bulk Merkle apply. Unlike
+// pipelined batch pays: digest memoization and early-exit/parallel
+// certificate verification. Unlike
 // the pipeline experiment (which stretches network hops so stalls
 // dominate), this point keeps links cheap and batches full so per-batch
-// CPU work — redundant header re-encodes, per-key Merkle path re-hashing
-// — is the bottleneck the rows expose. "pre" disables the three headline
+// CPU work — redundant header re-encodes, serial signature checks — is
+// the bottleneck the rows expose. "pre" disables the two switchable
 // optimizations; "post" is the shipped configuration.
 func Hotpath(s Scale) []Point {
 	var out []Point

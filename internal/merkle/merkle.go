@@ -18,8 +18,10 @@ package merkle
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -35,15 +37,39 @@ const (
 	numBits  = 256 // keys are SHA-256 hashes
 )
 
-// node is either a leaf (bit == -1) or an inner node splitting at a
-// crit-bit index. Nodes are immutable after construction.
-type node struct {
-	bit     int16 // crit-bit index; -1 marks a leaf
+// The trie is built from two node types, both immutable after
+// construction. Every replica keeps every retained version resident, so
+// their sizes are the ADS's memory cost: 96 + 72 bytes per key (the latter
+// rounded to the allocator's 80-byte class).
+
+// leaf binds one key hash to one value hash. It holds no pointers, so the
+// allocator places leaves in spans the collector never scans.
+type leaf struct {
 	hash    Digest
-	left    *node  // inner only: subtree with bit == 0
-	right   *node  // inner only: subtree with bit == 1
-	keyHash Digest // leaf only
-	valHash Digest // leaf only
+	keyHash Digest
+	valHash Digest
+}
+
+// inner splits its subtree at a crit-bit index: left holds the keys whose
+// bit is 0, right those whose bit is 1.
+type inner struct {
+	hash        Digest
+	left, right ref
+	bit         int16
+}
+
+// ref points at a subtree: exactly one field is set, except in the empty
+// tree's root, where neither is.
+type ref struct {
+	in *inner
+	lf *leaf
+}
+
+func (r ref) hash() Digest {
+	if r.lf != nil {
+		return r.lf.hash
+	}
+	return r.in.hash
 }
 
 func bitAt(d Digest, i int) byte {
@@ -74,29 +100,49 @@ var hashOps atomic.Uint64
 // HashOps returns the total node hashes computed since process start.
 func HashOps() uint64 { return hashOps.Load() }
 
+// Node hashes are SHA-256 over the length-framed concatenation of their
+// parts, the layout cryptoutil.HashConcat produces (each part preceded by
+// its length as a big-endian uint64). The part lengths are fixed, so the
+// preimage is assembled in a fixed stack buffer and hashed in one call,
+// with no allocation. golden_test.go pins both layouts.
+
+// leafHash = SHA-256( u64(1) leafTag | u64(32) keyHash | u64(32) valHash ).
 func leafHash(keyHash, valHash Digest) Digest {
 	hashOps.Add(1)
-	return cryptoutil.HashConcat([]byte{leafTag}, keyHash[:], valHash[:])
+	var buf [8 + 1 + 8 + 32 + 8 + 32]byte
+	buf[7], buf[8] = 1, leafTag
+	buf[16] = 32
+	copy(buf[17:], keyHash[:])
+	buf[56] = 32
+	copy(buf[57:], valHash[:])
+	return sha256.Sum256(buf[:])
 }
 
+// innerHash = SHA-256( u64(3) innerTag bitHi bitLo | u64(32) left | u64(32) right ).
 func innerHash(bit int16, left, right Digest) Digest {
 	hashOps.Add(1)
-	return cryptoutil.HashConcat([]byte{innerTag, byte(bit >> 8), byte(bit)}, left[:], right[:])
+	var buf [8 + 3 + 8 + 32 + 8 + 32]byte
+	buf[7], buf[8], buf[9], buf[10] = 3, innerTag, byte(bit>>8), byte(bit)
+	buf[18] = 32
+	copy(buf[19:], left[:])
+	buf[58] = 32
+	copy(buf[59:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
-func newLeaf(keyHash, valHash Digest) *node {
-	return &node{bit: -1, hash: leafHash(keyHash, valHash), keyHash: keyHash, valHash: valHash}
+func newLeaf(keyHash, valHash Digest) ref {
+	return ref{lf: &leaf{hash: leafHash(keyHash, valHash), keyHash: keyHash, valHash: valHash}}
 }
 
-func newInner(bit int16, left, right *node) *node {
-	return &node{bit: bit, hash: innerHash(bit, left.hash, right.hash), left: left, right: right}
+func newInner(bit int16, left, right ref) ref {
+	return ref{in: &inner{hash: innerHash(bit, left.hash(), right.hash()), left: left, right: right, bit: bit}}
 }
 
 // Tree is an immutable Merkle trie version. The zero value is not usable;
 // call New. All update operations return a new version sharing structure
 // with the receiver.
 type Tree struct {
-	root *node
+	root ref
 	size int
 }
 
@@ -111,10 +157,10 @@ var EmptyRoot = cryptoutil.Hash([]byte("transedge-merkle-empty"))
 
 // Root returns the authenticated root digest of this version.
 func (t *Tree) Root() Digest {
-	if t.root == nil {
+	if t.size == 0 {
 		return EmptyRoot
 	}
-	return t.root.hash
+	return t.root.hash()
 }
 
 // HashKey maps an application key to its trie position.
@@ -123,40 +169,43 @@ func HashKey(key []byte) Digest { return cryptoutil.Hash(key) }
 // HashValue maps a value to the leaf value digest.
 func HashValue(value []byte) Digest { return cryptoutil.Hash(value) }
 
-// Insert returns a new version with key bound to valHash.
+// Insert returns a new version with key bound to valHash. It rebuilds the
+// key's whole root path; batches go through Apply, and Insert stays as the
+// independent oracle the property tests and fuzzers compare Apply against.
 func (t *Tree) Insert(key []byte, valHash Digest) *Tree {
 	return t.InsertHashed(HashKey(key), valHash)
 }
 
 // InsertHashed is Insert for a pre-hashed key.
 func (t *Tree) InsertHashed(keyHash, valHash Digest) *Tree {
-	if t.root == nil {
+	if t.size == 0 {
 		return &Tree{root: newLeaf(keyHash, valHash), size: 1}
 	}
-	leaf := findLeaf(t.root, keyHash)
-	if leaf.keyHash == keyHash {
+	lf := findLeaf(t.root, keyHash)
+	if lf.keyHash == keyHash {
 		return &Tree{root: replace(t.root, keyHash, valHash), size: t.size}
 	}
-	crit := int16(firstDiffBit(leaf.keyHash, keyHash))
+	crit := int16(firstDiffBit(lf.keyHash, keyHash))
 	return &Tree{root: insertAt(t.root, crit, keyHash, valHash), size: t.size + 1}
 }
 
 // findLeaf walks to the leaf whose position keyHash's bits select.
-func findLeaf(n *node, keyHash Digest) *node {
-	for n.bit >= 0 {
-		if bitAt(keyHash, int(n.bit)) == 0 {
-			n = n.left
+func findLeaf(r ref, keyHash Digest) *leaf {
+	for r.in != nil {
+		if bitAt(keyHash, int(r.in.bit)) == 0 {
+			r = r.in.left
 		} else {
-			n = n.right
+			r = r.in.right
 		}
 	}
-	return n
+	return r.lf
 }
 
 // replace copies the path to the existing leaf for keyHash and swaps in a
 // new value hash.
-func replace(n *node, keyHash, valHash Digest) *node {
-	if n.bit < 0 {
+func replace(r ref, keyHash, valHash Digest) ref {
+	n := r.in
+	if n == nil {
 		return newLeaf(keyHash, valHash)
 	}
 	if bitAt(keyHash, int(n.bit)) == 0 {
@@ -167,13 +216,14 @@ func replace(n *node, keyHash, valHash Digest) *node {
 
 // insertAt inserts a new leaf for keyHash, creating the split node at the
 // crit-bit position.
-func insertAt(n *node, crit int16, keyHash, valHash Digest) *node {
-	if n.bit < 0 || n.bit > crit {
+func insertAt(r ref, crit int16, keyHash, valHash Digest) ref {
+	n := r.in
+	if n == nil || n.bit > crit {
 		nl := newLeaf(keyHash, valHash)
 		if bitAt(keyHash, int(crit)) == 0 {
-			return newInner(crit, nl, n)
+			return newInner(crit, nl, r)
 		}
-		return newInner(crit, n, nl)
+		return newInner(crit, r, nl)
 	}
 	if bitAt(keyHash, int(n.bit)) == 0 {
 		return newInner(n.bit, insertAt(n.left, crit, keyHash, valHash), n.right)
@@ -181,27 +231,11 @@ func insertAt(n *node, crit int16, keyHash, valHash Digest) *node {
 	return newInner(n.bit, n.left, insertAt(n.right, crit, keyHash, valHash))
 }
 
-// bulkDisabled reverts Apply to one-key-at-a-time insertion. A
-// bench/test knob: the hotpath experiment flips it to record before/after
-// rows.
-var bulkDisabled atomic.Bool
-
-// SetBulkApply toggles the single-pass bulk merge inside Apply (on by
-// default).
-func SetBulkApply(on bool) { bulkDisabled.Store(!on) }
-
 // Apply returns a new version with every update applied. Updates with the
 // same key keep the last value.
 func (t *Tree) Apply(updates map[string]Digest) *Tree {
 	if len(updates) == 0 {
 		return t
-	}
-	if bulkDisabled.Load() {
-		out := t
-		for k, vh := range updates {
-			out = out.Insert([]byte(k), vh)
-		}
-		return out
 	}
 	ups := make([]Update, 0, len(updates))
 	for k, vh := range updates {
@@ -226,8 +260,8 @@ func (t *Tree) ApplyBulk(ups []Update) *Tree {
 	if len(ups) == 0 {
 		return t
 	}
-	sort.SliceStable(ups, func(i, j int) bool {
-		return bytes.Compare(ups[i].KeyHash[:], ups[j].KeyHash[:]) < 0
+	slices.SortStableFunc(ups, func(a, b Update) int {
+		return bytes.Compare(a.KeyHash[:], b.KeyHash[:])
 	})
 	// Collapse duplicate keys, keeping the last occurrence (stable sort
 	// preserves input order within a key).
@@ -240,21 +274,21 @@ func (t *Tree) ApplyBulk(ups []Update) *Tree {
 		w++
 	}
 	ups = ups[:w]
-	if t.root == nil {
+	if t.size == 0 {
 		return &Tree{root: buildSubtree(ups), size: len(ups)}
 	}
 	root, added := bulkMerge(t.root, leftmostKey(t.root), ups)
 	return &Tree{root: root, size: t.size + added}
 }
 
-// leftmostKey returns the key hash of the leftmost leaf under n; because
+// leftmostKey returns the key hash of the leftmost leaf under r; because
 // every key in a subtree agrees on all bits above the subtree's crit bit,
 // it represents the subtree's common prefix.
-func leftmostKey(n *node) Digest {
-	for n.bit >= 0 {
-		n = n.left
+func leftmostKey(r ref) Digest {
+	for r.in != nil {
+		r = r.in.left
 	}
-	return n.keyHash
+	return r.lf.keyHash
 }
 
 // firstDiffBefore returns the index of the most significant bit at which
@@ -286,7 +320,7 @@ func splitAt(ups []Update, bit int) ([]Update, []Update) {
 
 // buildSubtree constructs the canonical crit-bit subtree over sorted,
 // distinct key hashes.
-func buildSubtree(ups []Update) *node {
+func buildSubtree(ups []Update) ref {
 	if len(ups) == 1 {
 		return newLeaf(ups[0].KeyHash, ups[0].ValHash)
 	}
@@ -295,15 +329,16 @@ func buildSubtree(ups []Update) *node {
 	return newInner(crit, buildSubtree(zeros), buildSubtree(ones))
 }
 
-// bulkMerge merges sorted, distinct updates into the subtree rooted at n,
+// bulkMerge merges sorted, distinct updates into the subtree rooted at r,
 // whose common key prefix is represented by rep (the leftmost leaf's key
 // hash). Returns the new subtree and how many keys were newly added.
-func bulkMerge(n *node, rep Digest, ups []Update) (*node, int) {
+func bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
 	if len(ups) == 0 {
-		return n, 0
+		return r, 0
 	}
-	if n.bit < 0 {
-		return mergeLeaf(n, ups)
+	n := r.in
+	if n == nil {
+		return mergeLeaf(r.lf, ups)
 	}
 	b := int(n.bit)
 	// All keys in the subtree agree on bits above b, so rep stands in for
@@ -321,14 +356,14 @@ func bulkMerge(n *node, rep Digest, ups []Update) (*node, int) {
 		return newInner(n.bit, left, right), al + ar
 	}
 	// Some updates split off above this node, at bit dmin. Updates agreeing
-	// with the prefix at dmin keep merging into n; the others form a fresh
+	// with the prefix at dmin keep merging into r; the others form a fresh
 	// sibling subtree under a new inner node at dmin.
 	zeros, ones := splitAt(ups, dmin)
 	conform, diverge := zeros, ones
 	if bitAt(rep, dmin) == 1 {
 		conform, diverge = ones, zeros
 	}
-	merged, added := bulkMerge(n, rep, conform)
+	merged, added := bulkMerge(r, rep, conform)
 	side := buildSubtree(diverge)
 	if bitAt(rep, dmin) == 0 {
 		return newInner(int16(dmin), merged, side), added + len(diverge)
@@ -339,31 +374,31 @@ func bulkMerge(n *node, rep Digest, ups []Update) (*node, int) {
 // mergeLeaf merges updates into a single-leaf subtree: an update matching
 // the leaf's key overwrites its value; the rest join it in a canonical
 // subtree.
-func mergeLeaf(leaf *node, ups []Update) (*node, int) {
+func mergeLeaf(lf *leaf, ups []Update) (ref, int) {
 	i := sort.Search(len(ups), func(i int) bool {
-		return bytes.Compare(ups[i].KeyHash[:], leaf.keyHash[:]) >= 0
+		return bytes.Compare(ups[i].KeyHash[:], lf.keyHash[:]) >= 0
 	})
-	if i < len(ups) && ups[i].KeyHash == leaf.keyHash {
+	if i < len(ups) && ups[i].KeyHash == lf.keyHash {
 		return buildSubtree(ups), len(ups) - 1
 	}
 	merged := make([]Update, 0, len(ups)+1)
 	merged = append(merged, ups[:i]...)
-	merged = append(merged, Update{KeyHash: leaf.keyHash, ValHash: leaf.valHash})
+	merged = append(merged, Update{KeyHash: lf.keyHash, ValHash: lf.valHash})
 	merged = append(merged, ups[i:]...)
 	return buildSubtree(merged), len(ups)
 }
 
 // Get returns the value hash bound to key in this version.
 func (t *Tree) Get(key []byte) (Digest, bool) {
-	if t.root == nil {
+	if t.size == 0 {
 		return Digest{}, false
 	}
 	kh := HashKey(key)
-	leaf := findLeaf(t.root, kh)
-	if leaf.keyHash != kh {
+	lf := findLeaf(t.root, kh)
+	if lf.keyHash != kh {
 		return Digest{}, false
 	}
-	return leaf.valHash, true
+	return lf.valHash, true
 }
 
 // ProofStep is one level of a membership proof: the crit-bit index of the
@@ -389,25 +424,32 @@ var (
 // Prove produces a membership proof that key -> valHash in this version.
 // The returned value hash is the one bound in the tree.
 func (t *Tree) Prove(key []byte) (Proof, Digest, error) {
-	if t.root == nil {
+	if t.size == 0 {
 		return Proof{}, Digest{}, ErrNotFound
 	}
 	kh := HashKey(key)
-	var steps []ProofStep
-	n := t.root
-	for n.bit >= 0 {
-		if bitAt(kh, int(n.bit)) == 0 {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.right.hash})
-			n = n.left
-		} else {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.left.hash})
-			n = n.right
-		}
-	}
-	if n.keyHash != kh {
+	steps, lf := t.lookupPath(kh)
+	if lf.keyHash != kh {
 		return Proof{}, Digest{}, ErrNotFound
 	}
-	return Proof{Steps: steps}, n.valHash, nil
+	return Proof{Steps: steps}, lf.valHash, nil
+}
+
+// lookupPath walks a non-empty tree by kh's bits and returns the sibling
+// hash at every level, root first, with the leaf the walk ends at.
+func (t *Tree) lookupPath(kh Digest) ([]ProofStep, *leaf) {
+	var steps []ProofStep
+	r := t.root
+	for n := r.in; n != nil; n = r.in {
+		if bitAt(kh, int(n.bit)) == 0 {
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.right.hash()})
+			r = n.left
+		} else {
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.left.hash()})
+			r = n.right
+		}
+	}
+	return steps, r.lf
 }
 
 // VerifyProof checks that proof authenticates key -> value under root.
@@ -417,11 +459,17 @@ func (t *Tree) Prove(key []byte) (Proof, Digest, error) {
 // the key's bits) so a malicious server cannot splice subtrees.
 func VerifyProof(root Digest, key, value []byte, proof Proof) error {
 	kh := HashKey(key)
-	h := leafHash(kh, HashValue(value))
-	// Fold from the leaf upward: iterate steps in reverse.
+	return foldPath(root, kh, leafHash(kh, HashValue(value)), proof.Steps)
+}
+
+// foldPath folds a root-to-leaf path back up from the terminal leaf hash h
+// and compares the result with root. Directions are forced by kh, the
+// REQUESTED key's bits: this pins the path to the one the canonical lookup
+// takes.
+func foldPath(root, kh, h Digest, steps []ProofStep) error {
 	lastBit := int16(numBits)
-	for i := len(proof.Steps) - 1; i >= 0; i-- {
-		s := proof.Steps[i]
+	for i := len(steps) - 1; i >= 0; i-- {
+		s := steps[i]
 		if s.Bit < 0 || s.Bit >= numBits {
 			return fmt.Errorf("%w: bit index %d out of range", ErrProofShape, s.Bit)
 		}
@@ -459,26 +507,16 @@ var ErrPresent = errors.New("merkle: key is present")
 
 // ProveAbsent produces a non-membership proof for key.
 func (t *Tree) ProveAbsent(key []byte) (AbsenceProof, error) {
-	kh := HashKey(key)
-	if t.root == nil {
+	if t.size == 0 {
 		// The empty tree's well-known root is itself the proof.
 		return AbsenceProof{}, nil
 	}
-	var steps []ProofStep
-	n := t.root
-	for n.bit >= 0 {
-		if bitAt(kh, int(n.bit)) == 0 {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.right.hash})
-			n = n.left
-		} else {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.left.hash})
-			n = n.right
-		}
-	}
-	if n.keyHash == kh {
+	kh := HashKey(key)
+	steps, lf := t.lookupPath(kh)
+	if lf.keyHash == kh {
 		return AbsenceProof{}, ErrPresent
 	}
-	return AbsenceProof{Steps: steps, LeafKeyHash: n.keyHash, LeafValHash: n.valHash}, nil
+	return AbsenceProof{Steps: steps, LeafKeyHash: lf.keyHash, LeafValHash: lf.valHash}, nil
 }
 
 // VerifyAbsence checks that proof establishes key's absence under root.
@@ -490,29 +528,7 @@ func VerifyAbsence(root Digest, key []byte, proof AbsenceProof) error {
 	if proof.LeafKeyHash == kh {
 		return fmt.Errorf("%w: terminal leaf holds the key itself", ErrBadProof)
 	}
-	h := leafHash(proof.LeafKeyHash, proof.LeafValHash)
-	lastBit := int16(numBits)
-	for i := len(proof.Steps) - 1; i >= 0; i-- {
-		s := proof.Steps[i]
-		if s.Bit < 0 || s.Bit >= numBits {
-			return fmt.Errorf("%w: bit index %d out of range", ErrProofShape, s.Bit)
-		}
-		if s.Bit >= lastBit {
-			return fmt.Errorf("%w: bit indices not strictly increasing root-to-leaf", ErrProofShape)
-		}
-		lastBit = s.Bit
-		// Directions are forced by the REQUESTED key's bits: this pins
-		// the path to the one the canonical lookup would take.
-		if bitAt(kh, int(s.Bit)) == 0 {
-			h = innerHash(s.Bit, h, s.Sibling)
-		} else {
-			h = innerHash(s.Bit, s.Sibling, h)
-		}
-	}
-	if h != root {
-		return ErrBadProof
-	}
-	return nil
+	return foldPath(root, kh, leafHash(proof.LeafKeyHash, proof.LeafValHash), proof.Steps)
 }
 
 // ExportLeaves returns every (keyHash, valHash) binding of this version
@@ -539,17 +555,16 @@ func Build(ups []Update) *Tree {
 // Walk visits every (keyHash, valHash) leaf in the version, in trie order.
 // Intended for tests and debugging tools.
 func (t *Tree) Walk(fn func(keyHash, valHash Digest)) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.bit < 0 {
-			fn(n.keyHash, n.valHash)
-			return
-		}
-		rec(n.left)
-		rec(n.right)
+	if t.size > 0 {
+		walk(t.root, fn)
 	}
-	rec(t.root)
+}
+
+func walk(r ref, fn func(keyHash, valHash Digest)) {
+	if r.lf != nil {
+		fn(r.lf.keyHash, r.lf.valHash)
+		return
+	}
+	walk(r.in.left, fn)
+	walk(r.in.right, fn)
 }

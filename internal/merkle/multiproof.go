@@ -3,6 +3,7 @@ package merkle
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MultiProof is a compact proof for N keys in one tree version: the union
@@ -58,63 +59,89 @@ type MultiNode struct {
 // ErrNoKeys is returned by ProveMulti for an empty key set.
 var ErrNoKeys = errors.New("merkle: multi-proof over zero keys")
 
-// ProveMulti produces one MultiProof covering every key (duplicates
-// collapse). No hashing happens here: the proof collects hashes the tree
-// already holds. The empty tree yields an empty proof — EmptyRoot is
-// well known, so the proof that nothing is present is the root itself.
+// ProveMulti produces one MultiProof covering every key. No hashing of
+// nodes happens here: the proof collects hashes the tree already holds.
+// The empty tree yields an empty proof — EmptyRoot is well known, so the
+// proof that nothing is present is the root itself.
+//
+// The walk carries the key hashes that reach each node as one sub-slice of
+// a single array, partitioned in place by the node's crit bit, and a
+// counting pass sizes the node slice exactly, so a proof costs two
+// allocations whatever its length. Duplicate keys need no collapsing: they
+// route identically, and only whether ANY key reaches a subtree decides
+// what is emitted.
 func (t *Tree) ProveMulti(keys [][]byte) (MultiProof, error) {
 	if len(keys) == 0 {
 		return MultiProof{}, ErrNoKeys
 	}
-	if t.root == nil {
+	if t.size == 0 {
 		return MultiProof{}, nil
 	}
-	khs := make([]Digest, 0, len(keys))
-	requested := make(map[Digest]bool, len(keys))
-	for _, k := range keys {
-		kh := HashKey(k)
-		if !requested[kh] {
-			requested[kh] = true
-			khs = append(khs, kh)
+	khs := make([]Digest, len(keys))
+	for i, k := range keys {
+		khs[i] = HashKey(k)
+	}
+	nodes := make([]MultiNode, 0, countMulti(t.root, khs))
+	return MultiProof{Nodes: emitMulti(nodes, t.root, khs)}, nil
+}
+
+// partitionByBit reorders khs so the hashes whose bit is 0 come first and
+// returns how many there are. Unlike ApplyBulk's splitAt it cannot binary
+// search: absent keys routed through a node need not share the subtree's
+// prefix, so sorted order would not make the split contiguous.
+func partitionByBit(khs []Digest, bit int) int {
+	i, j := 0, len(khs)
+	for i < j {
+		if bitAt(khs[i], bit) == 0 {
+			i++
+		} else {
+			j--
+			khs[i], khs[j] = khs[j], khs[i]
 		}
 	}
-	nodes := make([]MultiNode, 0, 2*len(khs))
-	var rec func(n *node, reach []Digest)
-	rec = func(n *node, reach []Digest) {
-		if n.bit < 0 {
-			if requested[n.keyHash] {
-				nodes = append(nodes, MultiNode{Kind: MultiLeafRef})
-			} else {
-				nodes = append(nodes, MultiNode{Kind: MultiLeafOther, KeyHash: n.keyHash, ValHash: n.valHash})
-			}
-			return
-		}
-		// Partition the reaching keys by this node's crit bit. Unlike
-		// ApplyBulk's splitAt, absent keys routed through the node need
-		// not share the subtree's prefix, so partition by the bit itself.
-		var zeros, ones []Digest
-		for _, kh := range reach {
-			if bitAt(kh, int(n.bit)) == 0 {
-				zeros = append(zeros, kh)
-			} else {
-				ones = append(ones, kh)
-			}
-		}
-		switch {
-		case len(ones) == 0:
-			nodes = append(nodes, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: n.right.hash})
-			rec(n.left, zeros)
-		case len(zeros) == 0:
-			nodes = append(nodes, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: n.left.hash})
-			rec(n.right, ones)
-		default:
-			nodes = append(nodes, MultiNode{Kind: MultiInner, Bit: n.bit})
-			rec(n.left, zeros)
-			rec(n.right, ones)
-		}
+	return i
+}
+
+// countMulti returns how many nodes emitMulti emits for the subtree at r
+// when the (non-empty) reach set routes into it.
+func countMulti(r ref, reach []Digest) int {
+	n := r.in
+	if n == nil {
+		return 1
 	}
-	rec(t.root, khs)
-	return MultiProof{Nodes: nodes}, nil
+	count := 1
+	zeros := partitionByBit(reach, int(n.bit))
+	if zeros > 0 {
+		count += countMulti(n.left, reach[:zeros])
+	}
+	if zeros < len(reach) {
+		count += countMulti(n.right, reach[zeros:])
+	}
+	return count
+}
+
+// emitMulti appends the preorder flattening of the subtree at r, pruned to
+// the lookup paths of the (non-empty) reach set.
+func emitMulti(out []MultiNode, r ref, reach []Digest) []MultiNode {
+	n := r.in
+	if n == nil {
+		if slices.Contains(reach, r.lf.keyHash) {
+			return append(out, MultiNode{Kind: MultiLeafRef})
+		}
+		return append(out, MultiNode{Kind: MultiLeafOther, KeyHash: r.lf.keyHash, ValHash: r.lf.valHash})
+	}
+	switch zeros := partitionByBit(reach, int(n.bit)); zeros {
+	case len(reach):
+		out = append(out, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: n.right.hash()})
+		return emitMulti(out, n.left, reach)
+	case 0:
+		out = append(out, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: n.left.hash()})
+		return emitMulti(out, n.right, reach)
+	default:
+		out = append(out, MultiNode{Kind: MultiInner, Bit: n.bit})
+		out = emitMulti(out, n.left, reach[:zeros])
+		return emitMulti(out, n.right, reach[zeros:])
+	}
 }
 
 // KeyAnswer is one key's claimed outcome, as served: the raw key, the
@@ -126,29 +153,26 @@ type KeyAnswer struct {
 	Found bool
 }
 
-// mpNode is the parsed form of a MultiProof during verification.
-type mpNode struct {
-	bit         int16
-	pruned      bool
-	leaf        bool
-	ref         bool // leaf bound to a requested key; hashes resolved from answers
-	assigned    bool
-	hash        Digest
-	keyHash     Digest
-	valHash     Digest
-	left, right *mpNode
-}
-
 // VerifyMulti checks that proof authenticates every answer under root.
-// Structure first: the flattened nodes must parse to exactly one tree with
-// strictly increasing crit-bit indices root-to-leaf (the invariant that
-// stops subtree splicing, as in VerifyProof). Then each answer walks the
-// parsed tree by its key's bits; entering a pruned subtree is a
-// verification failure (the proof does not cover that key). Found answers
-// bind their key/value hashes to the leaf they land on; absent answers
-// must land on a leaf holding a different key. Finally the pruned tree is
-// folded bottom-up — each materialized node hashed exactly once — and
-// compared against the certified root.
+//
+// It folds the preorder node stream in one recursive pass without building
+// a tree: the answers that route into a subtree travel with the recursion
+// as one sub-slice, partitioned in place by each crit bit. The structural
+// checks are those of a parsed tree, applied as the stream is consumed:
+//
+//   - crit-bit indices strictly increase root-to-leaf (the invariant that
+//     stops subtree splicing, as in VerifyProof), every kind is known, and
+//     the stream holds exactly one tree: running out of nodes and having
+//     nodes left over are both shape errors;
+//   - an answer routed into a pruned subtree fails verification: the proof
+//     does not cover that key;
+//   - at a leaf, every Found answer that lands there must carry the one
+//     binding the leaf hashes to, and every absent answer must carry a
+//     different key. A MultiLeafRef takes its binding from the answers, so
+//     one that no Found answer resolves is a shape error.
+//
+// Each materialized node is hashed exactly once, and the fold must equal
+// the certified root.
 func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 	if len(proof.Nodes) == 0 {
 		// Only the empty tree is proven by an empty proof.
@@ -162,61 +186,20 @@ func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 		}
 		return nil
 	}
-	top, rest, err := parseMulti(proof.Nodes, 0)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing nodes", ErrProofShape, len(rest))
-	}
-	// Resolve leaves from the answers: Found answers assign hashes to the
-	// ref leaves they land on; absent answers are checked afterwards so a
-	// later assignment cannot retroactively invalidate them.
-	for _, a := range answers {
-		if !a.Found {
-			continue
-		}
-		kh := HashKey(a.Key)
-		leaf := walkMulti(top, kh)
-		if leaf == nil {
-			return fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, a.Key)
-		}
-		vh := HashValue(a.Value)
-		if !leaf.ref {
-			// A leaf shipped with explicit hashes can still prove
-			// membership — but only of exactly this binding.
-			if leaf.keyHash != kh || leaf.valHash != vh {
-				return fmt.Errorf("%w: leaf does not bind %q to the served value", ErrBadProof, a.Key)
-			}
-			continue
-		}
-		if leaf.assigned && (leaf.keyHash != kh || leaf.valHash != vh) {
-			return fmt.Errorf("%w: one leaf claimed for two bindings", ErrBadProof)
-		}
-		leaf.assigned = true
-		leaf.keyHash, leaf.valHash = kh, vh
-	}
-	for _, a := range answers {
+	reach := make([]hashedAnswer, len(answers))
+	for i, a := range answers {
+		reach[i] = hashedAnswer{key: a.Key, keyHash: HashKey(a.Key), found: a.Found}
 		if a.Found {
-			continue
-		}
-		kh := HashKey(a.Key)
-		leaf := walkMulti(top, kh)
-		if leaf == nil {
-			return fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, a.Key)
-		}
-		if leaf.ref && !leaf.assigned {
-			// An unresolved ref leaf has no hashes to fold; the server
-			// must ship absence terminals as MultiLeafOther.
-			return fmt.Errorf("%w: absence of %q rests on an unresolved leaf", ErrProofShape, a.Key)
-		}
-		if leaf.keyHash == kh {
-			return fmt.Errorf("%w: terminal leaf holds %q itself", ErrBadProof, a.Key)
+			reach[i].valHash = HashValue(a.Value)
 		}
 	}
-	h, err := foldMulti(top)
+	f := multiFold{rest: proof.Nodes}
+	h, err := f.subtree(0, reach)
 	if err != nil {
 		return err
+	}
+	if len(f.rest) != 0 {
+		return fmt.Errorf("%w: %d trailing nodes", ErrProofShape, len(f.rest))
 	}
 	if h != root {
 		return ErrBadProof
@@ -224,90 +207,112 @@ func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 	return nil
 }
 
-// parseMulti consumes one subtree from the flattened preorder, enforcing
-// kind validity and strictly increasing crit-bit indices (minBit). It
-// returns the parsed subtree and the unconsumed tail.
-func parseMulti(nodes []MultiNode, minBit int16) (*mpNode, []MultiNode, error) {
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("%w: truncated multi-proof", ErrProofShape)
+// hashedAnswer is a KeyAnswer in the form the fold compares: hashes, plus
+// the raw key for error messages.
+type hashedAnswer struct {
+	keyHash Digest
+	valHash Digest // zero unless found
+	found   bool
+	key     []byte
+}
+
+// multiFold is the cursor over the unconsumed preorder stream.
+type multiFold struct {
+	rest []MultiNode
+}
+
+// subtree consumes one subtree from the stream and returns its hash. reach
+// holds the answers whose keys route into it; minBit is one above the
+// parent's crit bit. Recursion is bounded by numBits because crit bits
+// strictly increase.
+func (f *multiFold) subtree(minBit int16, reach []hashedAnswer) (Digest, error) {
+	if len(f.rest) == 0 {
+		return Digest{}, fmt.Errorf("%w: truncated multi-proof", ErrProofShape)
 	}
-	nd := nodes[0]
-	rest := nodes[1:]
+	nd := &f.rest[0]
+	f.rest = f.rest[1:]
 	switch nd.Kind {
-	case MultiLeafRef:
-		return &mpNode{bit: -1, leaf: true, ref: true}, rest, nil
-	case MultiLeafOther:
-		return &mpNode{bit: -1, leaf: true, keyHash: nd.KeyHash, valHash: nd.ValHash}, rest, nil
+	case MultiLeafRef, MultiLeafOther:
+		return foldLeaf(nd, reach)
 	case MultiInner, MultiPrunedLeft, MultiPrunedRight:
-		if nd.Bit < minBit || nd.Bit >= numBits {
-			return nil, nil, fmt.Errorf("%w: crit bit %d out of order", ErrProofShape, nd.Bit)
-		}
-		n := &mpNode{bit: nd.Bit}
-		var err error
-		switch nd.Kind {
-		case MultiInner:
-			if n.left, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-			if n.right, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		case MultiPrunedLeft:
-			n.left = &mpNode{bit: -1, pruned: true, hash: nd.Sibling}
-			if n.right, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		case MultiPrunedRight:
-			n.right = &mpNode{bit: -1, pruned: true, hash: nd.Sibling}
-			if n.left, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		}
-		return n, rest, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown node kind %d", ErrProofShape, nd.Kind)
+		return Digest{}, fmt.Errorf("%w: unknown node kind %d", ErrProofShape, nd.Kind)
 	}
+	if nd.Bit < minBit || nd.Bit >= numBits {
+		return Digest{}, fmt.Errorf("%w: crit bit %d out of order", ErrProofShape, nd.Bit)
+	}
+	z := partitionAnswers(reach, int(nd.Bit))
+	var left, right Digest
+	var err error
+	if nd.Kind == MultiPrunedLeft {
+		left, err = prunedChild(nd, reach[:z])
+	} else {
+		left, err = f.subtree(nd.Bit+1, reach[:z])
+	}
+	if err != nil {
+		return Digest{}, err
+	}
+	if nd.Kind == MultiPrunedRight {
+		right, err = prunedChild(nd, reach[z:])
+	} else {
+		right, err = f.subtree(nd.Bit+1, reach[z:])
+	}
+	if err != nil {
+		return Digest{}, err
+	}
+	return innerHash(nd.Bit, left, right), nil
 }
 
-// walkMulti descends by the key hash's bits to the terminal node, or nil
-// when the path enters a pruned subtree.
-func walkMulti(n *mpNode, kh Digest) *mpNode {
-	for !n.leaf {
-		if n.pruned {
-			return nil
-		}
-		if bitAt(kh, int(n.bit)) == 0 {
-			n = n.left
+// partitionAnswers is partitionByBit over answers' key hashes.
+func partitionAnswers(reach []hashedAnswer, bit int) int {
+	i, j := 0, len(reach)
+	for i < j {
+		if bitAt(reach[i].keyHash, bit) == 0 {
+			i++
 		} else {
-			n = n.right
+			j--
+			reach[i], reach[j] = reach[j], reach[i]
 		}
 	}
-	return n
+	return i
 }
 
-// foldMulti computes the subtree hash bottom-up; every materialized node
-// is hashed exactly once (via leafHash/innerHash, so HashOps counts the
-// verification work).
-func foldMulti(n *mpNode) (Digest, error) {
-	if n.pruned {
-		return n.hash, nil
+// prunedChild returns the shipped hash of nd's pruned child. An answer
+// routed into it is one the proof does not cover.
+func prunedChild(nd *MultiNode, reach []hashedAnswer) (Digest, error) {
+	if len(reach) > 0 {
+		return Digest{}, fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, reach[0].key)
 	}
-	if n.leaf {
-		if n.ref && !n.assigned {
-			// Shape error, not a hash mismatch: the server shipped a leaf
-			// it claimed was a requested key's, but no served answer
-			// resolves it.
-			return Digest{}, fmt.Errorf("%w: unresolved leaf in multi-proof", ErrProofShape)
+	return nd.Sibling, nil
+}
+
+// foldLeaf checks the answers that land on a leaf against its binding and
+// returns the leaf hash, recomputed from that binding.
+func foldLeaf(nd *MultiNode, reach []hashedAnswer) (Digest, error) {
+	// A MultiLeafOther ships its binding. A MultiLeafRef ships nothing: the
+	// verifier recomputes the hash from a served key and value, which is
+	// what ties that answer to the certified root.
+	keyHash, valHash, bound := nd.KeyHash, nd.ValHash, nd.Kind == MultiLeafOther
+	for i := 0; !bound && i < len(reach); i++ {
+		if reach[i].found {
+			keyHash, valHash, bound = reach[i].keyHash, reach[i].valHash, true
 		}
-		return leafHash(n.keyHash, n.valHash), nil
 	}
-	l, err := foldMulti(n.left)
-	if err != nil {
-		return Digest{}, err
+	if !bound {
+		// A shape error, not a hash mismatch: the server marked the leaf as
+		// a requested key's, but no served answer resolves it. Absence
+		// terminals must ship as MultiLeafOther.
+		return Digest{}, fmt.Errorf("%w: leaf reference resolved by no served answer", ErrProofShape)
 	}
-	r, err := foldMulti(n.right)
-	if err != nil {
-		return Digest{}, err
+	for i := range reach {
+		a := &reach[i]
+		switch {
+		case a.found && (a.keyHash != keyHash || a.valHash != valHash):
+			// Covers a second, different binding claimed for one leaf.
+			return Digest{}, fmt.Errorf("%w: leaf does not bind %q to the served value", ErrBadProof, a.key)
+		case !a.found && a.keyHash == keyHash:
+			return Digest{}, fmt.Errorf("%w: terminal leaf holds %q itself", ErrBadProof, a.key)
+		}
 	}
-	return innerHash(n.bit, l, r), nil
+	return leafHash(keyHash, valHash), nil
 }
