@@ -12,6 +12,8 @@ package bench_test
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +22,7 @@ import (
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 	"transedge/internal/store"
+	"transedge/internal/transport"
 )
 
 // benchScale trims the Quick scale further so the whole suite finishes in
@@ -706,5 +709,47 @@ func BenchmarkClientScale(b *testing.B) {
 		b.ReportMetric(noMulti.ProofBytesPerReq, "proofbytes_req_nomulti")
 		b.ReportMetric(float64(fast.CertVerifications), "certverifies")
 		b.ReportMetric(float64(noCache.CertVerifications), "certverifies_nocache")
+	}
+}
+
+// BenchmarkTransportDelivery — what the simulated network charges one
+// message: each sender sends to its own receiver and waits for the
+// delivery before sending again, so ns/op is delay plus lateness plus
+// cost (all of it cost at delay=0, divided by the senders when several
+// overlap), allocs/op is what a message allocates on its way, and
+// lateness-us is the median delivery time beyond the injected delay.
+func BenchmarkTransportDelivery(b *testing.B) {
+	for _, delay := range []time.Duration{0, 100 * time.Microsecond, 500 * time.Microsecond} {
+		for _, senders := range []int{1, 8} {
+			b.Run(fmt.Sprintf("delay=%v/senders=%d", delay, senders), func(b *testing.B) {
+				net := transport.NewNetwork()
+				defer net.Stop()
+				net.SetLatency(func(_, _ cryptoutil.NodeID) time.Duration { return delay })
+				inboxes := make([]<-chan transport.Envelope, senders)
+				for s := range inboxes {
+					inboxes[s] = net.Register(cryptoutil.NodeID{Cluster: 1, Replica: int32(s)})
+				}
+				late := make([]time.Duration, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for s := 0; s < senders; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						from, to := cryptoutil.NodeID{Replica: int32(s)}, cryptoutil.NodeID{Cluster: 1, Replica: int32(s)}
+						for i := s; i < b.N; i += senders {
+							net.Send(from, to, nil)
+							e := <-inboxes[s]
+							late[i] = time.Since(e.SentAt) - delay
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				slices.Sort(late)
+				b.ReportMetric(float64(late[b.N/2])/1e3, "lateness-us")
+			})
+		}
 	}
 }

@@ -217,6 +217,10 @@ type Replica struct {
 	currentView atomic.Uint64
 	viewChanges atomic.Int64
 
+	// verify checks a peer's vote signature (cryptoutil.Verify; a field
+	// so a test can count which signers a replica spends it on).
+	verify func(pub ed25519.PublicKey, msg, sig []byte) bool
+
 	// Equivocation evidence: leader proposals seen per ID.
 	proposedDigest map[int64]protocol.Digest
 	// highestSeen is the largest sequence number observed in any
@@ -240,6 +244,7 @@ func New(cfg Config) *Replica {
 	r := &Replica{
 		cfg:               cfg,
 		self:              NodeID{Cluster: cfg.Cluster, Replica: cfg.Replica},
+		verify:            cryptoutil.Verify,
 		nextDeliver:       1,
 		nextValidate:      1,
 		nextPropose:       1,
@@ -333,10 +338,10 @@ func (r *Replica) HighestSeen() int64 { return r.highestSeen }
 // run before it is dropped instead of buffered (-1 = unbounded). An
 // honest leader never proposes past its own nextDeliver + MaxInFlight;
 // the extra window absorbs the skew between our delivery point and the
-// quorum's (plus timer-jitter reordering in the transport). Anything
-// further means we lost messages for good — buffering cannot help, only
-// state transfer can — so the buffers stay bounded at O(maxAhead)
-// instances.
+// quorum's (the transport itself reorders nothing within a cluster: links
+// of equal latency deliver in send order, DESIGN §12). Anything further
+// means we lost messages for good — buffering cannot help, only state
+// transfer can — so the buffers stay bounded at O(maxAhead) instances.
 func (r *Replica) maxAhead() int64 {
 	if r.cfg.BufferAhead < 0 {
 		return -1
@@ -669,10 +674,16 @@ func (r *Replica) vetCommit(in *instance, from NodeID, m *Commit) (ed25519.Publi
 }
 
 // broadcastPrepare signs and sends this replica's prepare for the
-// instance in its adopted view.
+// instance in its adopted view, and counts it here: the copy the
+// broadcast loops back is then a duplicate, dropped before its signature
+// is verified. A silent replica counts nothing it did not send.
 func (r *Replica) broadcastPrepare(in *instance) {
 	psd := protocol.PrepareSigDigest(r.cfg.Cluster, in.view, in.id, in.digest)
-	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: r.cfg.Keys.Sign(psd[:])})
+	sig := r.cfg.Keys.Sign(psd[:])
+	if !r.cfg.Behavior.Silent {
+		in.prepares[r.cfg.Replica] = prepVote{view: in.view, digest: in.digest, sig: sig}
+	}
+	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: sig})
 }
 
 func (r *Replica) onPrepare(from NodeID, m *Prepare) {
@@ -693,11 +704,12 @@ func (r *Replica) onPrepare(from NodeID, m *Prepare) {
 	// garbage here must not count toward prepared-ness.
 	psd := protocol.PrepareSigDigest(r.cfg.Cluster, m.View, m.ID, m.Digest)
 	pub := r.cfg.Ring.PublicKey(from)
-	if pub == nil || !cryptoutil.Verify(pub, psd[:], m.Sig) {
+	if pub == nil || !r.verify(pub, psd[:], m.Sig) {
 		return
 	}
 	in.prepares[from.Replica] = prepVote{view: m.View, digest: m.Digest, sig: m.Sig}
 	r.maybeCommit(in)
+	r.maybeDeliver(in) // our own commit vote may be the one that completes the quorum
 }
 
 // maybeCommit sends the Commit vote once 2f+1 matching Prepares are held
@@ -722,7 +734,9 @@ func (r *Replica) maybeCommit(in *instance) {
 	in.committed = true
 	sig := r.cfg.Keys.Sign(in.digest[:])
 	if r.cfg.Behavior.CorruptCertSig {
-		sig = make([]byte, len(sig)) // zeroed garbage
+		sig = make([]byte, len(sig)) // zeroed garbage, kept out of our own certificates too
+	} else if !r.cfg.Behavior.Silent {
+		in.commits[r.cfg.Replica] = sig // counted here, as in broadcastPrepare
 	}
 	r.broadcast(&Commit{View: in.view, ID: in.id, Digest: in.digest, CertSig: sig})
 }
@@ -754,7 +768,7 @@ func (r *Replica) onCommit(from NodeID, m *Commit) {
 // corrupt signatures must never reach the assembled certificate.
 func (r *Replica) acceptCommit(in *instance, from NodeID, m *Commit) {
 	pub, ok := r.vetCommit(in, from, m)
-	if !ok || !cryptoutil.Verify(pub, m.Digest[:], m.CertSig) {
+	if !ok || !r.verify(pub, m.Digest[:], m.CertSig) {
 		return
 	}
 	in.commits[from.Replica] = m.CertSig

@@ -8,6 +8,11 @@
 // between nodes. A drop filter supports byzantine fault injection
 // (silent nodes, partitioned links).
 //
+// Delayed envelopes wait in one deadline-ordered queue per Network, and
+// one goroutine delivers them when they fall due (DESIGN.md §12): links
+// of equal latency are FIFO in send order, and the delay a link adds is
+// the one it was configured with, on a busy machine and an idle one.
+//
 // A production deployment would place a TCP/gRPC implementation behind the
 // same Send/mailbox interface; the protocol layers above never assume
 // in-process delivery.
@@ -105,10 +110,8 @@ type Stats struct {
 // never block and protocol logic cannot deadlock on full buffers.
 //
 // The queue is two slices: pushes append to tail, pops walk head. When
-// head is exhausted the slices swap, reusing both backing arrays — O(1)
-// amortized with no per-pop reslicing (the seed's `queue = queue[1:]`
-// kept the whole backing array, and every popped envelope's payload,
-// reachable until the next append reallocated).
+// head is exhausted the slices swap, reusing both backing arrays: O(1)
+// amortized, and a popped envelope's payload is not kept reachable.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -117,6 +120,7 @@ type mailbox struct {
 	tail    []Envelope // push side
 	out     chan Envelope
 	closed  bool
+	pumping bool // the pump holds a popped envelope it has not yet sent on out
 }
 
 func newMailbox() *mailbox {
@@ -126,13 +130,26 @@ func newMailbox() *mailbox {
 	return m
 }
 
-func (m *mailbox) push(e Envelope) {
+// push queues e and reports whether the mailbox took it; a closed mailbox
+// discards. With nothing queued and nothing in the pump's hands, every
+// earlier envelope is already in out, so e may follow them there directly
+// and skip the handoff through the pump.
+func (m *mailbox) push(e Envelope) bool {
 	m.mu.Lock()
-	if !m.closed {
-		m.tail = append(m.tail, e)
-		m.cond.Signal()
+	defer m.mu.Unlock()
+	if m.closed {
+		return false
 	}
-	m.mu.Unlock()
+	if m.empty() && !m.pumping {
+		select {
+		case m.out <- e:
+			return true
+		default:
+		}
+	}
+	m.tail = append(m.tail, e)
+	m.cond.Signal()
+	return true
 }
 
 // empty reports whether the queue holds no envelopes; callers hold mu.
@@ -140,8 +157,18 @@ func (m *mailbox) empty() bool {
 	return m.headPos == len(m.head) && len(m.tail) == 0
 }
 
-// pop removes the front envelope; callers hold mu and ensure !empty().
-func (m *mailbox) pop() Envelope {
+// take blocks until an envelope is queued and pops it into the pump's
+// hands; false means the mailbox was closed.
+func (m *mailbox) take() (Envelope, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pumping = false
+	for m.empty() && !m.closed {
+		m.cond.Wait()
+	}
+	if m.empty() {
+		return Envelope{}, false
+	}
 	if m.headPos == len(m.head) {
 		m.head, m.tail = m.tail, m.head[:0]
 		m.headPos = 0
@@ -149,22 +176,17 @@ func (m *mailbox) pop() Envelope {
 	e := m.head[m.headPos]
 	m.head[m.headPos] = Envelope{} // release the payload reference now
 	m.headPos++
-	return e
+	m.pumping = true
+	return e, true
 }
 
 func (m *mailbox) pump() {
 	for {
-		m.mu.Lock()
-		for m.empty() && !m.closed {
-			m.cond.Wait()
-		}
-		if m.closed && m.empty() {
-			m.mu.Unlock()
+		e, ok := m.take()
+		if !ok {
 			close(m.out)
 			return
 		}
-		e := m.pop()
-		m.mu.Unlock()
 		m.out <- e
 	}
 }
@@ -187,6 +209,168 @@ func (m *mailbox) close() {
 	}()
 }
 
+// deliver hands env to its mailbox and counts the outcome: a mailbox
+// closed by Deregister or Stop while env was in flight discards it.
+func (s *Stats) deliver(box *mailbox, env Envelope) {
+	if box.push(env) {
+		s.Delivered.Add(1)
+	} else {
+		s.Dropped.Add(1)
+	}
+}
+
+// pending is one delayed envelope. Its mailbox was resolved when it was
+// sent, so a node registered again while the envelope is in flight never
+// receives what was addressed to its crashed incarnation.
+type pending struct {
+	at  time.Duration // deadline, measured from scheduler.epoch
+	seq uint64        // send order; breaks deadline ties
+	box *mailbox
+	env Envelope
+}
+
+func (p *pending) before(q *pending) bool {
+	return p.at < q.at || (p.at == q.at && p.seq < q.seq)
+}
+
+// scheduler delivers a Network's delayed envelopes in deadline order, ties
+// in send order, from one goroutine that the first delayed send starts.
+// Deadlines are stamped under mu from a monotonic clock, so nothing is
+// ever queued behind a later deadline that was already delivered.
+type scheduler struct {
+	stats *Stats
+	epoch time.Time
+	wake  chan struct{} // cap 1: the earliest deadline moved, the timerfd fired, or stop
+	done  chan struct{} // closed when run returns
+
+	mu      sync.Mutex
+	queue   []pending // binary min-heap under before
+	seq     uint64
+	running bool
+	stopped bool
+}
+
+func (s *scheduler) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// schedule queues env for delivery lat from now and reports false once the
+// scheduler has stopped.
+func (s *scheduler) schedule(env Envelope, box *mailbox, lat time.Duration) bool {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return false
+	}
+	s.seq++
+	earliest := s.insert(pending{at: time.Since(s.epoch) + lat, seq: s.seq, box: box, env: env}) == 0
+	if !s.running {
+		s.running = true
+		go s.run()
+	}
+	s.mu.Unlock()
+	if earliest {
+		s.poke() // run sleeps towards a later deadline, or none
+	}
+	return true
+}
+
+// insert adds p to the heap and returns the index it settles at; callers
+// hold mu.
+func (s *scheduler) insert(p pending) int {
+	q := append(s.queue, p)
+	i := len(q) - 1
+	for ; i > 0 && p.before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
+	}
+	q[i] = p
+	s.queue = q
+	return i
+}
+
+// pop removes the earliest envelope; callers hold mu and a non-empty queue.
+func (s *scheduler) pop() pending {
+	q := s.queue
+	top, n := q[0], len(q)-1
+	p := q[n] // sinks from the root to its place among the remaining n
+	q[n] = pending{}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&p) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = p
+	}
+	s.queue = q[:n]
+	return top
+}
+
+// run sleeps to the earliest deadline, then pushes everything due into the
+// mailboxes in one pass. Two timers cover the sleep, each accurate where
+// the other is not. Running Ps check Go timers at every scheduling point,
+// but an idle P blocks in the network poller, which rounds a
+// sub-millisecond timer up to a millisecond. The poller returns at once
+// when a descriptor turns readable, which is how a timerfd expires, but
+// busy Ps rarely poll.
+func (s *scheduler) run() {
+	defer close(s.done)
+	fd := newTimerfd(s.poke)
+	defer fd.close()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		s.mu.Lock()
+		for len(s.queue) > 0 && s.queue[0].at <= time.Since(s.epoch) {
+			p := s.pop()
+			s.stats.deliver(p.box, p.env)
+		}
+		stopped, idle := s.stopped, len(s.queue) == 0
+		var wait time.Duration
+		if !idle {
+			wait = s.queue[0].at - time.Since(s.epoch)
+		}
+		s.mu.Unlock()
+		if stopped {
+			return
+		}
+		if idle {
+			<-s.wake // blocked on neither timer, so neither wakes the process for nothing
+			continue
+		}
+		timer.Reset(wait)
+		fd.arm(wait)
+		select {
+		case <-timer.C:
+		case <-s.wake:
+		}
+	}
+}
+
+// stop drops what is still queued and waits for run to exit: no delayed
+// envelope is delivered after it returns.
+func (s *scheduler) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.stats.Dropped.Add(int64(len(s.queue)))
+	s.queue = nil
+	running := s.running
+	s.mu.Unlock()
+	if running {
+		s.poke()
+		<-s.done
+	}
+}
+
 // Network routes envelopes between registered nodes with configurable
 // latency and fault injection. All methods are safe for concurrent use.
 type Network struct {
@@ -195,7 +379,7 @@ type Network struct {
 	latency LatencyFunc
 	filter  FilterFunc
 	stopped bool
-	timers  sync.WaitGroup
+	sched   scheduler
 
 	// Stats is exported for tests and the benchmark harness.
 	Stats Stats
@@ -203,10 +387,12 @@ type Network struct {
 
 // NewNetwork creates a network with zero latency and no fault filter.
 func NewNetwork() *Network {
-	return &Network{
+	n := &Network{
 		boxes:   make(map[NodeID]*mailbox),
 		latency: func(NodeID, NodeID) time.Duration { return 0 },
 	}
+	n.sched = scheduler{stats: &n.Stats, epoch: time.Now(), wake: make(chan struct{}, 1), done: make(chan struct{})}
+	return n
 }
 
 // SetLatency installs the latency model. Safe to call while running.
@@ -308,36 +494,11 @@ func (n *Network) dispatch(env Envelope, box *mailbox, lat time.Duration, filter
 		n.Stats.Dropped.Add(1)
 		return
 	}
-	deliver := func() {
-		box.push(env)
-		n.Stats.Delivered.Add(1)
-	}
 	if lat <= 0 {
-		deliver()
-		return
+		n.Stats.deliver(box, env)
+	} else if !n.sched.schedule(env, box, lat) {
+		n.Stats.Dropped.Add(1) // sent while Stop was running
 	}
-	// The WaitGroup increment must be ordered against Stop: Stop sets
-	// stopped under the write lock and then Waits, so checking stopped and
-	// Adding under the read lock guarantees no timer is registered after
-	// Wait has begun (Add-after-Wait is a WaitGroup violation; the old
-	// unlocked Add raced exactly that way with a concurrent Stop).
-	n.mu.RLock()
-	if n.stopped {
-		n.mu.RUnlock()
-		n.Stats.Dropped.Add(1)
-		return
-	}
-	n.timers.Add(1)
-	n.mu.RUnlock()
-	time.AfterFunc(lat, func() {
-		defer n.timers.Done()
-		n.mu.RLock()
-		stopped := n.stopped
-		n.mu.RUnlock()
-		if !stopped {
-			deliver()
-		}
-	})
 }
 
 // Stop shuts the network down: pending deliveries are cancelled and all
@@ -355,7 +516,7 @@ func (n *Network) Stop() {
 	}
 	n.mu.Unlock()
 
-	n.timers.Wait()
+	n.sched.stop()
 	for _, b := range boxes {
 		b.close()
 	}
