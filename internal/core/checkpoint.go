@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"transedge/internal/cryptoutil"
@@ -30,15 +31,20 @@ type checkpointState struct {
 	header     protocol.BatchHeader
 	headerCert cryptoutil.Certificate
 	groups     []protocol.CheckpointGroup
-	// entries is the store snapshot captured at derivation (or received
-	// at install). Versions visible at the checkpoint are immutable and
-	// prune-clamped, so the capture equals a fresh export — retaining it
-	// makes serving a StateRequest O(1) instead of an O(keys) export on
-	// the consensus loop per (unauthenticated, retry-happy) request.
-	entries []protocol.SnapshotEntry
-	votes   map[int32][]byte // replica -> verified signature over digest
-	cert    cryptoutil.Certificate
-	stable  bool
+	// entries is the store export at id, and stays nil unless this replica
+	// serves a state transfer from the checkpoint: derivation drops its
+	// export once the digest is computed and an install does not keep the
+	// slice it verified. Whichever read executor first serves a request
+	// behind this (stable) checkpoint exports under exportOnce; later ones
+	// share the slice, and it is freed with the checkpoint when the next
+	// one turns stable. The loop never reads it. Versions visible at a
+	// stable checkpoint are immutable and prune-clamped, so the late
+	// export equals the one the digest was derived from.
+	exportOnce sync.Once
+	entries    []protocol.SnapshotEntry
+	votes      map[int32][]byte // replica -> verified signature over digest
+	cert       cryptoutil.Certificate
+	stable     bool
 }
 
 // chkQuorum is the checkpoint quorum size: 2f+1 matching votes guarantee
@@ -65,7 +71,8 @@ func (n *Node) openGroups() []protocol.CheckpointGroup {
 }
 
 // snapshotEntries exports the store at asOf as protocol snapshot
-// entries (key-sorted, the canonical digest order).
+// entries (key-sorted, the canonical digest order). Safe off the loop for
+// any delivered asOf the caller holds pinned against pruning.
 func (n *Node) snapshotEntries(asOf int64) []protocol.SnapshotEntry {
 	kvs := n.st.ExportAsOf(asOf)
 	out := make([]protocol.SnapshotEntry, len(kvs))
@@ -76,10 +83,13 @@ func (n *Node) snapshotEntries(asOf int64) []protocol.SnapshotEntry {
 }
 
 // maybeCheckpoint runs after delivering batch id: at every checkpoint
-// interval it derives this replica's checkpoint, votes for it, and
-// replays any buffered peer votes. The store scan happens synchronously
-// on the loop — delivery order is what makes the derived state
-// deterministic across replicas — and costs O(keys) once per interval.
+// interval it starts deriving this replica's checkpoint. The loop
+// captures what only it may read — the log entry and the open prepare
+// groups, as of this delivery — and a read executor pays the O(keys)
+// export and digest, pinned at id so the pruner keeps every version the
+// export must see. The derived state is still a function of the certified
+// prefix alone: versions at or below a delivered batch never change, so
+// the export reads the same content whenever it runs.
 func (n *Node) maybeCheckpoint(id int64) {
 	interval := int64(n.cfg.CheckpointInterval)
 	if interval <= 0 || id%interval != 0 || id == 0 {
@@ -100,35 +110,60 @@ func (n *Node) maybeCheckpoint(id int64) {
 	if entry == nil {
 		return
 	}
-	groups := n.openGroups()
-	entries := n.snapshotEntries(id)
-	digest := protocol.CheckpointDigest(n.cfg.Cluster, id, entry.digest,
-		protocol.SnapshotDigest(entries), protocol.GroupsDigest(groups))
 	cs := &checkpointState{
 		id:         id,
-		digest:     digest,
 		header:     entry.header,
 		headerCert: entry.cert,
-		groups:     groups,
-		entries:    entries,
+		groups:     n.openGroups(),
 		votes:      map[int32][]byte{},
+	}
+	headerDigest := entry.digest
+	derive := func() {
+		cs.digest = protocol.CheckpointDigest(n.cfg.Cluster, id, headerDigest,
+			protocol.SnapshotDigest(n.snapshotEntries(id)), protocol.GroupsDigest(cs.groups))
+		if n.hookDerived != nil {
+			n.hookDerived(id)
+		}
+	}
+	if n.readers.trySubmit(id, func() {
+		derive()
+		select {
+		case n.chkDerived <- cs:
+		case <-n.stop: // the loop is gone; nobody votes for this one
+		}
+	}) {
+		return
+	}
+	derive()
+	n.onCheckpointDerived(cs)
+}
+
+// onCheckpointDerived (loop) adopts a derived checkpoint: sign it, vote,
+// and replay the votes peers sent while it was being derived. A result
+// the log has moved past — an install or a truncation replaced the state
+// it describes, or a newer derivation finished first — is dropped: no
+// quorum this replica could still use can form for it.
+func (n *Node) onCheckpointDerived(cs *checkpointState) {
+	if n.log.get(cs.id) == nil ||
+		(n.stable != nil && cs.id <= n.stable.id) || (n.chk != nil && cs.id <= n.chk.id) {
+		return
 	}
 	n.chk = cs
 
-	sig := n.cfg.Keys.Sign(digest[:])
+	sig := n.cfg.Keys.Sign(cs.digest[:])
 	cs.votes[n.cfg.Replica] = sig
 	n.cfg.Net.Broadcast(n.self, n.peers, &protocol.Checkpoint{
-		Cluster: n.cfg.Cluster, BatchID: id,
-		StateDigest: digest, Replica: n.cfg.Replica, Sig: sig,
+		Cluster: n.cfg.Cluster, BatchID: cs.id,
+		StateDigest: cs.digest, Replica: n.cfg.Replica, Sig: sig,
 	})
 
 	// Replay buffered votes for this checkpoint; drop buffers at or
 	// below it (they can never become relevant again).
 	for bid, votes := range n.chkVotes {
-		if bid > id {
+		if bid > cs.id {
 			continue
 		}
-		if bid == id {
+		if bid == cs.id {
 			for _, v := range votes {
 				n.recordChkVote(cs, v)
 			}
@@ -219,9 +254,9 @@ func (n *Node) maybeStabilize(cs *checkpointState) {
 	n.stableID.Store(cs.id)
 	n.Metrics.CheckpointsStable++
 	n.truncateBelow(cs.id)
-	// Persist the quorum-backed checkpoint and truncate the WAL below it:
-	// from here on a cold restart rebuilds from this state instead of
-	// replaying history from genesis.
+	// Hand the quorum-backed checkpoint to the persister: once the file is
+	// durable the WAL is truncated below it, and a cold restart rebuilds
+	// from this state instead of replaying history from genesis.
 	n.persistCheckpoint(cs)
 }
 
@@ -303,6 +338,11 @@ func (n *Node) maybeStateSync() {
 // suffix above HaveBatch is served on its own (CheckpointID stays < 0);
 // if the needed bodies were body-pruned the suffix will not chain and
 // the requester retries after the next checkpoint forms.
+//
+// The snapshot is exported by a read executor, once per stable
+// checkpoint however many (unauthenticated, retry-happy) requests ask
+// for it: the loop assembles everything else, and the executor attaches
+// the shared export and sends.
 func (n *Node) onStateRequest(m *protocol.StateRequest) {
 	if m.From.Cluster != n.cfg.Cluster {
 		return // state transfer is intra-cluster
@@ -310,13 +350,14 @@ func (n *Node) onStateRequest(m *protocol.StateRequest) {
 	resp := &protocol.StateResponse{Cluster: n.cfg.Cluster, CheckpointID: -1,
 		Tip: n.lastBatchID(), View: n.consensus.CurrentView()}
 	start := m.HaveBatch + 1
+	var behind *checkpointState // the checkpoint whose snapshot m needs
 	if cs := n.stable; cs != nil {
 		resp.CheckpointID = cs.id
 		resp.Header = cs.header
 		resp.HeaderCert = cs.headerCert
 		resp.Cert = cs.cert
 		if m.HaveBatch < cs.id {
-			resp.Entries = cs.entries // captured at derivation; immutable
+			behind = cs
 			resp.Groups = cs.groups
 			start = cs.id + 1
 		}
@@ -336,7 +377,21 @@ func (n *Node) onStateRequest(m *protocol.StateRequest) {
 		}
 		resp.Suffix = append(resp.Suffix, protocol.CertifiedBatch{Batch: e.batch, Cert: e.cert})
 	}
-	n.cfg.Net.Send(n.self, m.From, resp)
+	if behind == nil {
+		n.cfg.Net.Send(n.self, m.From, resp)
+		return
+	}
+	// Pinned at the checkpoint: a newer stable checkpoint may lift the
+	// pruner's clamp while the export is still queued.
+	to := m.From
+	serve := func() {
+		behind.exportOnce.Do(func() { behind.entries = n.snapshotEntries(behind.id) })
+		resp.Entries = behind.entries
+		n.cfg.Net.Send(n.self, to, resp)
+	}
+	if !n.readers.trySubmit(behind.id, serve) {
+		serve()
+	}
 }
 
 // errSync annotates a rejected state response.
@@ -438,7 +493,11 @@ func (n *Node) onStateResponse(from NodeID, m *protocol.StateResponse) {
 
 // installCheckpoint verifies and installs a stable checkpoint received
 // from a peer, then persists it locally (it is the newest durable state
-// this replica can prove).
+// this replica can prove). The loop waits for the file here: the caller
+// replays the response's suffix next, and those batches may only be
+// appended to a WAL already truncated up to the checkpoint — behind the
+// old tip they would leave a gap that recovery cuts them off at. Installs
+// are rare and already O(keys) on the loop.
 func (n *Node) installCheckpoint(m *protocol.StateResponse) error {
 	if err := n.installCheckpointParts(m.CheckpointID, m.Header, m.HeaderCert,
 		m.Cert, m.Entries, m.Groups); err != nil {
@@ -446,6 +505,7 @@ func (n *Node) installCheckpoint(m *protocol.StateResponse) error {
 	}
 	n.Metrics.StateTransfers++
 	n.persistCheckpoint(n.stable)
+	n.drainPersister()
 	return nil
 }
 
@@ -505,7 +565,10 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 
 	// Everything verified: install. Speculative and 2PC state derived
 	// from the abandoned prefix is discarded wholesale (a recovering
-	// replica has none; a lagging one rebuilds from the checkpoint).
+	// replica has none; a lagging one rebuilds from the checkpoint). A
+	// persist still exporting the old state must finish first — the import
+	// below would feed it a mix of both.
+	n.drainPersister()
 	n.rollbackSpec(0)
 	kvs := make([]store.KV, len(entries))
 	for i := range entries {
@@ -542,11 +605,12 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	}
 
 	// The installed checkpoint is our stable checkpoint now: we hold its
-	// certificate, so we can serve state transfers ourselves.
+	// certificate, so we can serve state transfers ourselves (exporting
+	// from the store just imported, should anyone ask).
 	n.chk = nil
 	n.stable = &checkpointState{
 		id: id, digest: digest, header: header,
-		headerCert: headerCert, groups: groups, entries: entries,
+		headerCert: headerCert, groups: groups,
 		cert: cert, stable: true,
 	}
 	n.stableID.Store(id)

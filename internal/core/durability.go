@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -99,13 +97,10 @@ func (n *Node) openDurability() {
 // without it (the WAL from genesis, or a peer, still applies).
 func (n *Node) loadDurableCheckpoint() (view uint64, ok bool) {
 	raw, err := os.ReadFile(filepath.Join(n.checkpointDir(), checkpointFile))
-	if err != nil || len(raw) < 4 {
+	if err != nil {
 		return 0, false
 	}
-	if binary.BigEndian.Uint32(raw[:4]) != crc32.ChecksumIEEE(raw[4:]) {
-		return 0, false
-	}
-	c, err := protocol.DecodeDurableCheckpoint(raw[4:])
+	c, err := protocol.DecodeDurableCheckpointFile(raw)
 	if err != nil || c.Cluster != n.cfg.Cluster || c.CheckpointID <= n.lastBatchID() {
 		return 0, false
 	}
@@ -117,10 +112,16 @@ func (n *Node) loadDurableCheckpoint() (view uint64, ok bool) {
 	return c.View, true
 }
 
-// persistCheckpoint atomically writes a stable checkpoint to disk and
-// truncates the WAL below it (the checkpoint supersedes that prefix).
-// Write-temp-then-rename keeps a crash at any instant recoverable: the
-// old checkpoint file survives until the new one is fully on disk.
+// persistResult is the persister's report back to the loop.
+type persistResult struct {
+	id  int64
+	err error
+}
+
+// persistCheckpoint (loop) hands a stable checkpoint to the persister. At
+// most one persist runs per node; while it does, only the newest stable
+// checkpoint waits behind it — a checkpoint that is superseded before its
+// turn is never written.
 func (n *Node) persistCheckpoint(cs *checkpointState) {
 	if n.cfg.DataDir == "" || cs == nil || !cs.stable || cs.id <= n.persistedChk {
 		return
@@ -132,23 +133,71 @@ func (n *Node) persistCheckpoint(cs *checkpointState) {
 		Header:       cs.header,
 		HeaderCert:   cs.headerCert,
 		Cert:         cs.cert,
-		Entries:      cs.entries,
 		Groups:       cs.groups,
 	}
-	payload := protocol.EncodeDurableCheckpoint(c)
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(payload))
-	copy(buf[4:], payload)
-	if err := atomicWrite(n.checkpointDir(), checkpointFile, buf); err != nil {
-		n.Metrics.WALErrors++
-		return // WAL keeps the full history; recovery just replays more
+	if n.persisting {
+		n.persistNext = c
+		return
 	}
-	n.persistedChk = cs.id
-	n.Metrics.CheckpointsPersisted++
-	if n.wal != nil {
-		if err := n.wal.Truncate(cs.id + 1); err != nil {
-			n.dropWAL()
+	n.startPersist(c)
+}
+
+// startPersist (loop) launches the persister goroutine for c: export the
+// store at the checkpoint, encode, and atomically replace the checkpoint
+// file. Write-temp-then-rename keeps a crash at any instant recoverable:
+// the old file survives until the new one is fully on disk. The export
+// is pinned like a snapshot read — c is the stable checkpoint when this
+// runs, but a newer one may lift the pruner's clamp before the export is
+// through.
+func (n *Node) startPersist(c *protocol.DurableCheckpoint) {
+	n.persisting = true
+	id := c.CheckpointID
+	n.readers.retain(id)
+	go func() {
+		c.Entries = n.snapshotEntries(id)
+		n.readers.release(id)
+		buf := protocol.EncodeDurableCheckpointFile(c)
+		if n.hookPersist != nil {
+			n.hookPersist(id)
 		}
+		n.persistDone <- persistResult{id: id, err: atomicWrite(n.checkpointDir(), checkpointFile, buf)}
+	}()
+}
+
+// onPersisted (loop) retires a finished persist. Only now, with the file
+// durable, is the WAL — which stays loop-owned — truncated below the
+// checkpoint that supersedes its prefix; a failed write leaves the WAL
+// whole and recovery just replays more.
+func (n *Node) onPersisted(r persistResult) {
+	n.persisting = false
+	if r.err != nil {
+		n.Metrics.WALErrors++
+	} else {
+		n.persistedChk = r.id
+		n.Metrics.CheckpointsPersisted++
+		if n.wal != nil {
+			if err := n.wal.Truncate(r.id + 1); err != nil {
+				n.dropWAL()
+			}
+		}
+	}
+	if c := n.persistNext; c != nil {
+		n.persistNext = nil
+		n.startPersist(c)
+	}
+}
+
+// drainPersister (loop) waits out a running persist and forgets a queued
+// one. Called around a checkpoint install — before it replaces the store
+// the persister exports from, and after it, so the installed checkpoint
+// is durable before anything behind it reaches the WAL — and when the
+// loop exits, so that once Stop returns nothing of this node still writes
+// under its DataDir, and a restart on the same directory is the only
+// writer of the temp file.
+func (n *Node) drainPersister() {
+	n.persistNext = nil
+	if n.persisting {
+		n.onPersisted(<-n.persistDone)
 	}
 }
 

@@ -1,0 +1,29 @@
+package core
+
+// Test-only access to loop-owned checkpoint state for the external
+// core_test package.
+
+// SetCheckpointHooks installs the derivation and persister hooks (either
+// may be nil). Call before Start.
+func (n *Node) SetCheckpointHooks(derived, persist func(id int64)) {
+	n.hookDerived, n.hookPersist = derived, persist
+}
+
+// CheckpointView is what a stopped node's checkpoint slots hold: the
+// position of each (-1 = empty) and whether it retains a store export.
+type CheckpointView struct {
+	ChkID, StableID         int64
+	ChkExport, StableExport bool
+}
+
+// Checkpoints reads the node's checkpoint slots. Call after Stop.
+func (n *Node) Checkpoints() CheckpointView {
+	v := CheckpointView{ChkID: -1, StableID: -1}
+	if n.chk != nil {
+		v.ChkID, v.ChkExport = n.chk.id, n.chk.entries != nil
+	}
+	if n.stable != nil {
+		v.StableID, v.StableExport = n.stable.id, n.stable.entries != nil
+	}
+	return v
+}

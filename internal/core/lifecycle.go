@@ -262,6 +262,14 @@ func (n *Node) pruneStoreStep() {
 		if n.stable != nil && n.stable.id < keep {
 			keep = n.stable.id
 		}
+		// So must the ones visible at a checkpoint still collecting votes:
+		// nothing of it is retained, so if it turns stable the persister
+		// and any transfer export it from the store. (Until the first
+		// stable checkpoint nothing else holds the boundary back; during
+		// derivation the executor's pin above does.)
+		if n.chk != nil && n.chk.id < keep {
+			keep = n.chk.id
+		}
 		if keep <= n.prunedThrough {
 			return
 		}

@@ -287,6 +287,9 @@ type Node struct {
 	chk      *checkpointState
 	stable   *checkpointState
 	chkVotes map[int64]map[int32]*protocol.Checkpoint
+	// chkDerived hands a checkpoint derived on a read executor back to
+	// the loop, which votes for it (onCheckpointDerived).
+	chkDerived chan *checkpointState
 
 	// State-transfer client state: whether a sync is in flight, its
 	// retry deadline, the peer rotation cursor, and which distinct peers
@@ -318,6 +321,19 @@ type Node struct {
 	// persistedChk is the newest checkpoint ID written to disk; persists
 	// are skipped at or below it.
 	persistedChk int64
+	// The persister (DESIGN.md §8): persisting marks the one goroutine
+	// writing a checkpoint file, persistNext is the newest stable
+	// checkpoint waiting for it to finish, and persistDone carries its
+	// result back to the loop (buffered, so the persister can always exit).
+	persisting  bool
+	persistNext *protocol.DurableCheckpoint
+	persistDone chan persistResult
+	// Test hooks, nil outside tests and set before Start: hookDerived runs
+	// on the deriving goroutine once a checkpoint digest is computed,
+	// before the loop hears of it; hookPersist runs on the persister once
+	// the file image is encoded, before it is written.
+	hookDerived func(id int64)
+	hookPersist func(id int64)
 
 	// Leader-progress watchdog (DESIGN.md §7). progressDeadline is when
 	// the current leader is suspected if no delivery lands first (zero =
@@ -465,6 +481,8 @@ func NewNode(cfg NodeConfig) *Node {
 		pendingWrites:    make(keyRefs),
 		waiters:          make(map[protocol.TxnID]chan protocol.CommitReply),
 		chkVotes:         make(map[int64]map[int32]*protocol.Checkpoint),
+		chkDerived:       make(chan *checkpointState),
+		persistDone:      make(chan persistResult, 1),
 		syncHeard:        make(map[int32]bool),
 		stop:             make(chan struct{}),
 		done:             make(chan struct{}),
@@ -570,15 +588,26 @@ func (n *Node) run() {
 	// delivered before Stop durable (a graceful shutdown; crashes are
 	// simulated with the wal crash hooks, which drop the unsynced tail).
 	defer n.closeWAL()
+	// Wait out a running checkpoint persist before the WAL and the engine
+	// it reads go away, and before done closes: a RestartReplica on the
+	// same DataDir must find no writer of the old incarnation left.
+	defer n.drainPersister()
 	// Drain the read executors before done closes (LIFO), so metrics and
 	// store state are quiescent once Stop returns.
 	defer n.readers.stop()
+	// However the loop ended (Stop, or the network closing the inbox),
+	// executors waiting to hand it a result must learn it is gone.
+	defer n.stopOnce.Do(func() { close(n.stop) })
 	ticker := time.NewTicker(n.cfg.BatchInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
+		case cs := <-n.chkDerived:
+			n.onCheckpointDerived(cs)
+		case r := <-n.persistDone:
+			n.onPersisted(r)
 		case env, ok := <-n.inbox:
 			if !ok {
 				return

@@ -18,7 +18,7 @@ import (
 // newSpecLeader builds an unstarted single-cluster leader whose pipeline
 // can be driven synchronously. Consensus messages go to an empty network
 // and vanish; delivery is simulated by calling onDeliver directly.
-func newSpecLeader(t *testing.T, depth int, data map[string][]byte) *Node {
+func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func(*NodeConfig)) *Node {
 	t.Helper()
 	const replicas = 4
 	keys := make(map[NodeID]cryptoutil.KeyPair)
@@ -30,7 +30,7 @@ func newSpecLeader(t *testing.T, depth int, data map[string][]byte) *Node {
 		ring.Add(id, kp.Public)
 	}
 	header, cert := genesis(0, 1, data, time.Now().UnixNano(), keys, replicas)
-	return NewNode(NodeConfig{
+	cfg := NodeConfig{
 		Cluster: 0, Replica: 0, Clusters: 1, N: replicas, F: 1,
 		Keys:          keys[NodeID{Cluster: 0, Replica: 0}],
 		Ring:          ring,
@@ -40,7 +40,11 @@ func newSpecLeader(t *testing.T, depth int, data map[string][]byte) *Node {
 		InitialData:   data,
 		GenesisHeader: header,
 		GenesisCert:   cert,
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return NewNode(cfg)
 }
 
 func specKeys(n int) map[string][]byte {

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"transedge/internal/cryptoutil"
 )
@@ -188,14 +190,68 @@ type DurableCheckpoint struct {
 	Groups     []CheckpointGroup      // ascending PrepareBatch
 }
 
+// certSize returns the exact canonical encoding length of c.
+func certSize(c *cryptoutil.Certificate) int {
+	n := 4 + 4
+	for _, s := range c.Signatures {
+		n += 4 + 4 + 4 + len(s.Sig)
+	}
+	return n
+}
+
 // EncodeDurableCheckpoint returns the canonical checkpoint-file payload.
 func EncodeDurableCheckpoint(c *DurableCheckpoint) []byte {
-	var e enc
-	e.b = append(e.b, []byte(durableCheckpointTag)...)
+	return encodeDurableCheckpoint(c, 0)
+}
+
+// durableCheckpointFrame is the checkpoint file's frame header: the
+// big-endian IEEE CRC-32 of the payload that follows it.
+const durableCheckpointFrame = 4
+
+// EncodeDurableCheckpointFile returns the checkpoint file image: the
+// payload behind its CRC frame.
+func EncodeDurableCheckpointFile(c *DurableCheckpoint) []byte {
+	buf := encodeDurableCheckpoint(c, durableCheckpointFrame)
+	binary.BigEndian.PutUint32(buf, crc32.ChecksumIEEE(buf[durableCheckpointFrame:]))
+	return buf
+}
+
+// DecodeDurableCheckpointFile checks a checkpoint file image's frame and
+// parses the payload behind it.
+func DecodeDurableCheckpointFile(raw []byte) (*DurableCheckpoint, error) {
+	if len(raw) < durableCheckpointFrame {
+		return nil, errDecShort
+	}
+	payload := raw[durableCheckpointFrame:]
+	if binary.BigEndian.Uint32(raw) != crc32.ChecksumIEEE(payload) {
+		return nil, fmt.Errorf("protocol: durable checkpoint CRC mismatch")
+	}
+	return DecodeDurableCheckpoint(payload)
+}
+
+// encodeDurableCheckpoint encodes the payload behind reserve zero bytes
+// for the file frame. A payload is the whole keyspace, so the buffer is
+// sized exactly up front: one allocation, no append growth, and no copy
+// to prepend the frame.
+func encodeDurableCheckpoint(c *DurableCheckpoint, reserve int) []byte {
+	header := c.Header.Encode()
+	size := reserve + len(durableCheckpointTag) + 4 + 8 + 8 +
+		4 + len(header) + certSize(&c.HeaderCert) + certSize(&c.Cert) + 4 + 4
+	for i := range c.Entries {
+		size += 4 + len(c.Entries[i].Key) + 4 + len(c.Entries[i].Value) + 8
+	}
+	for i := range c.Groups {
+		size += 8 + 4
+		for j := range c.Groups[i].Recs {
+			size += transactionSize(&c.Groups[i].Recs[j].Txn) + 4
+		}
+	}
+	e := enc{b: make([]byte, reserve, size)}
+	e.b = append(e.b, durableCheckpointTag...)
 	e.i32(c.Cluster)
 	e.i64(c.CheckpointID)
 	e.u64(c.View)
-	e.bytes(c.Header.Encode())
+	e.bytes(header)
 	e.cert(&c.HeaderCert)
 	e.cert(&c.Cert)
 	e.u32(uint32(len(c.Entries)))

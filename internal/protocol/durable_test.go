@@ -2,6 +2,9 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"transedge/internal/cryptoutil"
@@ -153,6 +156,137 @@ func TestDurableCheckpointRoundTrip(t *testing.T) {
 	if len(got.Cert.Signatures) != 3 || !bytes.Equal(
 		got.Cert.Signatures[0].Sig, orig.Cert.Signatures[0].Sig) {
 		t.Fatal("certificate changed across the round trip")
+	}
+}
+
+// goldenCheckpoint is a fixed checkpoint exercising every field of the
+// file payload: both certificates, an empty value, a key longer than any
+// small-string buffer, a group with a record and one without.
+func goldenCheckpoint() *DurableCheckpoint {
+	sig := func(r int32, tag string) cryptoutil.Signature {
+		return cryptoutil.Signature{Signer: cryptoutil.NodeID{Cluster: 2, Replica: r},
+			Sig: []byte(fmt.Sprintf("%s-%d", tag, r))}
+	}
+	return &DurableCheckpoint{
+		Cluster:      2,
+		CheckpointID: 64,
+		View:         3,
+		Header: BatchHeader{
+			Cluster: 2, ID: 64, PrevDigest: Digest{1, 2, 3}, Timestamp: 1234567890,
+			LocalDigest: Digest{4}, PreparedDigest: Digest{5}, CommittedDigest: Digest{6},
+			CD: CDVector{7, -1, 64}, LCE: 60, MerkleRoot: Digest{9, 8, 7},
+		},
+		HeaderCert: cryptoutil.Certificate{Cluster: 2,
+			Signatures: []cryptoutil.Signature{sig(0, "hdr"), sig(1, "hdr")}},
+		Cert: cryptoutil.Certificate{Cluster: 2,
+			Signatures: []cryptoutil.Signature{sig(0, "chk"), sig(1, "chk"), sig(3, "chk")}},
+		Entries: []SnapshotEntry{
+			{Key: "alpha", Value: []byte("one"), Writer: 10},
+			{Key: "beta", Value: nil, Writer: 12},
+			{Key: "gamma-with-a-key-longer-than-thirty-two-bytes", Value: []byte("three"), Writer: 64},
+		},
+		Groups: []CheckpointGroup{
+			{PrepareBatch: 61, Recs: []PrepareRecord{{
+				Txn: Transaction{ID: MakeTxnID(9, 9),
+					Reads:      []ReadEntry{{Key: "alpha", Version: 10}},
+					Writes:     []WriteOp{{Key: "beta", Value: []byte("b2")}},
+					Partitions: []int32{0, 2}},
+				CoordCluster: 0,
+			}}},
+			{PrepareBatch: 63},
+		},
+	}
+}
+
+// TestDurableCheckpointGoldenBytes pins the checkpoint file: the hex below
+// is the payload the append-grown encoder produced for goldenCheckpoint
+// before the buffer was pre-sized (generated at commit 4689360), and the
+// file is that payload behind its CRC, so a file written today loads on a
+// replica built then and vice versa. Either buffer must come back exactly
+// full — a size formula that drifts from the encoder shows up here as
+// spare capacity or a regrown buffer.
+func TestDurableCheckpointGoldenBytes(t *testing.T) {
+	const golden = "" +
+		"7472616e73656467652d64757261626c652d636865636b706f696e742d763100" +
+		"00000200000000000000400000000000000003000000ea7472616e7365646765" +
+		"2d62617463682d76310000000200000000000000400102030000000000000000" +
+		"00000000000000000000000000000000000000000000000000499602d2040000" +
+		"0000000000000000000000000000000000000000000000000000000000050000" +
+		"0000000000000000000000000000000000000000000000000000000000060000" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"030000000000000007ffffffffffffffff000000000000004000000000000000" +
+		"3c09080700000000000000000000000000000000000000000000000000000000" +
+		"0000000002000000020000000200000000000000056864722d30000000020000" +
+		"0001000000056864722d31000000020000000300000002000000000000000563" +
+		"686b2d3000000002000000010000000563686b2d310000000200000003000000" +
+		"0563686b2d330000000300000005616c706861000000036f6e65000000000000" +
+		"000a000000046265746100000000000000000000000c0000002d67616d6d612d" +
+		"776974682d612d6b65792d6c6f6e6765722d7468616e2d7468697274792d7477" +
+		"6f2d627974657300000005746872656500000000000000400000000200000000" +
+		"0000003d0000000100000009000000090000000100000005616c706861000000" +
+		"000000000a000000010000000462657461000000026232000000020000000000" +
+		"00000200000000000000000000003f00000000"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := append([]byte{0xc1, 0xeb, 0xad, 0x36}, want...) // CRC-32 (IEEE) of the payload, big-endian
+	if crc := crc32.ChecksumIEEE(want); crc != 0xc1ebad36 {
+		t.Fatalf("golden payload CRC %08x, want c1ebad36", crc)
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"payload", EncodeDurableCheckpoint(goldenCheckpoint()), want},
+		{"file", EncodeDurableCheckpointFile(goldenCheckpoint()), file},
+	} {
+		if !bytes.Equal(tc.got, tc.want) {
+			t.Fatalf("%s differs from the golden bytes:\n%x", tc.name, tc.got)
+		}
+		if len(tc.got) != cap(tc.got) {
+			t.Fatalf("%s: buffer holds %d bytes of capacity %d, want exact", tc.name, len(tc.got), cap(tc.got))
+		}
+	}
+	got, err := DecodeDurableCheckpointFile(file)
+	if err != nil {
+		t.Fatalf("decode file: %v", err)
+	}
+	if !bytes.Equal(EncodeDurableCheckpoint(got), want) {
+		t.Fatal("file does not decode to the checkpoint it was written from")
+	}
+	for _, damaged := range [][]byte{nil, file[:3], append([]byte{0xc1, 0xeb, 0xad, 0x37}, want...), file[:len(file)-1]} {
+		if _, err := DecodeDurableCheckpointFile(damaged); err == nil {
+			t.Fatalf("a damaged file of %d bytes decoded", len(damaged))
+		}
+	}
+}
+
+// TestEncodeDurableCheckpointAllocations bounds what one persist costs:
+// the file buffer and the header's own encoding, however many keys the
+// checkpoint holds (appending into a growing buffer allocated about ten
+// times the payload).
+func TestEncodeDurableCheckpointAllocations(t *testing.T) {
+	c := goldenCheckpoint()
+	c.Entries = make([]SnapshotEntry, 10000)
+	for i := range c.Entries {
+		c.Entries[i] = SnapshotEntry{
+			Key:    fmt.Sprintf("account-with-a-long-identifier-%032d", i),
+			Value:  []byte("1000"),
+			Writer: int64(i % 64),
+		}
+	}
+	// Enough runs that the collector's own bookkeeping, which 800 KB
+	// buffers keep waking, averages out of the integer result.
+	var buf []byte
+	if allocs := testing.AllocsPerRun(100, func() { buf = EncodeDurableCheckpointFile(c) }); allocs > 2 {
+		t.Fatalf("EncodeDurableCheckpointFile made %.0f allocations for 10 000 entries, want <= 2", allocs)
+	}
+	if len(buf) != cap(buf) {
+		t.Fatalf("buffer holds %d bytes of capacity %d, want exact", len(buf), cap(buf))
+	}
+	if _, err := DecodeDurableCheckpointFile(buf); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 }
 

@@ -36,7 +36,10 @@ func (e *enc) bytes(v []byte) {
 	e.u32(uint32(len(v)))
 	e.b = append(e.b, v...)
 }
-func (e *enc) str(v string)    { e.bytes([]byte(v)) }
+func (e *enc) str(v string) {
+	e.u32(uint32(len(v)))
+	e.b = append(e.b, v...)
+}
 func (e *enc) digest(d Digest) { e.b = append(e.b, d[:]...) }
 
 // transactionSize returns the exact canonical encoding length of t, used
