@@ -12,12 +12,24 @@
 // disk alone:
 //
 //	go run ./cmd/transedge-demo -datadir /tmp/transedge-demo
+//
+// With -pprof the process serves net/http/pprof on that address (nothing
+// listens otherwise) and keeps the deployment up after the walk until it
+// is interrupted:
+//
+//	go run ./cmd/transedge-demo -pprof localhost:6060 &
+//	go tool pprof http://localhost:6060/debug/pprof/allocs
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only with -pprof
+	"os"
+	"os/signal"
 	"sync"
 	"time"
 
@@ -30,7 +42,29 @@ import (
 func main() {
 	datadir := flag.String("datadir", "", "persist WAL+checkpoints here and demo a cold restart")
 	engine := flag.String("engine", "", "storage backend per replica (default: sharded)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address while the demo runs (off when empty)")
 	flag.Parse()
+
+	// linger keeps the deployment up at the end of the walk, which takes
+	// well under a second: with -pprof there would otherwise be nothing
+	// left to profile or inspect.
+	linger := func() {}
+	if *pprofAddr != "" {
+		// Listening before anything is built lets the allocation profile
+		// (cumulative since process start) cover the boot.
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("pprof: http://%s/debug/pprof/\n\n", ln.Addr())
+		go func() { log.Print(http.Serve(ln, nil)) }() // ends with the process
+		linger = func() {
+			fmt.Println("\npprof: deployment still up; interrupt to exit")
+			sig := make(chan os.Signal, 1)
+			signal.Notify(sig, os.Interrupt)
+			<-sig
+		}
+	}
 
 	if *engine != "" {
 		probe, err := store.NewEngine(*engine, 1)
@@ -174,6 +208,7 @@ func main() {
 	fmt.Println("proofs and f+1 batch certificates from untrusted nodes.")
 
 	if *datadir == "" {
+		linger()
 		return
 	}
 
@@ -203,4 +238,5 @@ func main() {
 		cold, replayed)
 	fmt.Printf("verified read after restart: x=%s y=%s — t2's writes survived the crash.\n",
 		snap.Values[kx], snap.Values[ky])
+	linger()
 }

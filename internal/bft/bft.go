@@ -217,8 +217,8 @@ type Replica struct {
 	currentView atomic.Uint64
 	viewChanges atomic.Int64
 
-	// verify checks a peer's vote signature (cryptoutil.Verify; a field
-	// so a test can count which signers a replica spends it on).
+	// verify checks a peer's proposal or vote signature (cryptoutil.Verify;
+	// a field so a test can count which signers a replica spends it on).
 	verify func(pub ed25519.PublicKey, msg, sig []byte) bool
 
 	// Equivocation evidence: leader proposals seen per ID.
@@ -576,7 +576,9 @@ func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 		return // beyond the buffering window; state transfer catches us up
 	}
 	d := b.Digest()
-	if !cryptoutil.Verify(r.cfg.Ring.PublicKey(from), d[:], m.LeaderSig) {
+	// The leader's own proposal loops back through the broadcast; it signed
+	// that one itself, a moment ago.
+	if from != r.self && !r.verify(r.cfg.Ring.PublicKey(from), d[:], m.LeaderSig) {
 		return // forged proposal
 	}
 	if prev, ok := r.proposedDigest[b.ID]; ok && prev != d {
@@ -696,6 +698,12 @@ func (r *Replica) onPrepare(from NodeID, m *Prepare) {
 	in := r.inst(m.ID)
 	if prev, ok := in.prepares[from.Replica]; ok && prev.view >= m.View {
 		return // keep each replica's newest-view prepare only
+	}
+	if in.committed && m.View <= in.view {
+		// Our commit for this view is out: it took 2f+1 verified prepares
+		// for (in.view, in.digest), which is all a view-change vote relays,
+		// and one more — or one from an older view — decides nothing.
+		return
 	}
 	// Verify eagerly against the prepare's own claimed (view, id, digest):
 	// commit quorums are counted from these votes, and the safety of the

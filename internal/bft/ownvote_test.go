@@ -12,11 +12,13 @@ import (
 	"transedge/internal/transport"
 )
 
-// TestNoReplicaVerifiesItsOwnVotes: every replica's Prepare and Commit
-// loop back to it through the broadcast. With a verifier that counts per
-// signer, four honest replicas agreeing on a pipeline of batches spend
-// vote verifications on their three peers only: at most 3 prepares and 3
-// commits per batch each, none signed by themselves.
+// TestNoReplicaVerifiesItsOwnVotes: the leader's PrePrepare and every
+// replica's Prepare and Commit loop back to the sender through the
+// broadcast. With a verifier that counts per signer, four honest replicas
+// agreeing on a pipeline of batches spend signature verifications on
+// their three peers only: at most 3 prepares and 3 commits per batch
+// each, plus the leader's proposal on the followers, none signed by
+// themselves.
 func TestNoReplicaVerifiesItsOwnVotes(t *testing.T) {
 	const batches = 4
 	var own, total [4]atomic.Int64
@@ -47,11 +49,56 @@ func TestNoReplicaVerifiesItsOwnVotes(t *testing.T) {
 	}
 	for i := range own {
 		if n := own[i].Load(); n != 0 {
-			t.Errorf("replica %d verified %d of its own votes", i, n)
+			t.Errorf("replica %d verified %d of its own signatures", i, n)
 		}
-		if n := total[i].Load(); n > 6*batches {
-			t.Errorf("replica %d verified %d votes over %d batches, want at most %d", i, n, batches, 6*batches)
+		want := int64(6 * batches)
+		if int32(i) != LeaderReplica {
+			want += batches // the leader's proposals
 		}
+		if n := total[i].Load(); n > want {
+			t.Errorf("replica %d verified %d signatures over %d batches, want at most %d", i, n, batches, want)
+		}
+	}
+}
+
+// TestPrepareAfterCommitIsNotVerified feeds a follower by hand: the
+// leader's proposal and two peers' prepares cost one verification each
+// and complete its prepare quorum; once its commit is out, the third
+// peer's prepare for that view costs none, and neither does one from an
+// older view, while a prepare from a later view is still verified and
+// kept for the view change that would relay it.
+func TestPrepareAfterCommitIsNotVerified(t *testing.T) {
+	r, keys := soloReplica(t, 1)
+	defer r.cfg.Net.Stop()
+	verified := 0
+	r.verify = func(pub ed25519.PublicKey, msg, sig []byte) bool {
+		verified++
+		return cryptoutil.Verify(pub, msg, sig)
+	}
+	r.Handle(NodeID{Cluster: 0, Replica: 0}, leaderPrePrepare(keys, testBatch(1, protocol.Digest{})))
+	in := r.instances[1]
+	if in == nil || !in.validated {
+		t.Fatal("proposal not validated")
+	}
+	r.Handle(prepareFrom(keys, 0, in))
+	r.Handle(prepareFrom(keys, 2, in))
+	if !in.committed || verified != 3 {
+		t.Fatalf("committed=%v after %d verifications, want a commit after 3", in.committed, verified)
+	}
+	r.Handle(prepareFrom(keys, 3, in))
+	if _, counted := in.prepares[3]; counted || verified != 3 {
+		t.Fatalf("prepare after the commit: counted=%v, %d verifications, want it dropped at 3", counted, verified)
+	}
+	in.view = 1 // as if the slot had been re-adopted and committed in view 1
+	from, stale := prepareFrom(keys, 3, &instance{id: in.id, view: 0, digest: in.digest})
+	r.Handle(from, stale)
+	if verified != 3 {
+		t.Fatalf("older-view prepare after the commit cost a verification (%d)", verified)
+	}
+	from, next := prepareFrom(keys, 3, &instance{id: in.id, view: 2, digest: in.digest})
+	r.Handle(from, next)
+	if pv, ok := in.prepares[3]; !ok || pv.view != 2 || verified != 4 {
+		t.Fatalf("later-view prepare after the commit: kept=%v, %d verifications, want kept at 4", ok, verified)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
-	"transedge/internal/store"
 )
 
 // Checkpointing and state transfer (DESIGN.md §6).
@@ -70,18 +69,6 @@ func (n *Node) openGroups() []protocol.CheckpointGroup {
 	return out
 }
 
-// snapshotEntries exports the store at asOf as protocol snapshot
-// entries (key-sorted, the canonical digest order). Safe off the loop for
-// any delivered asOf the caller holds pinned against pruning.
-func (n *Node) snapshotEntries(asOf int64) []protocol.SnapshotEntry {
-	kvs := n.st.ExportAsOf(asOf)
-	out := make([]protocol.SnapshotEntry, len(kvs))
-	for i, kv := range kvs {
-		out[i] = protocol.SnapshotEntry{Key: kv.Key, Value: kv.Value, Writer: kv.Writer}
-	}
-	return out
-}
-
 // maybeCheckpoint runs after delivering batch id: at every checkpoint
 // interval it starts deriving this replica's checkpoint. The loop
 // captures what only it may read — the log entry and the open prepare
@@ -120,7 +107,7 @@ func (n *Node) maybeCheckpoint(id int64) {
 	headerDigest := entry.digest
 	derive := func() {
 		cs.digest = protocol.CheckpointDigest(n.cfg.Cluster, id, headerDigest,
-			protocol.SnapshotDigest(n.snapshotEntries(id)), protocol.GroupsDigest(cs.groups))
+			protocol.SnapshotDigest(n.st.ExportAsOf(id)), protocol.GroupsDigest(cs.groups))
 		if n.hookDerived != nil {
 			n.hookDerived(id)
 		}
@@ -385,7 +372,7 @@ func (n *Node) onStateRequest(m *protocol.StateRequest) {
 	// pruner's clamp while the export is still queued.
 	to := m.From
 	serve := func() {
-		behind.exportOnce.Do(func() { behind.entries = n.snapshotEntries(behind.id) })
+		behind.exportOnce.Do(func() { behind.entries = n.st.ExportAsOf(behind.id) })
 		resp.Entries = behind.entries
 		n.cfg.Net.Send(n.self, to, resp)
 	}
@@ -570,11 +557,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	// below would feed it a mix of both.
 	n.drainPersister()
 	n.rollbackSpec(0)
-	kvs := make([]store.KV, len(entries))
-	for i := range entries {
-		kvs[i] = store.KV{Key: entries[i].Key, Value: entries[i].Value, Writer: entries[i].Writer}
-	}
-	n.st.ImportAsOf(id, kvs)
+	n.st.ImportAsOf(id, entries)
 	n.curTree = tree
 	n.trees = map[int64]*merkle.Tree{id: tree}
 	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert})

@@ -128,7 +128,7 @@ func TestVotingCheckpointClampsPruner(t *testing.T) {
 	if n.chk == nil || n.chk.id != interval || n.chk.stable {
 		t.Fatalf("want a voting checkpoint at %d, have %+v", interval, n.chk)
 	}
-	want := n.snapshotEntries(interval)
+	want := n.st.ExportAsOf(interval)
 
 	// Overwrite keys past the checkpoint and let the pruner finish passes.
 	for i := uint32(0); i < 3; i++ {
@@ -137,7 +137,7 @@ func TestVotingCheckpointClampsPruner(t *testing.T) {
 			n.pruneStoreStep()
 		}
 	}
-	if got := n.snapshotEntries(interval); !reflect.DeepEqual(got, want) {
+	if got := n.st.ExportAsOf(interval); !reflect.DeepEqual(got, want) {
 		t.Fatalf("export at the voting checkpoint changed under pruning: %d entries, want %d", len(got), len(want))
 	}
 }

@@ -154,7 +154,7 @@ func (n *Node) startPersist(c *protocol.DurableCheckpoint) {
 	id := c.CheckpointID
 	n.readers.retain(id)
 	go func() {
-		c.Entries = n.snapshotEntries(id)
+		c.Entries = n.st.ExportAsOf(id)
 		n.readers.release(id)
 		buf := protocol.EncodeDurableCheckpointFile(c)
 		if n.hookPersist != nil {

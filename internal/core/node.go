@@ -434,6 +434,12 @@ const DefaultCheckpointInterval = 64
 
 // NewNode builds (but does not start) a replica.
 func NewNode(cfg NodeConfig) *Node {
+	return newNode(cfg, newTreeFor(cfg.InitialData))
+}
+
+// newNode is NewNode given the Merkle tree of cfg.InitialData, which
+// becomes the replica's own.
+func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 	if cfg.BatchInterval <= 0 {
 		cfg.BatchInterval = time.Millisecond
 	}
@@ -496,7 +502,6 @@ func NewNode(cfg NodeConfig) *Node {
 
 	// Install genesis: initial data load as batch 0.
 	n.st.Load(cfg.InitialData)
-	tree := newTreeFor(cfg.InitialData)
 	n.curTree = tree
 	n.trees[0] = tree
 	genesisDigest := cfg.GenesisHeader.Digest()

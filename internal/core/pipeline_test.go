@@ -29,7 +29,7 @@ func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func
 		keys[id] = kp
 		ring.Add(id, kp.Public)
 	}
-	header, cert := genesis(0, 1, data, time.Now().UnixNano(), keys, replicas)
+	header, cert := genesis(0, 1, newTreeFor(data).Root(), time.Now().UnixNano(), keys, replicas)
 	cfg := NodeConfig{
 		Cluster: 0, Replica: 0, Clusters: 1, N: replicas, F: 1,
 		Keys:          keys[NodeID{Cluster: 0, Replica: 0}],

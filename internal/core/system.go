@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"transedge/internal/bft"
@@ -145,50 +149,91 @@ func NewSystem(cfg SystemConfig) *System {
 		perCluster[part.Of(k)][k] = v
 	}
 
-	sys := &System{Cfg: cfg, Net: net, Ring: ring, Part: part,
-		nodes: make(map[NodeID]*Node), nodeCfgs: make(map[NodeID]NodeConfig)}
+	// One genesis per cluster, clusters side by side: the initial load's
+	// Merkle tree, and the batch-0 header every replica signs over its
+	// root.
 	genesisTime := genesisTimestamp(cfg.DataDir)
-	for c := 0; c < cfg.Clusters; c++ {
-		header, cert := genesis(int32(c), cfg.Clusters, perCluster[c], genesisTime, keys, n)
-		for r := 0; r < n; r++ {
-			id := NodeID{Cluster: int32(c), Replica: int32(r)}
-			ncfg := NodeConfig{
-				Cluster:              int32(c),
-				Replica:              int32(r),
-				Clusters:             cfg.Clusters,
-				N:                    n,
-				F:                    cfg.F,
-				Keys:                 keys[id],
-				Ring:                 ring,
-				Net:                  net,
-				Part:                 part,
-				Behavior:             cfg.Byzantine[id],
-				ROBehavior:           cfg.ROByzantine[id],
-				BatchInterval:        cfg.BatchInterval,
-				BatchMaxSize:         cfg.BatchMaxSize,
-				PipelineDepth:        cfg.PipelineDepth,
-				FreshnessWindow:      cfg.FreshnessWindow,
-				ROParkTimeout:        cfg.ROParkTimeout,
-				DisableMultiProofRO:  cfg.DisableMultiProofRO,
-				RetainBatches:        cfg.RetainBatches,
-				StoreShards:          cfg.StoreShards,
-				EngineName:           cfg.Engine,
-				ReadExecutors:        cfg.ReadExecutors,
-				CheckpointInterval:   cfg.CheckpointInterval,
-				StateTransferTimeout: cfg.StateTransferTimeout,
-				ViewTimeout:          cfg.ViewTimeout,
-				DataDir:              nodeDataDir(cfg.DataDir, int32(c), int32(r)),
-				WALSyncEvery:         cfg.WALSyncEvery,
-				WALSyncInterval:      cfg.WALSyncInterval,
-				InitialData:          perCluster[c],
-				GenesisHeader:        header,
-				GenesisCert:          cert,
-			}
-			sys.nodeCfgs[id] = ncfg
-			sys.nodes[id] = NewNode(ncfg)
+	trees := make([]*merkle.Tree, cfg.Clusters)
+	headers := make([]protocol.BatchHeader, cfg.Clusters)
+	certs := make([]cryptoutil.Certificate, cfg.Clusters)
+	forEachParallel(cfg.Clusters, func(c int) {
+		trees[c] = newTreeFor(perCluster[c])
+		headers[c], certs[c] = genesis(int32(c), cfg.Clusters, trees[c].Root(), genesisTime, keys, n)
+	})
+
+	// Every replica, side by side (DESIGN.md §6, "Boot"): a replica under
+	// construction writes nothing another one reads. The genesis tree is
+	// handed to replica 0 alone, as its own; the others build theirs, so
+	// no two replicas ever share a tree.
+	nodes := make([]*Node, cfg.Clusters*n)
+	ncfgs := make([]NodeConfig, len(nodes))
+	forEachParallel(len(nodes), func(i int) {
+		c, r := i/n, i%n
+		id := NodeID{Cluster: int32(c), Replica: int32(r)}
+		ncfgs[i] = NodeConfig{
+			Cluster:              int32(c),
+			Replica:              int32(r),
+			Clusters:             cfg.Clusters,
+			N:                    n,
+			F:                    cfg.F,
+			Keys:                 keys[id],
+			Ring:                 ring,
+			Net:                  net,
+			Part:                 part,
+			Behavior:             cfg.Byzantine[id],
+			ROBehavior:           cfg.ROByzantine[id],
+			BatchInterval:        cfg.BatchInterval,
+			BatchMaxSize:         cfg.BatchMaxSize,
+			PipelineDepth:        cfg.PipelineDepth,
+			FreshnessWindow:      cfg.FreshnessWindow,
+			ROParkTimeout:        cfg.ROParkTimeout,
+			DisableMultiProofRO:  cfg.DisableMultiProofRO,
+			RetainBatches:        cfg.RetainBatches,
+			StoreShards:          cfg.StoreShards,
+			EngineName:           cfg.Engine,
+			ReadExecutors:        cfg.ReadExecutors,
+			CheckpointInterval:   cfg.CheckpointInterval,
+			StateTransferTimeout: cfg.StateTransferTimeout,
+			ViewTimeout:          cfg.ViewTimeout,
+			DataDir:              nodeDataDir(cfg.DataDir, int32(c), int32(r)),
+			WALSyncEvery:         cfg.WALSyncEvery,
+			WALSyncInterval:      cfg.WALSyncInterval,
+			InitialData:          perCluster[c],
+			GenesisHeader:        headers[c],
+			GenesisCert:          certs[c],
 		}
+		if r == 0 {
+			nodes[i] = newNode(ncfgs[i], trees[c])
+		} else {
+			nodes[i] = NewNode(ncfgs[i])
+		}
+	})
+
+	sys := &System{Cfg: cfg, Net: net, Ring: ring, Part: part,
+		nodes: make(map[NodeID]*Node, len(nodes)), nodeCfgs: make(map[NodeID]NodeConfig, len(nodes))}
+	for i, node := range nodes {
+		sys.nodes[node.self] = node
+		sys.nodeCfgs[node.self] = ncfgs[i]
 	}
 	return sys
+}
+
+// forEachParallel runs fn(0) … fn(n-1) on up to GOMAXPROCS goroutines and
+// returns once every call has. Whole-keyspace work at boot goes through
+// it: replica construction, genesis, disk recovery.
+func forEachParallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // StopReplica crashes one replica: its event loop stops and its mailbox
@@ -259,10 +304,9 @@ func genesisTimestamp(dataDir string) int64 {
 // holding the initial data's Merkle root, an empty-dependency CD vector,
 // and LCE -1, signed by every replica (trusted setup, like the paper's
 // permissioned cluster formation in Sec. 6.1).
-func genesis(cluster int32, clusters int, data map[string][]byte, ts int64,
+func genesis(cluster int32, clusters int, root merkle.Digest, ts int64,
 	keys map[NodeID]cryptoutil.KeyPair, n int) (protocol.BatchHeader, cryptoutil.Certificate) {
 
-	tree := newTreeFor(data)
 	cd := protocol.NewCDVector(clusters)
 	cd[cluster] = 0
 	b := &protocol.Batch{
@@ -271,7 +315,7 @@ func genesis(cluster int32, clusters int, data map[string][]byte, ts int64,
 		Timestamp:  ts,
 		CD:         cd,
 		LCE:        -1,
-		MerkleRoot: tree.Root(),
+		MerkleRoot: root,
 	}
 	header := b.Header()
 	d := header.Digest()
@@ -283,13 +327,17 @@ func genesis(cluster int32, clusters int, data map[string][]byte, ts int64,
 	return header, cert
 }
 
-// Start launches every replica's event loop.
+// Start launches every replica: each one's disk recovery (a checkpoint
+// decode, verification and Merkle rebuild plus the WAL replay, with a
+// DataDir) and then its event loop, replicas side by side. A recovering
+// replica touches only its own state; a peer whose loop already runs
+// reaches it through its mailbox alone, which Node.Start registers
+// before anything else.
 func (s *System) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, node := range s.nodes {
-		node.Start()
-	}
+	nodes := slices.Collect(maps.Values(s.nodes))
+	forEachParallel(len(nodes), func(i int) { nodes[i].Start() })
 }
 
 // Stop shuts down all replicas and the network.
@@ -339,11 +387,11 @@ func (s *System) ReplicasPerCluster() int { return 3*s.Cfg.F + 1 }
 // newTreeFor builds the Merkle tree of an initial data load in one bulk
 // pass (initial loads are the largest tree builds in the system).
 func newTreeFor(data map[string][]byte) *merkle.Tree {
-	updates := make(map[string]merkle.Digest, len(data))
+	ups := make([]merkle.Update, 0, len(data))
 	for k, v := range data {
-		updates[k] = merkle.HashValue(v)
+		ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(k)), ValHash: merkle.HashValue(v)})
 	}
-	return merkle.New().Apply(updates)
+	return merkle.Build(ups)
 }
 
 // NodeMetrics sums one metric across all replicas via the accessor. Node

@@ -70,6 +70,50 @@ func TestApplyBulkDuplicateKeysKeepLast(t *testing.T) {
 	}
 }
 
+// TestBulkBuildMatchesInsertOracleWithDuplicates: Build and ApplyBulk over
+// raw update slices in arrival order — random sizes, every key written up
+// to four times at random positions, and key hashes that agree on their
+// first 64 bits, where the ordering falls back to the full hash — produce
+// the root and size of the Insert oracle fed the same slice front to back,
+// so the last write of a key wins.
+func TestBulkBuildMatchesInsertOracleWithDuplicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randomUpdates := func(n, distinct int) []Update {
+		ups := make([]Update, n)
+		for i := range ups {
+			kh := HashKey([]byte(fmt.Sprintf("key-%d", rng.Intn(distinct))))
+			if rng.Intn(4) == 0 {
+				// Same leading 8 bytes as every other such key, one of four tails.
+				kh = Digest{0: 0xAB, 31: byte(rng.Intn(4))}
+			}
+			ups[i] = Update{KeyHash: kh, ValHash: HashValue([]byte{byte(i), byte(i >> 8)})}
+		}
+		return ups
+	}
+	oracle := func(base *Tree, ups []Update) *Tree {
+		for _, u := range ups {
+			base = base.InsertHashed(u.KeyHash, u.ValHash)
+		}
+		return base
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		ups := randomUpdates(n, 1+n/(1+rng.Intn(4)))
+		want := oracle(New(), ups)
+		got := Build(append([]Update(nil), ups...))
+		if got.Root() != want.Root() || got.Len() != want.Len() {
+			t.Fatalf("trial %d: Build over %d updates: %d keys, oracle %d, roots equal %v",
+				trial, n, got.Len(), want.Len(), got.Root() == want.Root())
+		}
+		more := randomUpdates(1+rng.Intn(100), n)
+		want = oracle(want, more)
+		got = got.ApplyBulk(append([]Update(nil), more...))
+		if got.Root() != want.Root() || got.Len() != want.Len() {
+			t.Fatalf("trial %d: ApplyBulk of %d updates onto %d keys diverges from the oracle", trial, len(more), n)
+		}
+	}
+}
+
 // TestApplyBulkProofsVerify: membership and absence proofs issued by
 // bulk-built versions verify against their roots — the bulk merge must
 // produce the same canonical structure the proof verifier assumes.

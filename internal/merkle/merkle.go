@@ -18,7 +18,9 @@ package merkle
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -260,11 +262,9 @@ func (t *Tree) ApplyBulk(ups []Update) *Tree {
 	if len(ups) == 0 {
 		return t
 	}
-	slices.SortStableFunc(ups, func(a, b Update) int {
-		return bytes.Compare(a.KeyHash[:], b.KeyHash[:])
-	})
-	// Collapse duplicate keys, keeping the last occurrence (stable sort
-	// preserves input order within a key).
+	sortUpdates(ups)
+	// Collapse duplicate keys, keeping the last occurrence (equal keys stay
+	// in input order).
 	w := 0
 	for i := range ups {
 		if i+1 < len(ups) && ups[i+1].KeyHash == ups[i].KeyHash {
@@ -279,6 +279,59 @@ func (t *Tree) ApplyBulk(ups []Update) *Tree {
 	}
 	root, added := bulkMerge(t.root, leftmostKey(t.root), ups)
 	return &Tree{root: root, size: t.size + added}
+}
+
+// sortKey stands in for one update while the set is ordered: 16 bytes
+// moved per swap instead of the update's 64. prefix is the head of the key
+// hash — key hashes are SHA-256 outputs, so it decides every comparison
+// between distinct keys short of a 64-bit collision — and idx is the
+// update's position in the input, the final tie-break: equal key hashes
+// sort in input order, which is what "the last occurrence wins" reads.
+type sortKey struct {
+	prefix uint64
+	idx    uint32
+}
+
+// sortUpdates orders ups by key hash, equal key hashes in input order, in
+// place: it sorts one sortKey per update and then moves every update once,
+// straight to its final position.
+func sortUpdates(ups []Update) {
+	if len(ups) < 2 {
+		return
+	}
+	keys := make([]sortKey, len(ups))
+	for i := range ups {
+		keys[i] = sortKey{prefix: binary.BigEndian.Uint64(ups[i].KeyHash[:8]), idx: uint32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := bytes.Compare(ups[a.idx].KeyHash[8:], ups[b.idx].KeyHash[8:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// keys[i].idx is where position i's update sits now. Follow each cycle
+	// of that permutation, marking a filled position by pointing it at
+	// itself.
+	for i := range keys {
+		if int(keys[i].idx) == i {
+			continue
+		}
+		first := ups[i]
+		j := i
+		for {
+			src := int(keys[j].idx)
+			keys[j].idx = uint32(j)
+			if src == i {
+				ups[j] = first
+				break
+			}
+			ups[j] = ups[src]
+			j = src
+		}
+	}
 }
 
 // leftmostKey returns the key hash of the leftmost leaf under r; because

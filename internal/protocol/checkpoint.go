@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"transedge/internal/cryptoutil"
+	"transedge/internal/store"
 )
 
 // Checkpointing and state transfer (PBFT-style stable checkpoints over
@@ -44,12 +45,10 @@ type StateRequest struct {
 // value visible at the checkpoint batch and the batch that wrote it (the
 // writer feeds OCC validation after install, so it is covered by the
 // snapshot digest; the value is authenticated separately through the
-// checkpoint header's Merkle root).
-type SnapshotEntry struct {
-	Key    string
-	Value  []byte
-	Writer int64
-}
+// checkpoint header's Merkle root). It is the store's export record
+// itself, so a snapshot travels from ExportAsOf to the wire, the
+// checkpoint file and ImportAsOf without being copied entry by entry.
+type SnapshotEntry = store.KV
 
 // CheckpointGroup is one open prepare group at the checkpoint: the batch
 // that opened it and its prepare records, in batch order. A joining

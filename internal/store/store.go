@@ -22,7 +22,9 @@
 package store
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -311,7 +313,7 @@ type KV struct {
 // stalled across the whole keyspace. Callers must ensure versions at
 // asOf have not been pruned (Prune keepFrom <= asOf).
 func (s *Store) ExportAsOf(asOf int64) []KV {
-	var out []KV
+	out := make([]KV, 0, s.Keys())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -322,7 +324,7 @@ func (s *Store) ExportAsOf(asOf int64) []KV {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
