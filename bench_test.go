@@ -1,13 +1,10 @@
-// Benchmarks reproducing every table and figure of the paper's
-// evaluation (Sec. 5). Each benchmark runs the corresponding experiment
-// at a CI-friendly scale and reports the headline metrics via
-// b.ReportMetric; cmd/transedge-bench prints the full row-by-row tables
-// (and -scale paper restores the published parameters).
-//
-// Absolute numbers differ from the paper (simulated network, scaled
-// latencies); the reported shape metrics — who wins, by what factor,
-// and how trends move across the sweeps — are the reproduction targets
-// recorded in EXPERIMENTS.md.
+// Microbenchmarks of the per-operation costs that every layer's hot
+// path pays: batch digests, certificate verification, Merkle apply,
+// build, multi-proof construction and verification, sharded-store apply
+// and snapshot reads, replica boot, and simulated-network delivery. Each
+// reports its own cost metrics via b.ReportMetric. End-to-end numbers
+// (latency, throughput, heap per workload) come from the benchmark in
+// bench/ (`bash bench/run.sh`), not from here.
 package bench_test
 
 import (
@@ -19,233 +16,14 @@ import (
 
 	"transedge/internal/core"
 	"transedge/internal/cryptoutil"
-	"transedge/internal/harness"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 	"transedge/internal/store"
 	"transedge/internal/transport"
 )
 
-// benchScale trims the Quick scale further so the whole suite finishes in
-// a couple of minutes under `go test -bench=.`.
-var benchScale = harness.Scale{
-	Keys:        2000,
-	Duration:    250 * time.Millisecond,
-	LatencyUnit: 50 * time.Microsecond,
-	ROWorkers:   4,
-	RWWorkers:   4,
-	BatchSizes:  []int{900, 2500},
-	ScanSizes:   []int{250, 1000, 2000},
-	LatenciesMS: []int{0, 20, 70, 150},
-}
-
-// pick returns the first point matching series and x ("" matches any).
-func pick(points []harness.Point, series, x string) *harness.Point {
-	for i := range points {
-		if points[i].Series == series && (x == "" || points[i].X == x) {
-			return &points[i]
-		}
-	}
-	return nil
-}
-
-// BenchmarkFig4ReadOnlyLatencyVs2PCBFT — the headline result: snapshot
-// read-only latency vs the coordination-based baseline, 1–5 clusters.
-// The paper reports 9–24x; the speedup at 2 and 5 clusters is reported
-// as speedup2x_x and speedup5c_x.
-func BenchmarkFig4ReadOnlyLatencyVs2PCBFT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig4(benchScale)
-		te2 := pick(pts, "TransEdge", "clusters=2")
-		bl2 := pick(pts, "2PC/BFT", "clusters=2")
-		te5 := pick(pts, "TransEdge", "clusters=5")
-		bl5 := pick(pts, "2PC/BFT", "clusters=5")
-		if te2 == nil || bl2 == nil || te5 == nil || bl5 == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(te5.LatencyMS, "te_ms_5c")
-		b.ReportMetric(bl5.LatencyMS, "2pcbft_ms_5c")
-		b.ReportMetric(bl2.LatencyMS/te2.LatencyMS, "speedup2c_x")
-		b.ReportMetric(bl5.LatencyMS/te5.LatencyMS, "speedup5c_x")
-	}
-}
-
-// BenchmarkFig5ReadOnlyRounds — round-1 latency plus the effective cost
-// of repair rounds, against Augustus.
-func BenchmarkFig5ReadOnlyRounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig5(benchScale)
-		te := pick(pts, "TransEdge", "clusters=5")
-		aug := pick(pts, "Augustus", "clusters=5")
-		if te == nil || aug == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(te.Round1MS, "round1_ms_5c")
-		b.ReportMetric(te.Round2EffMS, "round2eff_ms_5c")
-		b.ReportMetric(te.Round2Pct, "round2_pct_5c")
-		b.ReportMetric(aug.LatencyMS, "augustus_ms_5c")
-	}
-}
-
-// BenchmarkFig6ReadOnlyThroughput — closed-loop read-only throughput vs
-// Augustus across accessed-cluster counts.
-func BenchmarkFig6ReadOnlyThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig6(benchScale)
-		te := pick(pts, "TransEdge", "clusters=5")
-		aug := pick(pts, "Augustus", "clusters=5")
-		if te == nil || aug == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(te.ThroughputTPS, "te_tps_5c")
-		b.ReportMetric(aug.ThroughputTPS, "augustus_tps_5c")
-		b.ReportMetric(te.ThroughputTPS/aug.ThroughputTPS, "ratio_x")
-	}
-}
-
-// BenchmarkFig7LongRunningReadOnly — scan latency growth with scan size,
-// vs Augustus whose shared locks also stall writers.
-func BenchmarkFig7LongRunningReadOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig7(benchScale)
-		teS := pick(pts, "TransEdge", "readops=250")
-		teL := pick(pts, "TransEdge", "readops=2000")
-		augL := pick(pts, "Augustus", "readops=2000")
-		if teS == nil || teL == nil || augL == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(teS.LatencyMS, "te_ms_250")
-		b.ReportMetric(teL.LatencyMS, "te_ms_2000")
-		b.ReportMetric(augL.LatencyMS, "augustus_ms_2000")
-	}
-}
-
-// BenchmarkFig8ReadOnlyLatencySweep — read-only throughput as
-// inter-cluster latency rises (0–150 paper-ms).
-func BenchmarkFig8ReadOnlyLatencySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig8(benchScale)
-		at0 := pick(pts, "TransEdge", "latency=0ms")
-		at150 := pick(pts, "TransEdge", "latency=150ms")
-		if at0 == nil || at150 == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(at0.ThroughputTPS, "tps_0ms")
-		b.ReportMetric(at150.ThroughputTPS, "tps_150ms")
-	}
-}
-
-// BenchmarkFig9LocalThroughput — write-only vs local read-write
-// throughput across batch sizes, on TransEdge and 2PC/BFT.
-func BenchmarkFig9LocalThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig9(benchScale)
-		wo := pick(pts, "Write-only-RW TransEdge", "batch=2500")
-		lrw := pick(pts, "Local-RW TransEdge", "batch=2500")
-		bl := pick(pts, "Local-RW 2PC/BFT", "batch=2500")
-		if wo == nil || lrw == nil || bl == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(wo.ThroughputTPS, "writeonly_tps")
-		b.ReportMetric(lrw.ThroughputTPS, "localrw_tps")
-		b.ReportMetric(bl.ThroughputTPS, "2pcbft_tps")
-	}
-}
-
-// BenchmarkFig10DistributedLatencySkew — distributed read-write latency
-// across the R/W skew.
-func BenchmarkFig10DistributedLatencySkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig10and11(benchScale)
-		readHeavy := pick(pts, "batch=2500", "R=5,W=1")
-		writeHeavy := pick(pts, "batch=2500", "R=1,W=5")
-		if readHeavy == nil || writeHeavy == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(readHeavy.LatencyMS, "lat_ms_R5W1")
-		b.ReportMetric(writeHeavy.LatencyMS, "lat_ms_R1W5")
-	}
-}
-
-// BenchmarkFig11DistributedThroughputSkew — the same sweep's throughput.
-func BenchmarkFig11DistributedThroughputSkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig10and11(benchScale)
-		readHeavy := pick(pts, "batch=2500", "R=5,W=1")
-		writeHeavy := pick(pts, "batch=2500", "R=1,W=5")
-		if readHeavy == nil || writeHeavy == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(readHeavy.ThroughputTPS, "tps_R5W1")
-		b.ReportMetric(writeHeavy.ThroughputTPS, "tps_R1W5")
-	}
-}
-
-// BenchmarkFig12DistributedLatencySweep — distributed read-write
-// throughput under injected wide-area latency.
-func BenchmarkFig12DistributedLatencySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig12(benchScale)
-		at0 := pick(pts, "batch=2500", "latency=0ms")
-		at150 := pick(pts, "batch=2500", "latency=150ms")
-		if at0 == nil || at150 == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(at0.ThroughputTPS, "tps_0ms")
-		b.ReportMetric(at150.ThroughputTPS, "tps_150ms")
-		b.ReportMetric(at0.ThroughputTPS/at150.ThroughputTPS, "drop_x")
-	}
-}
-
-// BenchmarkFig13AbortRate — read-write abort percentage under latency.
-func BenchmarkFig13AbortRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig13(benchScale)
-		at0 := pick(pts, "latency=0ms", "")
-		at70 := pick(pts, "latency=70ms", "")
-		if at0 == nil || at70 == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(at0.AbortPct, "abort_pct_0ms")
-		b.ReportMetric(at70.AbortPct, "abort_pct_70ms")
-	}
-}
-
-// BenchmarkFig14MixedWorkload — throughput across the local/distributed
-// transaction mix.
-func BenchmarkFig14MixedWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig14(benchScale)
-		allLocal := pick(pts, "batch=2500", "LRWT=100%")
-		allDist := pick(pts, "batch=2500", "LRWT=0%")
-		if allLocal == nil || allDist == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(allLocal.ThroughputTPS, "tps_local100")
-		b.ReportMetric(allDist.ThroughputTPS, "tps_dist100")
-		b.ReportMetric(allLocal.ThroughputTPS/allDist.ThroughputTPS, "ratio_x")
-	}
-}
-
-// BenchmarkFig15FaultToleranceSweep — cost of f=1 vs f=3 clusters.
-func BenchmarkFig15FaultToleranceSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Fig15(benchScale)
-		f1 := pick(pts, "f=1", "batch=900")
-		f3 := pick(pts, "f=3", "batch=900")
-		if f1 == nil || f3 == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(f1.LatencyMS, "lat_ms_f1")
-		b.ReportMetric(f3.LatencyMS, "lat_ms_f3")
-		b.ReportMetric(f1.ThroughputTPS, "tps_f1")
-		b.ReportMetric(f3.ThroughputTPS, "tps_f3")
-	}
-}
-
-// --- Hot-path microbenchmarks (standalone regression numbers for the
-// per-slot CPU work every pipelined consensus step pays; the hotpath
-// harness experiment measures their end-to-end effect). ---
+// --- Hot-path microbenchmarks: the per-slot CPU work every pipelined
+// consensus step pays. ---
 
 // benchBatch builds a batch shaped like a busy leader's: n local
 // write-only transactions of 3 writes each.
@@ -266,36 +44,22 @@ func benchBatch(n int) *protocol.Batch {
 
 // BenchmarkBatchDigest — the cost of the four digest reads every batch
 // pays across its consensus lifetime (leader sign, follower pre-prepare,
-// validation, delivery): recompute re-derives the header each time (the
-// pre-memoization behavior), memoized computes once per sealed batch.
+// validation, delivery): a sealed batch computes its header once and
+// serves the memoized digest thereafter.
 func BenchmarkBatchDigest(b *testing.B) {
 	const digestReadsPerBatch = 4
 	batch := benchBatch(200)
-	b.Run("recompute", func(b *testing.B) {
-		protocol.SetDigestMemo(false)
-		defer protocol.SetDigestMemo(true)
+	for i := 0; i < b.N; i++ {
 		sealed := batch.MutableCopy().Seal()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < digestReadsPerBatch; r++ {
-				_ = sealed.Digest()
-			}
+		for r := 0; r < digestReadsPerBatch; r++ {
+			_ = sealed.Digest()
 		}
-	})
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sealed := batch.MutableCopy().Seal()
-			for r := 0; r < digestReadsPerBatch; r++ {
-				_ = sealed.Digest()
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkVerifyCertificate — an f=3 cluster's certificate carrying all
-// 10 commit signatures, verified at threshold f+1=4: legacy checks every
-// signature serially, fast stops at the threshold and fans out across
-// the worker pool.
+// 10 commit signatures, verified at threshold f+1=4: verification stops
+// at the threshold and fans out across the worker pool.
 func BenchmarkVerifyCertificate(b *testing.B) {
 	ring := cryptoutil.NewKeyRing()
 	msg := []byte("benchmark-digest-benchmark-digest")
@@ -307,22 +71,11 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 		cert.Signatures = append(cert.Signatures, cryptoutil.SignCertificate(kp, id, msg))
 	}
 	const threshold = 4
-	b.Run("legacy", func(b *testing.B) {
-		cryptoutil.SetFastVerify(false)
-		defer cryptoutil.SetFastVerify(true)
-		for i := 0; i < b.N; i++ {
-			if err := cryptoutil.VerifyCertificate(ring, cert, msg, threshold); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if err := cryptoutil.VerifyCertificate(ring, cert, msg, threshold); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := cryptoutil.VerifyCertificate(ring, cert, msg, threshold); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMerkleApply — applying a 100-key batch to a 5000-key tree:
@@ -359,9 +112,8 @@ func BenchmarkMerkleApply(b *testing.B) {
 	b.Run("bulk", run(func() { _ = base.Apply(updates) }))
 }
 
-// --- Sharded storage microbenchmarks (the readscale experiment
-// measures their end-to-end effect; shards=1 restores a single-lock
-// store, the seed's behavior). ---
+// --- Sharded storage microbenchmarks (shards=1 is a single-lock
+// store). ---
 
 // benchStore builds a store preloaded with `keys` keys and `versions`
 // committed batches of 200-key writes each.
@@ -430,145 +182,9 @@ func BenchmarkStoreMultiGetAsOf(b *testing.B) {
 	}
 }
 
-// BenchmarkReadScale — the readscale experiment (sharded store +
-// off-loop read executors vs the single-shard, single-executor
-// baseline) at a read-heavy mix; also keeps the experiment exercised by
-// the CI bench smoke so BENCH_readscale.json cannot silently rot.
-func BenchmarkReadScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.ReadScale(benchScale)
-		base := pick(pts, "shards=1", "ro=90%")
-		sharded := pick(pts, "shards=16", "ro=90%")
-		if base == nil || sharded == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(base.ThroughputTPS, "ro_tps_1shard")
-		b.ReportMetric(sharded.ThroughputTPS, "ro_tps_16shard")
-		if base.ThroughputTPS > 0 {
-			b.ReportMetric(sharded.ThroughputTPS/base.ThroughputTPS, "scale_x")
-		}
-	}
-}
-
-// BenchmarkRecovery — the crash/recovery experiment: commit throughput
-// with all replicas up, with a follower crashed, and after its restart,
-// plus the restarted replica's state-transfer catch-up time. Run by the
-// CI bench smoke so BENCH_recovery.json cannot silently rot.
-func BenchmarkRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Recovery(benchScale)
-		base := pick(pts, "TransEdge", "baseline")
-		down := pick(pts, "TransEdge", "follower-down")
-		rec := pick(pts, "TransEdge", "recovered")
-		catch := pick(pts, "TransEdge", "catchup")
-		if base == nil || down == nil || rec == nil || catch == nil {
-			b.Fatal("missing series")
-		}
-		if catch.LatencyMS < 0 {
-			b.Fatal("restarted replica never caught up")
-		}
-		b.ReportMetric(base.ThroughputTPS, "tps_baseline")
-		b.ReportMetric(down.ThroughputTPS, "tps_follower_down")
-		b.ReportMetric(rec.ThroughputTPS, "tps_recovered")
-		b.ReportMetric(catch.LatencyMS, "catchup_ms")
-		b.ReportMetric(float64(base.LogLen), "log_window")
-		b.ReportMetric(base.HeapMB, "heap_mb")
-	}
-}
-
-// BenchmarkViewChange — the leader-failover experiment: commit
-// throughput before the leader is killed, through the view-change dip,
-// and under the new leader, plus the failover latency itself. Run by the
-// CI bench smoke so BENCH_viewchange.json cannot silently rot.
-func BenchmarkViewChange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.ViewChange(benchScale)
-		base := pick(pts, "TransEdge", "baseline")
-		down := pick(pts, "TransEdge", "leader-down")
-		rec := pick(pts, "TransEdge", "recovered")
-		fail := pick(pts, "TransEdge", "failover")
-		if base == nil || down == nil || rec == nil || fail == nil {
-			b.Fatal("missing series")
-		}
-		if fail.LatencyMS < 0 {
-			b.Fatal("cluster never failed over to a new leader")
-		}
-		b.ReportMetric(base.ThroughputTPS, "tps_baseline")
-		b.ReportMetric(down.ThroughputTPS, "tps_leader_down")
-		b.ReportMetric(rec.ThroughputTPS, "tps_recovered")
-		b.ReportMetric(fail.LatencyMS, "failover_ms")
-	}
-}
-
-// BenchmarkDurability — the durability experiment: commit throughput
-// with the group-commit WAL fsyncing, with fsync disabled, and with
-// durability off entirely, plus the cold-restart latency of a whole
-// cluster rebuilt from its checkpoints and WAL suffix. Run by the CI
-// bench smoke so BENCH_durability.json cannot silently rot.
-func BenchmarkDurability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Durability(benchScale)
-		on := pick(pts, "TransEdge", "fsync-on")
-		off := pick(pts, "TransEdge", "fsync-off")
-		none := pick(pts, "TransEdge", "no-wal")
-		cold := pick(pts, "TransEdge", "cold-restart")
-		if on == nil || off == nil || none == nil || cold == nil {
-			b.Fatal("missing series")
-		}
-		if cold.LatencyMS < 0 {
-			b.Fatal("cold restart failed to recover or verify reads")
-		}
-		b.ReportMetric(on.ThroughputTPS, "tps_fsync_on")
-		b.ReportMetric(off.ThroughputTPS, "tps_fsync_off")
-		b.ReportMetric(none.ThroughputTPS, "tps_no_wal")
-		b.ReportMetric(cold.LatencyMS, "cold_restart_ms")
-	}
-}
-
-// BenchmarkEngines — the engines experiment: both storage backends
-// (sharded in-memory MVCC vs LSM memtable+runs) under the write-heavy
-// pipeline workload and the 90%-read-only readscale workload. The
-// reproduction target is that the sharded default is unregressed and
-// the LSM backend stays in the same ballpark on both shapes.
-func BenchmarkEngines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Engines(benchScale)
-		for _, series := range []string{"sharded", "lsm"} {
-			wr := pick(pts, series, "pipeline")
-			ro := pick(pts, series, "readscale-ro90")
-			if wr == nil || ro == nil {
-				b.Fatalf("missing %s rows", series)
-			}
-			if wr.ThroughputTPS == 0 || ro.ThroughputTPS == 0 {
-				b.Fatalf("engine %s committed nothing", series)
-			}
-			b.ReportMetric(wr.ThroughputTPS, "tps_write_"+series)
-			b.ReportMetric(ro.ThroughputTPS, "tps_ro_"+series)
-			b.ReportMetric(ro.HeapMB, "heapmb_ro_"+series)
-		}
-	}
-}
-
-// BenchmarkTable1ReadOnlyInterference — read-write aborts caused by
-// read-only transactions: ~0 for TransEdge, growing with cluster count
-// for Augustus.
-func BenchmarkTable1ReadOnlyInterference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.Table1(benchScale)
-		te := pick(pts, "TransEdge", "clusters=5")
-		aug := pick(pts, "Augustus", "clusters=5")
-		if te == nil || aug == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(te.AbortPct, "te_ro_abort_pct")
-		b.ReportMetric(aug.AbortPct, "augustus_ro_abort_pct")
-	}
-}
-
 // --- Multi-proof microbenchmarks: one pruned-subtree proof per request
 // vs N independent proofs, at 1/10/100 keys. proofbytes/op and hashes/op
-// quantify the wire and verify-CPU savings the clientscale experiment
-// sees end to end. ---
+// quantify the wire and verify-CPU savings per request. ---
 
 // benchMultiTree builds a 10k-key tree plus a query of n keys (about one
 // in eight absent, as in the RO workload's partition misses).
@@ -687,29 +303,6 @@ func BenchmarkVerifyMulti(b *testing.B) {
 			b.ReportMetric(float64(merkle.HashOps()-start)/float64(b.N), "hashes/op")
 			b.ReportMetric(float64(singleHashes), "singlehashes/op")
 		})
-	}
-}
-
-// BenchmarkClientScale — open-loop session clients driving verified
-// reads: throughput and p99 at the largest fleet, with the multi-proof
-// and root-cache savings reported against the toggled-off series.
-func BenchmarkClientScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := harness.ClientScale(benchScale)
-		x := fmt.Sprintf("clients=%d", benchScale.ROWorkers*16)
-		fast := pick(pts, "fastpath", x)
-		noMulti := pick(pts, "no-multiproof", x)
-		noCache := pick(pts, "no-rootcache", x)
-		if fast == nil || noMulti == nil || noCache == nil {
-			b.Fatal("missing series")
-		}
-		b.ReportMetric(fast.ThroughputTPS, "ro_tps")
-		b.ReportMetric(fast.P99MS, "p99_ms")
-		b.ReportMetric(fast.P999MS, "p999_ms")
-		b.ReportMetric(fast.ProofBytesPerReq, "proofbytes_req")
-		b.ReportMetric(noMulti.ProofBytesPerReq, "proofbytes_req_nomulti")
-		b.ReportMetric(float64(fast.CertVerifications), "certverifies")
-		b.ReportMetric(float64(noCache.CertVerifications), "certverifies_nocache")
 	}
 }
 

@@ -56,12 +56,6 @@ type Config struct {
 	ROTarget func(cluster int32) NodeID
 	// Seed drives the coordinator choice for distributed commits.
 	Seed int64
-	// DisableRootCache turns off the verified-root cache: every read-only
-	// reply re-verifies its certificate even when the header digest was
-	// already verified, and no per-cluster checkpoint is kept. The zero
-	// value caches — repeat reads at an unchanged root cost zero
-	// certificate verifications.
-	DisableRootCache bool
 	// MeasureProofBytes makes the client canonically encode every verified
 	// proof and account its size (see ProofStats). Off by default: the
 	// encoding pass exists only for measurement.
@@ -139,7 +133,7 @@ type Checkpoint struct {
 }
 
 // VerifiedCheckpoint returns the newest verified checkpoint for a
-// cluster, if any. Always empty when DisableRootCache is set.
+// cluster, if any: empty until a read-only reply from it has verified.
 func (c *Client) VerifiedCheckpoint(cluster int32) (Checkpoint, bool) {
 	c.certMu.Lock()
 	defer c.certMu.Unlock()

@@ -177,10 +177,10 @@ func (c *Client) awaitRO(cluster int32, keys []string, ch chan protocol.ROReply,
 }
 
 // verifyRO authenticates a read-only reply: the f+1 certificate over the
-// batch header, the Merkle membership proof of every value against the
-// certified root, and optionally the freshness bound. A reply failing any
-// check is rejected — this is what makes a single untrusted node a
-// sufficient read quorum.
+// batch header, one Merkle multi-proof co-proving every value (membership
+// and absence) against the certified root, and optionally the freshness
+// bound. A reply failing any check is rejected — this is what makes a
+// single untrusted node a sufficient read quorum.
 //
 // Coverage is exactly-once: keys is duplicate-free (readOnly dedups), the
 // reply must carry len(keys) values, and each requested key may be used
@@ -201,14 +201,12 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 		return nil, fmt.Errorf("%w: batch %d below session floor %d", ErrVerification, r.Header.ID, minBatch)
 	}
 	d := r.Header.Digest()
-	if c.cfg.DisableRootCache || !c.certVerified(d) {
+	if !c.certVerified(d) {
 		c.certChecks.Add(1)
 		if err := cryptoutil.VerifyCertificate(c.cfg.Ring, r.Cert, d[:], c.threshold(cluster)); err != nil {
 			return nil, fmt.Errorf("%w: certificate: %v", ErrVerification, err)
 		}
-		if !c.cfg.DisableRootCache {
-			c.rememberCert(d)
-		}
+		c.rememberCert(d)
 	}
 	if c.cfg.MaxStaleness > 0 {
 		age := time.Duration(time.Now().UnixNano() - r.Header.Timestamp)
@@ -219,16 +217,20 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 	if len(r.Values) != len(keys) {
 		return nil, fmt.Errorf("%w: %d values for %d keys", ErrVerification, len(r.Values), len(keys))
 	}
-	// unused starts as the requested set; matching an answer consumes its
-	// key, so a duplicate (or unrequested) reply key is rejected, and with
-	// the length check above every requested key is answered and proven.
-	unused := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		unused[k] = true
+	// Only a zero-key reply (a session closure contact) may come without
+	// a proof: it carries just the certified header.
+	if len(r.Values) > 0 && r.Multi == nil {
+		return nil, fmt.Errorf("%w: %d values without a multi-proof", ErrVerification, len(r.Values))
 	}
 	if r.Multi != nil {
-		// Multi-proof path: one pruned-subtree proof co-proves every key's
-		// membership or absence against the certified root.
+		// unused starts as the requested set; matching an answer consumes
+		// its key, so a duplicate (or unrequested) reply key is rejected,
+		// and with the length check above every requested key is answered
+		// and proven.
+		unused := make(map[string]bool, len(keys))
+		for _, k := range keys {
+			unused[k] = true
+		}
 		answers := make([]merkle.KeyAnswer, len(r.Values))
 		for i := range r.Values {
 			v := &r.Values[i]
@@ -241,50 +243,16 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 		if err := merkle.VerifyMulti(r.Header.MerkleRoot, answers, *r.Multi); err != nil {
 			return nil, fmt.Errorf("%w: multi-proof: %v", ErrVerification, err)
 		}
-	} else {
-		for i := range r.Values {
-			v := &r.Values[i]
-			if !unused[v.Key] {
-				return nil, fmt.Errorf("%w: unrequested or duplicate key %q in reply", ErrVerification, v.Key)
-			}
-			delete(unused, v.Key)
-			if !v.Found {
-				// "Not found" must be proven too, or a byzantine server
-				// could hide keys.
-				if v.Absence == nil {
-					return nil, fmt.Errorf("%w: unproven absence of %q", ErrVerification, v.Key)
-				}
-				if err := merkle.VerifyAbsence(r.Header.MerkleRoot, []byte(v.Key), *v.Absence); err != nil {
-					return nil, fmt.Errorf("%w: absence proof for %q: %v", ErrVerification, v.Key, err)
-				}
-				continue
-			}
-			if err := merkle.VerifyProof(r.Header.MerkleRoot, []byte(v.Key), v.Value, v.Proof); err != nil {
-				return nil, fmt.Errorf("%w: proof for %q: %v", ErrVerification, v.Key, err)
-			}
-		}
 	}
 	if c.cfg.MeasureProofBytes {
 		n := 0
 		if r.Multi != nil {
 			n = len(protocol.EncodeMultiProof(r.Multi))
-		} else {
-			for i := range r.Values {
-				v := &r.Values[i]
-				switch {
-				case v.Absence != nil:
-					n += len(protocol.EncodeAbsenceProof(v.Absence))
-				case v.Found:
-					n += len(protocol.EncodeProof(&v.Proof))
-				}
-			}
 		}
 		c.proofReqs.Add(1)
 		c.proofBytes.Add(int64(n))
 	}
-	if !c.cfg.DisableRootCache {
-		c.advanceCheckpoint(cluster, r.Header)
-	}
+	c.advanceCheckpoint(cluster, r.Header)
 	return &roundReply{header: r.Header, values: r.Values}, nil
 }
 

@@ -209,69 +209,3 @@ func TestSessionReadsZeroCertVerificationsAtUnchangedRoot(t *testing.T) {
 		}
 	}
 }
-
-// TestDisableRootCachePaysPerRead: with the cache off, every read of
-// every contacted cluster re-verifies, and no checkpoint is kept.
-func TestDisableRootCachePaysPerRead(t *testing.T) {
-	sys := startSystem(t, 2)
-	c := newClientCfg(sys, 6, func(cfg *client.Config) { cfg.DisableRootCache = true })
-	keys := []string{"key-020", "key-021"}
-	const reads = 4
-	for i := 0; i < reads; i++ {
-		if _, err := c.ReadOnly(keys); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	clusters := map[int32]bool{}
-	for _, k := range keys {
-		clusters[sys.Part.Of(k)] = true
-	}
-	if got, want := c.CertVerifications(), int64(reads*len(clusters)); got < want {
-		t.Fatalf("cache-off client verified %d certificates, want at least %d", got, want)
-	}
-	for cl := range clusters {
-		if _, ok := c.VerifiedCheckpoint(cl); ok {
-			t.Fatalf("cache-off client kept a checkpoint for cluster %d", cl)
-		}
-	}
-}
-
-// TestMultiProofShrinksWireProofs: end to end, the multi-proof reply for
-// a 10-key read costs fewer canonical proof bytes than the per-key path
-// serving the same read.
-func TestMultiProofShrinksWireProofs(t *testing.T) {
-	keys := make([]string, 10)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%03d", i*7)
-	}
-	keys[9] = "absent-on-purpose"
-
-	bytesFor := func(disableMulti bool) int64 {
-		data := make(map[string][]byte)
-		for i := 0; i < 100; i++ {
-			data[fmt.Sprintf("key-%03d", i)] = []byte(fmt.Sprintf("init-%d", i))
-		}
-		sys := core.NewSystem(core.SystemConfig{
-			Clusters: 1, F: 1, Seed: 21, BatchInterval: time.Millisecond,
-			InitialData: data, DisableMultiProofRO: disableMulti,
-		})
-		sys.Start()
-		defer sys.Stop()
-		c := newClientCfg(sys, 7, func(cfg *client.Config) { cfg.MeasureProofBytes = true })
-		if _, err := c.ReadOnly(keys); err != nil {
-			t.Fatalf("read (disableMulti=%v): %v", disableMulti, err)
-		}
-		reqs, bytes := c.ProofStats()
-		if reqs == 0 || bytes == 0 {
-			t.Fatalf("no proof bytes measured (disableMulti=%v)", disableMulti)
-		}
-		return bytes
-	}
-
-	multi := bytesFor(false)
-	single := bytesFor(true)
-	if multi >= single {
-		t.Fatalf("multi-proof read shipped %dB of proofs, per-key path %dB — expected a reduction", multi, single)
-	}
-	t.Logf("10-key read: multi-proof %dB vs per-key %dB (%.1f%%)", multi, single, 100*float64(multi)/float64(single))
-}

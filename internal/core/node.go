@@ -63,10 +63,6 @@ type NodeConfig struct {
 	// ROParkTimeout bounds how long a second-round read-only request may
 	// wait for a dependency batch to commit.
 	ROParkTimeout time.Duration
-	// DisableMultiProofRO restores the per-key proof path for read-only
-	// replies (one membership/absence proof per key). The zero value
-	// serves one compact multi-proof per request.
-	DisableMultiProofRO bool
 	// RetainBatches bounds how many historical snapshot versions (Merkle
 	// trees + store versions + batch bodies) a replica keeps for
 	// second-round serving. Zero keeps everything. Requests for pruned
@@ -75,8 +71,8 @@ type NodeConfig struct {
 	// (LCE is monotone).
 	RetainBatches int
 	// StoreShards is the shard count of the versioned store, rounded up
-	// to a power of two (0 = store.DefaultShards; 1 restores a
-	// single-lock store, the readscale experiment's baseline).
+	// to a power of two (0 = store.DefaultShards; 1 gives a single-lock
+	// store).
 	StoreShards int
 	// ReadExecutors sizes the pool serving read-only and read-set
 	// requests off the consensus loop (0 = GOMAXPROCS). Read serving
@@ -148,9 +144,8 @@ type ROBehavior struct {
 	// CorruptProofs truncates served proofs.
 	CorruptProofs bool
 	// DuplicateOmitKey rewrites the reply to answer one requested key
-	// twice and omit another; every copy carries valid proofs (the
-	// multi-proof covers a superset, the per-key copy reuses the first
-	// key's proof), so only the client's exactly-once coverage check
+	// twice and omit another; the multi-proof still covers every
+	// requested key, so the client's exactly-once coverage check is what
 	// stops the omitted key from silently reading as absent.
 	DuplicateOmitKey bool
 }
@@ -345,11 +340,11 @@ type Node struct {
 	suspects         int
 	forwarded        bool
 
-	// tip mirrors the newest committed batch ID atomically so the
-	// harness can watch catch-up progress while the loop runs.
+	// tip mirrors the newest committed batch ID atomically so tests and
+	// the benchmark can watch catch-up progress while the loop runs.
 	tip atomic.Int64
 	// stableID mirrors the newest stable checkpoint's batch ID (-1 until
-	// one forms) for the same reason: fault harnesses poll it live.
+	// one forms) for the same reason: fault tests poll it live.
 	stableID atomic.Int64
 
 	// oldestSnapshot is the earliest batch still servable after pruning.
@@ -366,7 +361,7 @@ type Node struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	// Metrics consumed by the harness.
+	// Metrics consumed by tests and the benchmark.
 	Metrics Metrics
 }
 
@@ -547,7 +542,7 @@ func (n *Node) Self() NodeID { return n.self }
 func (n *Node) IsLeader() bool { return n.consensus.IsLeader() }
 
 // CurrentView returns this node's consensus view, safe to read while the
-// event loop runs (the harness and tests watch failover progress).
+// event loop runs (tests and the benchmark watch failover progress).
 func (n *Node) CurrentView() uint64 { return n.consensus.CurrentView() }
 
 // Start registers the node with the network and launches its event loop.
@@ -667,7 +662,7 @@ func (n *Node) onTick() {
 func (n *Node) lastBatchID() int64 { return n.log.lastID() }
 
 // Tip returns the newest committed batch ID, safe to read while the
-// event loop runs (the harness polls it to measure catch-up).
+// event loop runs (tests and the benchmark poll it to measure catch-up).
 func (n *Node) Tip() int64 { return n.tip.Load() }
 
 // LogWindow returns the retained log window as (base, length). Owned by

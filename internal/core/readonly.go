@@ -158,8 +158,8 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 		Header:  snap.header,
 		Cert:    snap.cert,
 	}
-	// One sharded pass for every local key's value, then proofs per key.
-	// local and vals share m.Keys' ascending order, so a cursor maps
+	// One sharded pass for every local key's value, then one proof for all
+	// keys. local and vals share m.Keys' ascending order, so a cursor maps
 	// results back without a per-request allocation.
 	local := make([]int, 0, len(m.Keys))
 	localKeys := make([]string, 0, len(m.Keys))
@@ -171,29 +171,30 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 	}
 	vals := n.st.MultiGetAsOf(localKeys, snap.batchID)
 	reply.Values = make([]protocol.ROValue, 0, len(m.Keys))
-	if !n.cfg.DisableMultiProofRO && len(m.Keys) > 0 {
+	next := 0
+	for i, k := range m.Keys {
+		if next == len(local) || local[next] != i {
+			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
+			continue
+		}
+		v := vals[next]
+		next++
+		if !v.Found {
+			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
+			continue
+		}
+		value := v.Value
+		if n.cfg.ROBehavior.CorruptValues {
+			value = append(append([]byte(nil), value...), 0xff)
+		}
+		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true})
+	}
+	if len(m.Keys) > 0 {
 		// One pruned-subtree proof covers every key — membership and
 		// absence alike — so shared path prefixes ship and re-hash once
 		// per request instead of once per key. Non-local keys (absent
-		// from this partition's tree) are co-proved absent for free.
-		next := 0
-		for i, k := range m.Keys {
-			if next == len(local) || local[next] != i {
-				reply.Values = append(reply.Values, protocol.ROValue{Key: k})
-				continue
-			}
-			v := vals[next]
-			next++
-			if !v.Found {
-				reply.Values = append(reply.Values, protocol.ROValue{Key: k})
-				continue
-			}
-			value := v.Value
-			if n.cfg.ROBehavior.CorruptValues {
-				value = append(append([]byte(nil), value...), 0xff)
-			}
-			reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true})
-		}
+		// from this partition's tree) are co-proved absent for free. A
+		// zero-key request (a session closure contact) needs no proof.
 		keys := make([][]byte, len(m.Keys))
 		for i, k := range m.Keys {
 			keys[i] = []byte(k)
@@ -210,61 +211,17 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			// surface an explicit server error instead.
 			reply = protocol.ROReply{Cluster: n.cfg.Cluster, Err: "multi-proof: " + err.Error()}
 		}
-		mutateROReply(&reply, n.cfg.ROBehavior)
-		atomic.AddInt64(&n.Metrics.ROServed, 1)
-		select {
-		case m.ReplyTo <- reply:
-		default:
-		}
-		return
 	}
-	next := 0
-	for i, k := range m.Keys {
-		if next == len(local) || local[next] != i {
-			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
-			continue
-		}
-		v := vals[next]
-		next++
-		if !v.Found {
-			// Absent in this snapshot: prove it.
-			val := protocol.ROValue{Key: k}
-			if ap, err := snap.tree.ProveAbsent([]byte(k)); err == nil {
-				val.Absence = &ap
-			}
-			reply.Values = append(reply.Values, val)
-			continue
-		}
-		proof, _, err := snap.tree.Prove([]byte(k))
-		if err != nil {
-			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
-			continue
-		}
-		value := v.Value
-		if n.cfg.ROBehavior.CorruptValues {
-			value = append(append([]byte(nil), value...), 0xff)
-		}
-		if n.cfg.ROBehavior.CorruptProofs && len(proof.Steps) > 0 {
-			proof.Steps = proof.Steps[:len(proof.Steps)-1]
-		}
-		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true, Proof: proof})
+	if n.cfg.ROBehavior.DuplicateOmitKey && len(reply.Values) >= 2 {
+		// Byzantine: answer the first key twice and omit the last, which
+		// a client enforcing exactly-once key coverage rejects before it
+		// checks the proof.
+		reply.Values[len(reply.Values)-1] = reply.Values[0]
 	}
-	mutateROReply(&reply, n.cfg.ROBehavior)
 	atomic.AddInt64(&n.Metrics.ROServed, 1)
 	select {
 	case m.ReplyTo <- reply:
 	default:
-	}
-}
-
-// mutateROReply applies byzantine reply rewrites that operate on the
-// finished answer regardless of proof mode. DuplicateOmitKey overwrites
-// the last answer with a copy of the first: both copies verify
-// individually, so the rewrite is only caught by a client enforcing
-// exactly-once key coverage.
-func mutateROReply(reply *protocol.ROReply, b ROBehavior) {
-	if b.DuplicateOmitKey && len(reply.Values) >= 2 {
-		reply.Values[len(reply.Values)-1] = reply.Values[0]
 	}
 }
 

@@ -175,29 +175,21 @@ func TestByzantineROServerCorruptProofsDetected(t *testing.T) {
 // TestByzantineRODuplicateOmitKeyDetected: a server that answers one
 // requested key twice (each copy validly proven) while omitting another
 // must be rejected — otherwise the omitted key would silently read as
-// absent with no absence proof. Exercised on both proof paths, since the
-// exactly-once coverage check is the only defense on either.
+// absent.
 func TestByzantineRODuplicateOmitKeyDetected(t *testing.T) {
-	for _, disableMulti := range []bool{false, true} {
-		name := "multiproof"
-		if disableMulti {
-			name = "perkey"
-		}
-		t.Run(name, func(t *testing.T) {
-			sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-				cfg.DisableMultiProofRO = disableMulti
-				cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
-					{Cluster: 0, Replica: 0}: {DuplicateOmitKey: true},
-				}
-			})
-			c := testClient(sys, 1)
-			ks := keysOn(sys, 0, 2)
-			_, err := c.ReadOnly(ks)
-			if !errors.Is(err, client.ErrVerification) {
-				t.Fatalf("err = %v, want ErrVerification", err)
+	t.Run("multiproof", func(t *testing.T) {
+		sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
+			cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
+				{Cluster: 0, Replica: 0}: {DuplicateOmitKey: true},
 			}
 		})
-	}
+		c := testClient(sys, 1)
+		ks := keysOn(sys, 0, 2)
+		_, err := c.ReadOnly(ks)
+		if !errors.Is(err, client.ErrVerification) {
+			t.Fatalf("err = %v, want ErrVerification", err)
+		}
+	})
 }
 
 func TestByzantineStaleSnapshotDetectedWithFreshnessBound(t *testing.T) {
@@ -322,15 +314,13 @@ func TestReadOnlyAbsentKeysAreProven(t *testing.T) {
 		if len(r.Values) != 1 || r.Values[0].Found {
 			t.Fatalf("unexpected reply: %+v", r.Values)
 		}
-		// The default reply proves absence through the request-wide
-		// multi-proof; the per-key path must attach an absence proof.
-		if r.Multi != nil {
-			answers := []merkle.KeyAnswer{{Key: []byte(absent), Found: false}}
-			if err := merkle.VerifyMulti(r.Header.MerkleRoot, answers, *r.Multi); err != nil {
-				t.Fatalf("multi-proof does not prove absence: %v", err)
-			}
-		} else if r.Values[0].Absence == nil {
-			t.Fatal("server did not attach an absence proof")
+		// The request-wide multi-proof proves the absence.
+		if r.Multi == nil {
+			t.Fatal("server did not attach a multi-proof")
+		}
+		answers := []merkle.KeyAnswer{{Key: []byte(absent), Found: false}}
+		if err := merkle.VerifyMulti(r.Header.MerkleRoot, answers, *r.Multi); err != nil {
+			t.Fatalf("multi-proof does not prove absence: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout")

@@ -35,11 +35,8 @@ type SystemConfig struct {
 	InterLatency    time.Duration // cluster-to-cluster and client links
 	FreshnessWindow time.Duration
 	ROParkTimeout   time.Duration
-	// DisableMultiProofRO restores per-key read-only proofs on every
-	// replica (see NodeConfig.DisableMultiProofRO).
-	DisableMultiProofRO bool
-	RetainBatches       int
-	StoreShards         int // versioned-store shard count (0 = store.DefaultShards)
+	RetainBatches   int
+	StoreShards     int // versioned-store shard count (0 = store.DefaultShards)
 	// Engine names every replica's storage backend, resolved through
 	// the store engine registry ("" = store.DefaultEngine). Validate
 	// with store.NewEngine before building a system: NewNode panics on
@@ -111,8 +108,8 @@ type System struct {
 	Ring *cryptoutil.KeyRing
 	Part protocol.Partitioner
 
-	// mu guards nodes/nodeCfgs against concurrent replica restarts (the
-	// recovery harness crashes and revives replicas while workers run).
+	// mu guards nodes/nodeCfgs against concurrent replica restarts (fault
+	// tests and the benchmark crash and revive replicas while workers run).
 	mu       sync.Mutex
 	nodes    map[NodeID]*Node
 	nodeCfgs map[NodeID]NodeConfig
@@ -187,7 +184,6 @@ func NewSystem(cfg SystemConfig) *System {
 			PipelineDepth:        cfg.PipelineDepth,
 			FreshnessWindow:      cfg.FreshnessWindow,
 			ROParkTimeout:        cfg.ROParkTimeout,
-			DisableMultiProofRO:  cfg.DisableMultiProofRO,
 			RetainBatches:        cfg.RetainBatches,
 			StoreShards:          cfg.StoreShards,
 			EngineName:           cfg.Engine,
@@ -355,7 +351,7 @@ func (s *System) Stop() {
 }
 
 // Node returns a replica by identity (nil if absent); used by tests and
-// the harness to read metrics.
+// the benchmark to read metrics.
 func (s *System) Node(id NodeID) *Node {
 	s.mu.Lock()
 	defer s.mu.Unlock()

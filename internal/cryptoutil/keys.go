@@ -136,15 +136,6 @@ func SignCertificate(kp KeyPair, id NodeID, msg []byte) Signature {
 	return Signature{Signer: id, Sig: kp.Sign(msg)}
 }
 
-// fastVerifyDisabled reverts VerifyCertificate to the pre-optimization
-// behavior (serial, every signature verified). A bench/test knob: the
-// hotpath experiment flips it to record before/after rows.
-var fastVerifyDisabled atomic.Bool
-
-// SetFastVerify toggles the early-exit/parallel certificate verification
-// fast path (on by default).
-func SetFastVerify(on bool) { fastVerifyDisabled.Store(!on) }
-
 // maxVerifyWorkers bounds the signature-verification worker pool.
 var maxVerifyWorkers = runtime.GOMAXPROCS(0)
 
@@ -199,17 +190,14 @@ func VerifyEach(checks []SigCheck) []bool {
 // in the key ring.
 //
 // Signatures are examined in order and verification stops as soon as
-// threshold valid signatures are counted. This is a deliberate relaxation
-// over the legacy path: signatures past the threshold prefix are neither
-// verified nor structurally checked, so a certificate whose first
+// threshold valid signatures are counted. This is a deliberate
+// relaxation: signatures past the threshold prefix are neither verified
+// nor structurally checked, so a certificate whose first
 // threshold entries are valid is accepted even if trailing entries are
 // malformed — the quorum proof the protocol needs is already in hand.
 // When the threshold is large enough, the Ed25519 checks fan out across
 // a bounded worker pool.
 func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold int) error {
-	if fastVerifyDisabled.Load() {
-		return verifyCertificateLegacy(ring, cert, msg, threshold)
-	}
 	if len(msg) == 0 {
 		return ErrEmptyMessage
 	}
@@ -250,41 +238,6 @@ func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold in
 		if !ok {
 			return fmt.Errorf("%w: from %v", ErrInvalidSignature, signers[i])
 		}
-	}
-	return nil
-}
-
-// verifyCertificateLegacy is the original serial implementation that
-// verifies every signature in the certificate, kept for before/after
-// benchmarking.
-func verifyCertificateLegacy(ring *KeyRing, cert Certificate, msg []byte, threshold int) error {
-	if len(msg) == 0 {
-		return ErrEmptyMessage
-	}
-	if len(cert.Signatures) < threshold {
-		return fmt.Errorf("%w: got %d, need %d", ErrTooFewSignatures, len(cert.Signatures), threshold)
-	}
-	seen := make(map[NodeID]bool, len(cert.Signatures))
-	valid := 0
-	for _, s := range cert.Signatures {
-		if s.Signer.Cluster != cert.Cluster {
-			return fmt.Errorf("%w: %v in certificate for cluster %d", ErrWrongCluster, s.Signer, cert.Cluster)
-		}
-		if seen[s.Signer] {
-			return fmt.Errorf("%w: %v", ErrDuplicateSigner, s.Signer)
-		}
-		seen[s.Signer] = true
-		pub := ring.PublicKey(s.Signer)
-		if pub == nil {
-			return fmt.Errorf("%w: %v", ErrUnknownSigner, s.Signer)
-		}
-		if !Verify(pub, msg, s.Sig) {
-			return fmt.Errorf("%w: from %v", ErrInvalidSignature, s.Signer)
-		}
-		valid++
-	}
-	if valid < threshold {
-		return fmt.Errorf("%w: %d valid, need %d", ErrTooFewSignatures, valid, threshold)
 	}
 	return nil
 }

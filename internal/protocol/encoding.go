@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"transedge/internal/cryptoutil"
 )
@@ -224,14 +223,6 @@ func (h *BatchHeader) Digest() Digest {
 	return cryptoutil.Hash(h.Encode())
 }
 
-// digestMemoDisabled bypasses the sealed-batch memo so Header()/Digest()
-// recompute on every call. A bench/test knob: the hotpath experiment
-// flips it to record before/after rows.
-var digestMemoDisabled atomic.Bool
-
-// SetDigestMemo toggles sealed-batch digest memoization (on by default).
-func SetDigestMemo(on bool) { digestMemoDisabled.Store(!on) }
-
 // computeHeader derives the header of b, hashing all three segments.
 func (b *Batch) computeHeader() BatchHeader {
 	return BatchHeader{
@@ -255,7 +246,7 @@ func (b *Batch) computeHeader() BatchHeader {
 // fresh computation re-encodes all three segments. The cached header's
 // CD vector is shared; callers treat headers as immutable snapshots.
 func (b *Batch) Header() BatchHeader {
-	if m := b.memo; m != nil && !digestMemoDisabled.Load() {
+	if m := b.memo; m != nil {
 		m.once.Do(func() {
 			m.header = b.computeHeader()
 			m.digest = m.header.Digest()
@@ -267,7 +258,7 @@ func (b *Batch) Header() BatchHeader {
 
 // Digest is the signed digest of the batch, memoized for sealed batches.
 func (b *Batch) Digest() Digest {
-	if m := b.memo; m != nil && !digestMemoDisabled.Load() {
+	if m := b.memo; m != nil {
 		m.once.Do(func() {
 			m.header = b.computeHeader()
 			m.digest = m.header.Digest()

@@ -62,27 +62,25 @@ type RORequest struct {
 	ReplyTo  chan ROReply
 }
 
-// ROValue is one key's answer in a read-only reply: the value plus the
-// Merkle membership proof against the batch's certified root, or a
-// non-membership proof when the key does not exist in the snapshot.
+// ROValue is one key's answer in a read-only reply: the value, or
+// Found false when the key does not exist in the snapshot. The reply's
+// multi-proof proves both cases.
 type ROValue struct {
-	Key     string
-	Value   []byte
-	Found   bool
-	Proof   merkle.Proof
-	Absence *merkle.AbsenceProof
+	Key   string
+	Value []byte
+	Found bool
 }
 
 // ROReply carries everything the client needs to verify the answer with
-// no further coordination: data + proofs, the Merkle root with its f+1
+// no further coordination: data + proof, the Merkle root with its f+1
 // certificate, and the CD vector / LCE of the batch served.
 type ROReply struct {
 	Cluster int32
 	BatchID int64
 	Values  []ROValue
-	// Multi, when set, co-proves every value (membership and absence) in
-	// one pruned-subtree proof; the per-key Proof/Absence fields of
-	// Values are then left empty. Nil restores the per-key proof path.
+	// Multi co-proves every value (membership and absence) in one
+	// pruned-subtree proof against the header's Merkle root. It is nil
+	// only on a reply to a zero-key request (a session closure contact).
 	Multi  *merkle.MultiProof
 	Header BatchHeader
 	Cert   cryptoutil.Certificate

@@ -8,9 +8,9 @@ import (
 
 // Canonical codecs for the Merkle proof types the read-only protocol
 // ships. The in-process transport passes proofs as Go values, so these
-// encodings serve measurement (proof bytes per request are a first-class
-// metric of the client-scale harness), durability-style tooling, and the
-// fuzzers that pin the decoders' crash-safety.
+// encodings serve measurement (proof bytes per request are a per-layer
+// metric of the benchmark), durability-style tooling, and the fuzzers
+// that pin the decoders' crash-safety.
 //
 // The multi-proof encoding is self-delimiting: the preorder structure
 // determines exactly how many nodes follow, so no count prefix is needed

@@ -9,8 +9,8 @@ import (
 )
 
 // TestShardedEngineConformance runs the reusable Engine conformance suite
-// against the sharded MVCC store at the shard counts the system actually
-// uses: 1 (the readscale baseline), 4, and 16 (DefaultShards). Alternate
+// against the sharded MVCC store at three shard counts: 1 (a single-lock
+// store), 4, and 16 (DefaultShards). Alternate
 // backends add their own one-line test calling storetest.Run.
 func TestShardedEngineConformance(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {

@@ -68,7 +68,7 @@ func New() *Store { return NewSharded(DefaultShards) }
 
 // NewSharded returns an empty store with n shards, rounded up to a power
 // of two (n <= 0 selects DefaultShards; 1 degenerates to a single-lock
-// store, which the readscale experiment uses as its baseline).
+// store).
 func NewSharded(n int) *Store {
 	if n <= 0 {
 		n = DefaultShards

@@ -381,7 +381,7 @@ type Network struct {
 	stopped bool
 	sched   scheduler
 
-	// Stats is exported for tests and the benchmark harness.
+	// Stats is exported for tests and the benchmark.
 	Stats Stats
 }
 

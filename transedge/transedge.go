@@ -118,19 +118,6 @@ type Options struct {
 	// bounding stale-snapshot attacks (paper Sec. 4.4.2).
 	FreshnessWindow time.Duration
 
-	// DisableMultiProofReads makes replicas answer verified reads with
-	// one Merkle proof per key instead of a single compact multi-proof
-	// over the whole key set (DESIGN.md §10). The default (false) sends
-	// the multi-proof: shared path prefixes are proved once, so wide
-	// reads ship fewer bytes and verify with fewer hashes. Both forms
-	// carry the same guarantee; this knob exists for measurement.
-	DisableMultiProofReads bool
-	// DisableRootCache makes every client re-verify the f+1 batch
-	// certificate on every read-only reply. The default (false) caches
-	// the last verified certificate per cluster, so repeat reads at an
-	// unchanged root skip the threshold-signature check entirely.
-	DisableRootCache bool
-
 	// InitialData is loaded as the certified genesis state, spread over
 	// the partitions by key hash.
 	InitialData map[string][]byte
@@ -192,7 +179,6 @@ func Start(opts Options) (*System, error) {
 		IntraLatency:         opts.IntraClusterLatency,
 		InterLatency:         opts.InterClusterLatency,
 		FreshnessWindow:      opts.FreshnessWindow,
-		DisableMultiProofRO:  opts.DisableMultiProofReads,
 		InitialData:          opts.InitialData,
 	})
 	sys.Start()
@@ -236,15 +222,14 @@ type Client struct {
 func (s *System) NewClient() *Client {
 	id := s.clientID.Add(1)
 	return &Client{Client: client.New(client.Config{
-		ID:               id,
-		Net:              s.sys.Net,
-		Ring:             s.sys.Ring,
-		Part:             s.sys.Part,
-		Clusters:         s.sys.Cfg.Clusters,
-		Timeout:          s.opts.ClientTimeout,
-		MaxStaleness:     s.opts.MaxStaleness,
-		Seed:             int64(s.opts.Seed),
-		DisableRootCache: s.opts.DisableRootCache,
+		ID:           id,
+		Net:          s.sys.Net,
+		Ring:         s.sys.Ring,
+		Part:         s.sys.Part,
+		Clusters:     s.sys.Cfg.Clusters,
+		Timeout:      s.opts.ClientTimeout,
+		MaxStaleness: s.opts.MaxStaleness,
+		Seed:         int64(s.opts.Seed),
 	})}
 }
 
