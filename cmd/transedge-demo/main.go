@@ -66,14 +66,8 @@ func main() {
 		}
 	}
 
-	if *engine != "" {
-		probe, err := store.NewEngine(*engine, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c, ok := probe.(interface{ Close() }); ok {
-			c.Close()
-		}
+	if err := store.CheckEngine(*engine); err != nil {
+		log.Fatal(err)
 	}
 
 	data := map[string][]byte{}
@@ -82,10 +76,9 @@ func main() {
 	}
 	cfg := core.SystemConfig{
 		Clusters: 2, F: 1, Seed: 5,
-		BatchInterval: time.Millisecond,
-		InitialData:   data,
-		DataDir:       *datadir,
-		Engine:        *engine,
+		InitialData: data,
+		DataDir:     *datadir,
+		Engine:      *engine,
 	}
 	sys := core.NewSystem(cfg)
 	sys.Start()

@@ -40,11 +40,10 @@ func main() {
 		data[keys[i]] = []byte(strconv.Itoa(initial))
 	}
 	sys, err := transedge.Start(transedge.Options{
-		Clusters:      5,
-		F:             1,
-		Seed:          7,
-		BatchInterval: time.Millisecond,
-		InitialData:   data,
+		Clusters:    5,
+		F:           1,
+		Seed:        7,
+		InitialData: data,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -76,14 +76,13 @@ func buildSystem(ro map[core.NodeID]core.ROBehavior) *core.System {
 		data[fmt.Sprintf("key-%02d", i)] = []byte("genuine")
 	}
 	sys := core.NewSystem(core.SystemConfig{
-		Clusters:      2,
-		F:             1,
-		Seed:          9,
-		BatchInterval: time.Millisecond,
-		InitialData:   data,
-		ROByzantine:   ro,
-		DataDir:       fleetDataDir(),
-		Engine:        *engine,
+		Clusters:    2,
+		F:           1,
+		Seed:        9,
+		InitialData: data,
+		ROByzantine: ro,
+		DataDir:     fleetDataDir(),
+		Engine:      *engine,
 	})
 	sys.Start()
 	return sys
@@ -101,7 +100,6 @@ func buildFaultSystem(mut func(*core.SystemConfig)) *core.System {
 		Clusters:           1,
 		F:                  1,
 		Seed:               9,
-		BatchInterval:      time.Millisecond,
 		CheckpointInterval: 8,
 		ViewTimeout:        30 * time.Millisecond,
 		InitialData:        data,
@@ -187,17 +185,11 @@ func requireNewView(sys *core.System, rs ...int32) {
 
 func main() {
 	flag.Parse()
-	if *engine != "" {
-		// Fail fast with the valid names instead of staging eight attacks
-		// against a typo'd backend label.
-		probe, err := store.NewEngine(*engine, 1)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if c, ok := probe.(interface{ Close() }); ok {
-			c.Close()
-		}
+	// Fail fast with the valid names instead of staging eight attacks
+	// against a typo'd backend label.
+	if err := store.CheckEngine(*engine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	evil := core.NodeID{Cluster: 0, Replica: 0} // the partition's leader
 

@@ -65,11 +65,10 @@ func main() {
 		}
 	}
 	sys, err := transedge.Start(transedge.Options{
-		Clusters:      regions,
-		F:             1,
-		Seed:          3,
-		BatchInterval: time.Millisecond,
-		InitialData:   data,
+		Clusters:    regions,
+		F:           1,
+		Seed:        3,
+		InitialData: data,
 	})
 	if err != nil {
 		log.Fatal(err)

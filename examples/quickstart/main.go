@@ -34,12 +34,11 @@ func main() {
 	// Three partitions, each replicated on a 4-node byzantine cluster
 	// (f=1), with a little initial data.
 	opts := transedge.Options{
-		Clusters:      3,
-		F:             1,
-		Seed:          1,
-		BatchInterval: time.Millisecond,
-		DataDir:       *datadir,
-		Engine:        *engine, // Start validates the name against the registry
+		Clusters: 3,
+		F:        1,
+		Seed:     1,
+		DataDir:  *datadir,
+		Engine:   *engine, // Start validates the name against the registry
 		InitialData: map[string][]byte{
 			"alice": []byte("100"),
 			"bob":   []byte("100"),

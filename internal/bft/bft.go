@@ -101,14 +101,6 @@ type Config struct {
 	// while predecessors are still in consensus.
 	MaxInFlight int
 
-	// BufferAhead bounds how far beyond nextDeliver a message's sequence
-	// number may run before it is dropped instead of buffered (0 selects
-	// 2*MaxInFlight+2; negative disables the bound entirely). The
-	// enclosing node disables it when checkpointing is off — without
-	// state transfer, dropped messages could never be recovered, so
-	// unbounded buffering is the only way a slow replica catches up.
-	BufferAhead int
-
 	// Validate inspects a proposed batch before the replica votes for it.
 	// It runs exactly once per batch ID, in log order, but ahead of
 	// delivery: slot k+1 is validated as soon as slot k has been
@@ -335,20 +327,14 @@ func (r *Replica) DroppedAhead() int { return int(r.droppedAhead.Load()) }
 func (r *Replica) HighestSeen() int64 { return r.highestSeen }
 
 // maxAhead is how far beyond nextDeliver a message's sequence number may
-// run before it is dropped instead of buffered (-1 = unbounded). An
-// honest leader never proposes past its own nextDeliver + MaxInFlight;
-// the extra window absorbs the skew between our delivery point and the
-// quorum's (the transport itself reorders nothing within a cluster: links
-// of equal latency deliver in send order, DESIGN §12). Anything further
-// means we lost messages for good — buffering cannot help, only state
-// transfer can — so the buffers stay bounded at O(maxAhead) instances.
+// run before it is dropped instead of buffered. An honest leader never
+// proposes past its own nextDeliver + MaxInFlight; the extra window
+// absorbs the skew between our delivery point and the quorum's (the
+// transport itself reorders nothing within a cluster: links of equal
+// latency deliver in send order, DESIGN §12). Anything further means we
+// lost messages for good — buffering cannot help, only state transfer
+// can — so the buffers stay bounded at O(maxAhead) instances.
 func (r *Replica) maxAhead() int64 {
-	if r.cfg.BufferAhead < 0 {
-		return -1
-	}
-	if r.cfg.BufferAhead > 0 {
-		return int64(r.cfg.BufferAhead)
-	}
 	return 2*int64(r.cfg.MaxInFlight) + 2
 }
 
@@ -362,12 +348,6 @@ func (r *Replica) maxAhead() int64 {
 // settle after a futile sync) advances.
 func (r *Replica) observe(id int64) bool {
 	ahead := r.maxAhead()
-	if ahead < 0 {
-		if id > r.highestSeen {
-			r.highestSeen = id
-		}
-		return true
-	}
 	if capped := min(id, r.nextDeliver+2*ahead); capped > r.highestSeen {
 		r.highestSeen = capped
 	}
@@ -393,10 +373,8 @@ func (r *Replica) SettleHighestSeen(tip int64) {
 // Lagging reports whether this replica has observed consensus traffic so
 // far beyond its delivery point that it has started dropping messages —
 // the condition under which only a state transfer can restore liveness.
-// Never true with an unbounded buffer (nothing is ever dropped).
 func (r *Replica) Lagging() bool {
-	ahead := r.maxAhead()
-	return ahead >= 0 && r.highestSeen >= r.nextDeliver+ahead
+	return r.highestSeen >= r.nextDeliver+r.maxAhead()
 }
 
 // Reset re-bases the engine after a state transfer: the log prefix up to

@@ -277,12 +277,8 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 		if nv.View > r.votedFor {
 			r.votedFor = nv.View
 		}
-		if ahead := r.maxAhead(); ahead >= 0 {
-			if hs := r.nextDeliver + ahead; hs > r.highestSeen {
-				r.highestSeen = hs
-			}
-		} else if globalTip > r.highestSeen {
-			r.highestSeen = globalTip
+		if hs := r.nextDeliver + r.maxAhead(); hs > r.highestSeen {
+			r.highestSeen = hs
 		}
 		return
 	}

@@ -73,39 +73,6 @@ func TestOutOfWindowMessagesDropped(t *testing.T) {
 	}
 }
 
-// TestUnboundedBufferNeverDrops: with BufferAhead < 0 (the node's
-// configuration when checkpointing is disabled) far-future messages are
-// buffered as in the seed, and the replica never reports lagging —
-// without state transfer, dropping would wedge a slow replica forever.
-func TestUnboundedBufferNeverDrops(t *testing.T) {
-	ring := cryptoutil.NewKeyRing()
-	keys := make([]cryptoutil.KeyPair, 4)
-	for i := range keys {
-		id := NodeID{Cluster: 0, Replica: int32(i)}
-		keys[i] = cryptoutil.DeriveKeyPair(id, 99)
-		ring.Add(id, keys[i].Public)
-	}
-	r := New(Config{
-		Cluster: 0, Replica: 1, N: 4, F: 1,
-		Keys: keys[1], Ring: ring, Net: transport.NewNetwork(),
-		MaxInFlight: 4, BufferAhead: -1,
-	})
-	from := NodeID{Cluster: 0, Replica: 2}
-	r.Handle(from, &Prepare{ID: 500})
-	if len(r.instances) != 1 {
-		t.Fatal("far-future prepare dropped despite unbounded buffer")
-	}
-	if r.DroppedAhead() != 0 {
-		t.Fatalf("DroppedAhead = %d with unbounded buffer", r.DroppedAhead())
-	}
-	if r.Lagging() {
-		t.Fatal("unbounded buffer must never report lagging")
-	}
-	if r.HighestSeen() != 500 {
-		t.Fatalf("HighestSeen = %d, want 500", r.HighestSeen())
-	}
-}
-
 // TestInWindowMessagesStillBuffered: the bound must not break normal
 // pipelining — messages ahead of our validation point but inside the
 // window are buffered as before.

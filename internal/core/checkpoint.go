@@ -78,8 +78,7 @@ func (n *Node) openGroups() []protocol.CheckpointGroup {
 // prefix alone: versions at or below a delivered batch never change, so
 // the export reads the same content whenever it runs.
 func (n *Node) maybeCheckpoint(id int64) {
-	interval := int64(n.cfg.CheckpointInterval)
-	if interval <= 0 || id%interval != 0 || id == 0 {
+	if id%int64(n.cfg.CheckpointInterval) != 0 || id == 0 {
 		return
 	}
 	// Not during state-transfer replay: every interval the suffix
@@ -184,7 +183,7 @@ func (n *Node) onCheckpoint(from NodeID, m *protocol.Checkpoint) {
 		cur = n.stable.id
 	}
 	interval := int64(n.cfg.CheckpointInterval)
-	if interval <= 0 || m.BatchID <= cur || m.BatchID%interval != 0 {
+	if m.BatchID <= cur || m.BatchID%interval != 0 {
 		return
 	}
 	// Ahead of us: buffer until we deliver that batch ourselves, bounded
@@ -230,7 +229,7 @@ func (n *Node) maybeStabilize(cs *checkpointState) {
 	}
 	cs.stable = true
 	cs.cert = cryptoutil.Certificate{Cluster: n.cfg.Cluster}
-	for r := int32(0); int(r) < n.cfg.N; r++ {
+	for r := int32(0); int(r) < n.cfg.replicas(); r++ {
 		if sig, ok := cs.votes[r]; ok {
 			cs.cert.Signatures = append(cs.cert.Signatures, cryptoutil.Signature{
 				Signer: NodeID{Cluster: n.cfg.Cluster, Replica: r}, Sig: sig,
@@ -247,11 +246,11 @@ func (n *Node) maybeStabilize(cs *checkpointState) {
 	n.persistCheckpoint(cs)
 }
 
-// truncateBelow drops log entries, Merkle versions, and (via the
-// incremental pruner's clamp) store versions below the stable
-// checkpoint. The serving floor (oldestSnapshot) rises with the window
-// base: requests for pruned snapshots are answered with the base, which
-// is at least as new and still dependency-satisfying.
+// truncateBelow drops log entries, Merkle versions, and (through the
+// incremental pruner, whose boundary is the window base) store versions
+// below the stable checkpoint. The window base is the serving floor:
+// requests for truncated snapshots are answered with the base, which is
+// at least as new and still dependency-satisfying.
 func (n *Node) truncateBelow(id int64) {
 	dropped := n.log.truncate(id)
 	n.Metrics.LogTruncated += int64(dropped)
@@ -260,9 +259,6 @@ func (n *Node) truncateBelow(id int64) {
 		if tid < base {
 			delete(n.trees, tid)
 		}
-	}
-	if base > n.oldestSnapshot {
-		n.oldestSnapshot = base
 	}
 	// Consensus bookkeeping below the stable base — equivocation evidence,
 	// stale pre-prepares, dead instances — can never matter again either.
@@ -278,7 +274,7 @@ func (n *Node) startStateSync() {
 	n.syncDeadline = time.Now().Add(n.cfg.StateTransferTimeout)
 	// Rotate through peers, skipping ourselves.
 	for {
-		n.syncPeer = (n.syncPeer + 1) % int32(n.cfg.N)
+		n.syncPeer = (n.syncPeer + 1) % int32(n.cfg.replicas())
 		if n.syncPeer != n.cfg.Replica {
 			break
 		}
@@ -292,9 +288,6 @@ func (n *Node) startStateSync() {
 // buffering window, so only a state transfer can restore liveness — and
 // retries a stuck sync past its deadline.
 func (n *Node) maybeStateSync() {
-	if n.cfg.CheckpointInterval <= 0 {
-		return // no checkpoints anywhere: nothing to transfer
-	}
 	if n.syncing {
 		if time.Now().After(n.syncDeadline) {
 			// Stop retrying once nothing newer than our tip has been
@@ -321,10 +314,9 @@ func (n *Node) maybeStateSync() {
 // the stable checkpoint gets the checkpoint (with its full snapshot)
 // plus the suffix above it; a requester at or past it (the repeated-gap
 // sync after an install) gets only the suffix above HaveBatch — no
-// O(keys) export. Before any stable checkpoint exists, the retained
-// suffix above HaveBatch is served on its own (CheckpointID stays < 0);
-// if the needed bodies were body-pruned the suffix will not chain and
-// the requester retries after the next checkpoint forms.
+// O(keys) export. Before any stable checkpoint exists, the suffix above
+// HaveBatch is served on its own (CheckpointID stays < 0). Either way the
+// suffix starts above the window base, and every body there is retained.
 //
 // The snapshot is exported by a read executor, once per stable
 // checkpoint however many (unauthenticated, retry-happy) requests ask
@@ -349,17 +341,10 @@ func (n *Node) onStateRequest(m *protocol.StateRequest) {
 			start = cs.id + 1
 		}
 	}
-	if start < n.oldestSnapshot {
-		// The bodies the requester would need were pruned (only possible
-		// before the first stable checkpoint, whose clamp keeps bodies
-		// above it). Nothing chains for them: send no suffix and let the
-		// retry land after a checkpoint forms.
-		start = n.lastBatchID() + 1
-	}
 	for id := start; id <= n.lastBatchID(); id++ {
 		e := n.log.get(id)
 		if e == nil || e.batch == nil {
-			resp.Suffix = nil // cannot happen given the clamps; stay safe
+			resp.Suffix = nil // cannot happen above the base; stay safe
 			break
 		}
 		resp.Suffix = append(resp.Suffix, protocol.CertifiedBatch{Batch: e.batch, Cert: e.cert})
@@ -426,9 +411,8 @@ func (n *Node) onStateResponse(from NodeID, m *protocol.StateResponse) {
 	}
 	n.replaying = false
 	if !advanced && m.Tip > n.lastBatchID() {
-		// The responder has newer history it could not serve — bodies
-		// pruned before the first stable checkpoint formed, or a suffix
-		// that failed to verify. Not evidence of being caught up: rotate
+		// The responder claims newer history it did not serve, or its
+		// suffix failed to verify. Not evidence of being caught up: rotate
 		// to another peer immediately rather than burning the rest of the
 		// deadline on this one. A byzantine responder lying about its tip
 		// merely keeps us politely retrying until an honest peer answers.
@@ -562,7 +546,6 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	n.trees = map[int64]*merkle.Tree{id: tree}
 	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert})
 	n.tip.Store(id)
-	n.oldestSnapshot = id
 	n.pruneCursor, n.pruneBoundary, n.prunedThrough = 0, 0, 0
 
 	n.groups = n.groups[:0]

@@ -59,7 +59,6 @@ func TestCheckpointRetainsNoSnapshot(t *testing.T) {
 	run := func(t *testing.T, transfer, moreCheckpoints bool) (views []core.CheckpointView, served int64) {
 		sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
 			cfg.CheckpointInterval = interval
-			cfg.RetainBatches = 8
 			// Long enough that the recovering victim never re-asks: one
 			// request, one responder.
 			cfg.StateTransferTimeout = 5 * time.Second
@@ -385,13 +384,13 @@ func TestStaleCheckpointDerivationIsDropped(t *testing.T) {
 	const interval = 4
 	cfg := durableConfig("", 100)
 	cfg.CheckpointInterval = interval
-	// One executor per replica: results reach the loop in submission
-	// order, so any vote the victim casts after its held derivation is
-	// released proves the loop has already seen the stale result.
-	cfg.ReadExecutors = 1
 	sys := core.NewSystem(cfg)
 	victim := core.NodeID{Cluster: 0, Replica: 3}
 	leader := core.NodeID{Cluster: 0, Replica: 0}
+	// One executor on the victim: results reach its loop in submission
+	// order, so any vote it casts after its held derivation is released
+	// proves the loop has already seen the stale result.
+	sys.Node(victim).SetReadExecutors(1)
 
 	held, release := make(chan struct{}), make(chan struct{})
 	sys.Node(victim).SetCheckpointHooks(func(id int64) {

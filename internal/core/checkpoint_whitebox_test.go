@@ -34,7 +34,7 @@ func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
 	}
 	eng := &countingEngine{Engine: inner}
 	data := specKeys(64)
-	n := newSpecLeader(t, 1, data, func(cfg *NodeConfig) { cfg.Engine = eng })
+	n := newSpecLeader(t, 1, data, func(cfg *NodeConfig) { cfg.Store = eng })
 
 	// Genesis doubles as the stable checkpoint: the store holds its
 	// content at batch 0 and the request path checks nothing else.
@@ -89,15 +89,14 @@ func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
 }
 
 // TestVotingCheckpointClampsPruner: a derived checkpoint keeps no copy of
-// the keyspace, so while it collects votes — before the first stable
-// checkpoint nothing else holds the pruner back — the store must keep
-// every version visible at it: if it turns stable, the persister and any
-// state transfer export it from there.
+// the keyspace, so while it collects votes the store must keep every
+// version visible at it: if it turns stable, the persister and any state
+// transfer export it from there. The pruner stops at the stable
+// checkpoint, which is always older.
 func TestVotingCheckpointClampsPruner(t *testing.T) {
 	const interval = 4
 	n := newSpecLeader(t, 1, specKeys(8), func(cfg *NodeConfig) {
 		cfg.CheckpointInterval = interval
-		cfg.RetainBatches = 1
 	})
 	// Deliveries are hand-built, as a follower would receive them: the
 	// unstarted node's consensus instance never advances, so it cannot

@@ -45,7 +45,6 @@ func bankSystem(t testing.TB, clusters int) *core.System {
 		F:             1,
 		Seed:          7,
 		BatchInterval: time.Millisecond,
-		BatchMaxSize:  200,
 		InitialData:   data,
 	}
 	sys := core.NewSystem(cfg)

@@ -20,12 +20,10 @@ func testSystem(t testing.TB, clusters, f, keys int, opts ...func(*core.SystemCo
 		data[fmt.Sprintf("key-%03d", i)] = []byte(fmt.Sprintf("init-%d", i))
 	}
 	cfg := core.SystemConfig{
-		Clusters:      clusters,
-		F:             f,
-		Seed:          42,
-		BatchInterval: time.Millisecond,
-		BatchMaxSize:  500,
-		InitialData:   data,
+		Clusters:    clusters,
+		F:           f,
+		Seed:        42,
+		InitialData: data,
 	}
 	for _, o := range opts {
 		o(&cfg)

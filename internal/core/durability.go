@@ -50,11 +50,7 @@ func (n *Node) openDurability() {
 	// after it.
 	n.replaying, n.walReplay = true, true
 	replayed := int64(0)
-	w, err := wal.Open(wal.Options{
-		Dir:          n.walDir(),
-		SyncEvery:    n.cfg.WALSyncEvery,
-		SyncInterval: n.cfg.WALSyncInterval,
-	}, func(id int64, payload []byte) bool {
+	w, err := wal.Open(wal.Options{Dir: n.walDir()}, func(id int64, payload []byte) bool {
 		if id <= n.lastBatchID() {
 			return true // at or below the checkpoint: already covered by it
 		}

@@ -20,10 +20,7 @@ func durableConfig(dir string, keys int) core.SystemConfig {
 		Clusters:             1,
 		F:                    1,
 		Seed:                 42,
-		BatchInterval:        time.Millisecond,
-		BatchMaxSize:         500,
 		CheckpointInterval:   4,
-		RetainBatches:        8,
 		StateTransferTimeout: 25 * time.Millisecond,
 		DataDir:              dir,
 		InitialData:          data,

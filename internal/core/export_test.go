@@ -9,6 +9,16 @@ func (n *Node) SetCheckpointHooks(derived, persist func(id int64)) {
 	n.hookDerived, n.hookPersist = derived, persist
 }
 
+// SetReadExecutors replaces the node's read-executor pool with one of
+// the given size. Call before Start.
+func (n *Node) SetReadExecutors(workers int) {
+	n.readers.stop()
+	n.readers = newReadExecutor(workers, 0)
+}
+
+// VersionCount reports how many versions of key the node's store retains.
+func (n *Node) VersionCount(key string) int { return n.st.VersionCount(key) }
+
 // CheckpointView is what a stopped node's checkpoint slots hold: the
 // position of each (-1 = empty) and whether it retains a store export.
 type CheckpointView struct {

@@ -360,7 +360,7 @@ func (n *Node) maybeBuildBatch(force bool) {
 	if pending == 0 && ready == nil {
 		return
 	}
-	if !force && pending < n.cfg.BatchMaxSize && time.Since(n.lastFlush) < n.cfg.BatchInterval && ready == nil {
+	if !force && pending < batchMaxSize && time.Since(n.lastFlush) < n.cfg.BatchInterval && ready == nil {
 		return
 	}
 

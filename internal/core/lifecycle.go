@@ -199,43 +199,10 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 
 	n.noteProgress() // a delivery is exactly what the watchdog waits for
 	n.maybeCheckpoint(b.ID)
-	n.pruneSnapshots()
 	n.serveParked()
 	if n.IsLeader() {
 		n.maybeBuildBatch(false)
 	}
-}
-
-// pruneSnapshots enforces RetainBatches: old Merkle versions and batch
-// bodies are dropped; headers and certificates stay (they are tiny and
-// keep audits possible). Store versions are NOT pruned here — that work
-// is spread over the periodic pruneStoreStep so no delivery ever pays a
-// whole-keyspace stall. In-flight read executors are unaffected: they
-// hold the tree version and header by pointer, and the store versions
-// they need stay pinned via the executor pool's target tracking.
-func (n *Node) pruneSnapshots() {
-	retain := n.cfg.RetainBatches
-	if retain <= 0 {
-		return
-	}
-	cutoff := n.lastBatchID() - int64(retain) + 1
-	// Batch bodies above the stable checkpoint stay servable: they are
-	// the suffix a state-transferring peer replays after installing the
-	// checkpoint. The memory window is therefore bounded by
-	// max(RetainBatches, CheckpointInterval), not RetainBatches alone.
-	if n.stable != nil && cutoff > n.stable.id+1 {
-		cutoff = n.stable.id + 1
-	}
-	if cutoff <= n.oldestSnapshot {
-		return
-	}
-	for id := n.oldestSnapshot; id < cutoff; id++ {
-		delete(n.trees, id)
-		if e := n.log.get(id); e != nil {
-			e.batch = nil
-		}
-	}
-	n.oldestSnapshot = cutoff
 }
 
 // pruneShardsPerStep bounds how many store shards one tick prunes, so
@@ -243,32 +210,19 @@ func (n *Node) pruneSnapshots() {
 const pruneShardsPerStep = 4
 
 // pruneStoreStep incrementally prunes the versioned store from the
-// periodic tick: a few shards per call, each holding only its own lock.
-// The pass boundary is the oldest retained snapshot, clamped by the
-// oldest snapshot an in-flight read executor is still serving, so
-// off-loop reads never lose the versions under their feet (the
-// linearizability argument is in DESIGN.md §5).
+// periodic tick: a few shards per call, each holding only its own lock,
+// so no tick pays a whole-keyspace stall. The pass boundary is the log
+// window's base — the stable checkpoint, whose visible versions are what
+// the persister and state transfers export; a checkpoint still collecting
+// votes is always newer — clamped by the oldest snapshot an in-flight
+// read executor is still serving, so off-loop reads never lose the
+// versions under their feet (the linearizability argument is in
+// DESIGN.md §5).
 func (n *Node) pruneStoreStep() {
-	if n.cfg.RetainBatches <= 0 {
-		return
-	}
 	if n.pruneCursor == 0 {
-		keep := n.oldestSnapshot
+		keep := n.log.baseID()
 		if m := n.readers.minActive(); m >= 0 && m < keep {
 			keep = m
-		}
-		// Versions visible at the stable checkpoint must survive: they
-		// are what ExportAsOf serves to state-transferring peers.
-		if n.stable != nil && n.stable.id < keep {
-			keep = n.stable.id
-		}
-		// So must the ones visible at a checkpoint still collecting votes:
-		// nothing of it is retained, so if it turns stable the persister
-		// and any transfer export it from the store. (Until the first
-		// stable checkpoint nothing else holds the boundary back; during
-		// derivation the executor's pin above does.)
-		if n.chk != nil && n.chk.id < keep {
-			keep = n.chk.id
 		}
 		if keep <= n.prunedThrough {
 			return

@@ -29,107 +29,33 @@ import (
 // NodeID aliases the system-wide identity.
 type NodeID = cryptoutil.NodeID
 
-// NodeConfig assembles one replica.
+// NodeConfig assembles one replica: the system's configuration narrowed
+// to it, plus what only this replica has. The embedded DataDir is the
+// replica's own subdirectory and InitialData its cluster's share; its
+// consensus and read-path fault behaviors are Byzantine[self] and
+// ROByzantine[self].
 type NodeConfig struct {
-	Cluster    int32
-	Replica    int32
-	Clusters   int // number of partitions in the system
-	N          int // replicas per cluster (3f+1)
-	F          int
-	Keys       cryptoutil.KeyPair
-	Ring       *cryptoutil.KeyRing
-	Net        *transport.Network
-	Part       protocol.Partitioner
-	Behavior   bft.Behavior
-	ROBehavior ROBehavior
+	SystemConfig
 
-	// BatchInterval is how often the leader flushes pending work into a
-	// batch (the paper's batch-processing timer, Fig. 2 event 6).
-	BatchInterval time.Duration
-	// BatchMaxSize triggers an immediate batch once this many
-	// transactions are pending (the paper's size trigger).
-	BatchMaxSize int
-	// PipelineDepth is how many proposed batches the leader may keep in
-	// flight between proposal and SMR delivery (default
-	// DefaultPipelineDepth; 1 restores the stop-and-wait pipeline where
-	// consensus latency caps commit throughput). Each in-flight batch
-	// chains PrevDigest off its predecessor's speculative header, so
-	// admission and Merkle derivation never block on delivery.
-	PipelineDepth int
-	// FreshnessWindow bounds how far a proposed batch timestamp may
-	// deviate from a validating replica's clock (Sec. 4.4.2). Zero
-	// disables the check.
-	FreshnessWindow time.Duration
-	// ROParkTimeout bounds how long a second-round read-only request may
-	// wait for a dependency batch to commit.
-	ROParkTimeout time.Duration
-	// RetainBatches bounds how many historical snapshot versions (Merkle
-	// trees + store versions + batch bodies) a replica keeps for
-	// second-round serving. Zero keeps everything. Requests for pruned
-	// snapshots are answered with the oldest retained one, which is
-	// always at least as new and therefore still dependency-satisfying
-	// (LCE is monotone).
-	RetainBatches int
-	// StoreShards is the shard count of the versioned store, rounded up
-	// to a power of two (0 = store.DefaultShards; 1 gives a single-lock
-	// store).
-	StoreShards int
-	// ReadExecutors sizes the pool serving read-only and read-set
-	// requests off the consensus loop (0 = GOMAXPROCS). Read serving
-	// never blocks consensus: when the pool saturates, requests fall
-	// back to inline serving on the loop.
-	ReadExecutors int
-	// CheckpointInterval is how many batches apart replicas sign
-	// checkpoints; a 2f+1 checkpoint quorum becomes a stable checkpoint
-	// that truncates the log window below it and anchors state transfer
-	// (0 = DefaultCheckpointInterval, negative disables checkpointing —
-	// the seed's unbounded-log behavior).
-	CheckpointInterval int
-	// StateTransferTimeout bounds how long a syncing replica waits for a
-	// StateResponse before retrying the next peer (0 = a second).
-	StateTransferTimeout time.Duration
-	// ViewTimeout bounds how long a replica waits for leader progress on
-	// pending work before voting a view change (PBFT leader failover,
-	// DESIGN.md §7). Zero disables failover — the seed's fixed-leader
-	// behavior, which some byzantine tests rely on (a stalling leader then
-	// means client timeouts, not a new leader).
-	ViewTimeout time.Duration
+	Cluster int32
+	Replica int32
+	Keys    cryptoutil.KeyPair
+	Ring    *cryptoutil.KeyRing
+	Net     *transport.Network
 	// Recovering marks a node restarted after a crash: it starts from
 	// genesis state and immediately requests a state transfer instead of
 	// waiting to observe that it is behind.
 	Recovering bool
 
-	// Engine overrides the storage backend with a caller-built instance
-	// (nil = build EngineName via the engine registry). Any store.Engine
-	// works; the durability layer sits above it. The node does not
-	// manage an injected engine's lifecycle — the caller closes it.
-	Engine store.Engine
-	// EngineName selects a registered storage backend by name when
-	// Engine is nil ("" = store.DefaultEngine, the sharded in-memory
-	// MVCC store with StoreShards shards). Unknown names panic in
-	// NewNode; public entry points (transedge.Start, the -engine flags)
-	// validate first and surface the error listing valid backends.
-	EngineName string
-	// DataDir enables the durability layer: certified batches are
-	// WAL-appended before delivery applies them, stable checkpoints are
-	// persisted atomically, and a restarted node cold-starts from this
-	// directory before falling back to peer state transfer. Empty
-	// disables durability (the seed's in-memory-only semantics).
-	DataDir string
-	// WALSyncEvery is the group-commit width: fsync after this many
-	// appended batches (0 = wal.DefaultSyncEvery; wal.SyncNever disables
-	// fsync entirely — the benchmarking mode, where the page cache is the
-	// only durability).
-	WALSyncEvery int
-	// WALSyncInterval bounds how stale an unsynced WAL tail may get: a
-	// partial group is fsynced at the next tick once this much time has
-	// passed since its first unsynced append (0 = wal.DefaultSyncInterval).
-	WALSyncInterval time.Duration
-
-	// Genesis state shared by every replica of the cluster.
-	InitialData   map[string][]byte
+	// Genesis batch shared by every replica of the cluster.
 	GenesisHeader protocol.BatchHeader
 	GenesisCert   cryptoutil.Certificate
+
+	// Store overrides the storage backend with a caller-built instance
+	// (nil = build SystemConfig.Engine through the engine registry). The
+	// node does not manage an injected engine's lifecycle — the caller
+	// closes it.
+	Store store.Engine
 }
 
 // ROBehavior injects byzantine behavior into the read-only serving path.
@@ -347,8 +273,6 @@ type Node struct {
 	// one forms) for the same reason: fault tests poll it live.
 	stableID atomic.Int64
 
-	// oldestSnapshot is the earliest batch still servable after pruning.
-	oldestSnapshot int64
 	// Incremental store-prune pass state (see pruneStoreStep): the shard
 	// cursor of the in-progress pass, that pass's keep-from boundary, and
 	// the boundary every shard has already been pruned to.
@@ -417,16 +341,6 @@ type Metrics struct {
 	CheckpointsPersisted int64
 }
 
-// DefaultPipelineDepth is how many batches a leader keeps in flight when
-// NodeConfig.PipelineDepth is unset.
-const DefaultPipelineDepth = 4
-
-// DefaultCheckpointInterval is the checkpoint spacing when
-// NodeConfig.CheckpointInterval is unset: frequent enough to bound
-// steady-state memory to a modest window, rare enough that the per-
-// checkpoint store scan stays invisible next to per-batch work.
-const DefaultCheckpointInterval = 64
-
 // NewNode builds (but does not start) a replica.
 func NewNode(cfg NodeConfig) *Node {
 	return newNode(cfg, newTreeFor(cfg.InitialData))
@@ -435,29 +349,12 @@ func NewNode(cfg NodeConfig) *Node {
 // newNode is NewNode given the Merkle tree of cfg.InitialData, which
 // becomes the replica's own.
 func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
-	if cfg.BatchInterval <= 0 {
-		cfg.BatchInterval = time.Millisecond
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = DefaultPipelineDepth
-	}
-	if cfg.BatchMaxSize <= 0 {
-		cfg.BatchMaxSize = 2000
-	}
-	if cfg.ROParkTimeout <= 0 {
-		cfg.ROParkTimeout = 5 * time.Second
-	}
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = DefaultCheckpointInterval
-	}
-	if cfg.StateTransferTimeout <= 0 {
-		cfg.StateTransferTimeout = time.Second
-	}
-	engine := cfg.Engine
+	cfg.SystemConfig = cfg.withDefaults()
+	engine := cfg.Store
 	ownsEngine := false
 	if engine == nil {
 		var err error
-		engine, err = store.NewEngine(cfg.EngineName, cfg.StoreShards)
+		engine, err = store.NewEngine(cfg.Engine, store.DefaultShards)
 		if err != nil {
 			// Public entry points validate the name before building
 			// nodes; reaching here is a programming error.
@@ -470,7 +367,7 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		self:             NodeID{Cluster: cfg.Cluster, Replica: cfg.Replica},
 		st:               engine,
 		ownsEngine:       ownsEngine,
-		readers:          newReadExecutor(cfg.ReadExecutors, 0),
+		readers:          newReadExecutor(0, 0),
 		trees:            make(map[int64]*merkle.Tree),
 		preparedReads:    make(keyRefs),
 		preparedWrites:   make(keyRefs),
@@ -489,7 +386,7 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		done:             make(chan struct{}),
 	}
 	n.stableID.Store(-1)
-	for r := int32(0); int(r) < cfg.N; r++ {
+	for r := int32(0); int(r) < cfg.replicas(); r++ {
 		if r != cfg.Replica {
 			n.peers = append(n.peers, NodeID{Cluster: cfg.Cluster, Replica: r})
 		}
@@ -506,27 +403,19 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		digest: genesisDigest,
 		cert:   cfg.GenesisCert,
 	})
-	// Without checkpoints there is no state transfer, so a dropped
-	// consensus message could never be recovered: keep the seed's
-	// unbounded buffering in that configuration.
-	bufferAhead := 0
-	if cfg.CheckpointInterval < 0 {
-		bufferAhead = -1
-	}
 	n.consensus = bft.New(bft.Config{
 		Cluster:       cfg.Cluster,
 		Replica:       cfg.Replica,
-		N:             cfg.N,
+		N:             cfg.replicas(),
 		F:             cfg.F,
 		Keys:          cfg.Keys,
 		Ring:          cfg.Ring,
 		Net:           cfg.Net,
-		Behavior:      cfg.Behavior,
+		Behavior:      cfg.Byzantine[n.self],
 		GenesisDigest: genesisDigest,
 		GenesisHeader: cfg.GenesisHeader,
 		GenesisCert:   cfg.GenesisCert,
 		MaxInFlight:   cfg.PipelineDepth,
-		BufferAhead:   bufferAhead,
 		Validate:      n.validateBatch,
 		Deliver:       n.onDeliver,
 		Rebase:        n.rebaseOnView,
@@ -702,9 +591,9 @@ func (n *Node) verifyHeaderCert(h *protocol.BatchHeader, cert cryptoutil.Certifi
 // ownedKeys filters the keys of a read/write set belonging to this
 // cluster.
 func (n *Node) localReads(t *protocol.Transaction) []protocol.ReadEntry {
-	return t.ReadsFor(n.cfg.Part, n.cfg.Cluster)
+	return t.ReadsFor(n.cfg.partitioner(), n.cfg.Cluster)
 }
 
 func (n *Node) localWrites(t *protocol.Transaction) []protocol.WriteOp {
-	return t.WritesFor(n.cfg.Part, n.cfg.Cluster)
+	return t.WritesFor(n.cfg.partitioner(), n.cfg.Cluster)
 }

@@ -17,7 +17,9 @@ import (
 
 // newSpecLeader builds an unstarted single-cluster leader whose pipeline
 // can be driven synchronously. Consensus messages go to an empty network
-// and vanish; delivery is simulated by calling onDeliver directly.
+// and vanish; delivery is simulated by calling onDeliver directly. Only
+// forced builds propose: the flush interval never elapses, so an
+// admission's unforced build cannot race the test's own.
 func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func(*NodeConfig)) *Node {
 	t.Helper()
 	const replicas = 4
@@ -31,20 +33,25 @@ func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func
 	}
 	header, cert := genesis(0, 1, newTreeFor(data).Root(), time.Now().UnixNano(), keys, replicas)
 	cfg := NodeConfig{
-		Cluster: 0, Replica: 0, Clusters: 1, N: replicas, F: 1,
+		SystemConfig: SystemConfig{
+			Clusters: 1, F: 1,
+			BatchInterval: time.Hour,
+			PipelineDepth: depth,
+			InitialData:   data,
+		},
+		Cluster: 0, Replica: 0,
 		Keys:          keys[NodeID{Cluster: 0, Replica: 0}],
 		Ring:          ring,
 		Net:           transport.NewNetwork(),
-		Part:          protocol.Partitioner{N: 1},
-		PipelineDepth: depth,
-		InitialData:   data,
 		GenesisHeader: header,
 		GenesisCert:   cert,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return NewNode(cfg)
+	n := NewNode(cfg)
+	n.lastFlush = time.Now()
+	return n
 }
 
 func specKeys(n int) map[string][]byte {

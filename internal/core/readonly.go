@@ -89,10 +89,10 @@ func (n *Node) resolveROTarget(m *protocol.RORequest) (int64, bool) {
 		}
 		target = m.MinBatch
 	}
-	if target < n.oldestSnapshot {
-		// The exact snapshot was pruned; the oldest retained one is
-		// newer, so its LCE still covers the requested dependency.
-		target = n.oldestSnapshot
+	if base := n.log.baseID(); target < base {
+		// The exact snapshot was truncated; the window base is newer, so
+		// its LCE still covers the requested dependency.
+		target = base
 	}
 	if second {
 		n.Metrics.ROSecondRound++
@@ -126,16 +126,13 @@ type roSnapshot struct {
 // hands the key fan-out to the read-executor pool (inline when the pool
 // is saturated, preserving liveness at the seed's behavior).
 func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
-	if n.cfg.ROBehavior.ServeStaleBatch {
+	if n.cfg.ROByzantine[n.self].ServeStaleBatch {
 		// Byzantine: an old-but-consistent snapshot. Clients bound this
 		// with the freshness timestamp (Sec. 4.4.2).
 		batchID = 0
 	}
-	// oldestSnapshot >= log base is an invariant (truncation raises both
-	// together and pruning only ever raises oldestSnapshot), so this
-	// clamp alone keeps batchID inside the retained window.
-	if batchID < n.oldestSnapshot {
-		batchID = n.oldestSnapshot
+	if base := n.log.baseID(); batchID < base {
+		batchID = base
 	}
 	entry := n.log.get(batchID)
 	snap := roSnapshot{batchID: batchID, header: entry.header, cert: entry.cert, tree: n.trees[batchID]}
@@ -158,13 +155,15 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 		Header:  snap.header,
 		Cert:    snap.cert,
 	}
+	bad := n.cfg.ROByzantine[n.self]
+	part := n.cfg.partitioner()
 	// One sharded pass for every local key's value, then one proof for all
 	// keys. local and vals share m.Keys' ascending order, so a cursor maps
 	// results back without a per-request allocation.
 	local := make([]int, 0, len(m.Keys))
 	localKeys := make([]string, 0, len(m.Keys))
 	for i, k := range m.Keys {
-		if n.cfg.Part.Of(k) == n.cfg.Cluster {
+		if part.Of(k) == n.cfg.Cluster {
 			local = append(local, i)
 			localKeys = append(localKeys, k)
 		}
@@ -184,7 +183,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			continue
 		}
 		value := v.Value
-		if n.cfg.ROBehavior.CorruptValues {
+		if bad.CorruptValues {
 			value = append(append([]byte(nil), value...), 0xff)
 		}
 		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true})
@@ -200,7 +199,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			keys[i] = []byte(k)
 		}
 		if mp, err := snap.tree.ProveMulti(keys); err == nil {
-			if n.cfg.ROBehavior.CorruptProofs && len(mp.Nodes) > 0 {
+			if bad.CorruptProofs && len(mp.Nodes) > 0 {
 				mp.Nodes = mp.Nodes[:len(mp.Nodes)-1]
 			}
 			reply.Multi = &mp
@@ -212,7 +211,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			reply = protocol.ROReply{Cluster: n.cfg.Cluster, Err: "multi-proof: " + err.Error()}
 		}
 	}
-	if n.cfg.ROBehavior.DuplicateOmitKey && len(reply.Values) >= 2 {
+	if bad.DuplicateOmitKey && len(reply.Values) >= 2 {
 		// Byzantine: answer the first key twice and omit the last, which
 		// a client enforcing exactly-once key coverage rejects before it
 		// checks the proof.

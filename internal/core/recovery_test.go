@@ -32,7 +32,6 @@ func TestLogTruncationBoundsMemoryUnderLoad(t *testing.T) {
 	const interval = 8
 	sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
 		cfg.CheckpointInterval = interval
-		cfg.RetainBatches = 4
 	})
 	c := testClient(sys, 1)
 	keys := keysOn(sys, 0, 8)
@@ -67,6 +66,47 @@ func TestLogTruncationBoundsMemoryUnderLoad(t *testing.T) {
 	}
 }
 
+// TestCheckpointBoundsStoreVersions: the store's memory follows the
+// stable checkpoint like the log's does. However often one key is
+// overwritten, every replica keeps only its version visible at the stable
+// checkpoint and the ones written since — at most an interval plus the
+// pipeline's reach — never one version per commit.
+func TestCheckpointBoundsStoreVersions(t *testing.T) {
+	const interval, commits = 4, 60
+	sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
+		cfg.CheckpointInterval = interval
+	})
+	c := testClient(sys, 1)
+	key := keysOn(sys, 0, 1)[0]
+	commitN(t, c, []string{key}, 0, commits)
+
+	// The pruner trails the newest stable checkpoint by a few ticks: give it
+	// time to catch up before stopping, not a bound it has to meet mid-pass.
+	const limit = interval + core.DefaultPipelineDepth + 1
+	var nodes []*core.Node
+	for r := int32(0); r < 4; r++ {
+		nodes = append(nodes, sys.Node(core.NodeID{Cluster: 0, Replica: r}))
+	}
+	bounded := func() bool {
+		for _, n := range nodes {
+			if n.VersionCount(key) > limit {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !bounded() && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
+	sys.Stop()
+	for r, n := range nodes {
+		if got := n.VersionCount(key); got > limit {
+			t.Fatalf("replica %d holds %d versions of %q after %d commits (tip %d, stable checkpoint %d), want <= %d",
+				r, got, key, commits, n.Tip(), n.StableCheckpoint(), limit)
+		}
+	}
+}
+
 // TestReplicaCrashRestartAndStateTransfer is the recovery scenario of
 // the issue: a follower is killed mid-run (losing all state and every
 // message sent while it is down), the cluster keeps committing without
@@ -77,7 +117,6 @@ func TestReplicaCrashRestartAndStateTransfer(t *testing.T) {
 	const interval = 4
 	sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
 		cfg.CheckpointInterval = interval
-		cfg.RetainBatches = 8
 		cfg.StateTransferTimeout = 25 * time.Millisecond
 	})
 	c := testClient(sys, 1)

@@ -42,8 +42,8 @@ func TestExecutionHistoryIsSerializable(t *testing.T) {
 
 	sys := core.NewSystem(core.SystemConfig{
 		Clusters: 3, F: 1, Seed: 11,
-		BatchInterval: time.Millisecond, BatchMaxSize: 100,
-		InitialData: data,
+		BatchInterval: time.Millisecond,
+		InitialData:   data,
 	})
 	sys.Start()
 	t.Cleanup(sys.Stop)
@@ -215,7 +215,7 @@ func TestPipelineDepthsSerializableAndEquivalent(t *testing.T) {
 		t.Run(fmt.Sprintf("depth=%d/final-state", depth), func(t *testing.T) {
 			sys := core.NewSystem(core.SystemConfig{
 				Clusters: 3, F: 1, Seed: 11,
-				BatchInterval: time.Millisecond, BatchMaxSize: 100,
+				BatchInterval: time.Millisecond,
 				PipelineDepth: depth,
 				InitialData:   data,
 			})
@@ -295,7 +295,7 @@ func runDepthHistory(t *testing.T, depth int) {
 
 	sys := core.NewSystem(core.SystemConfig{
 		Clusters: 3, F: 1, Seed: 11,
-		BatchInterval: time.Millisecond, BatchMaxSize: 100,
+		BatchInterval: time.Millisecond,
 		PipelineDepth: depth,
 		InitialData:   data,
 	})

@@ -23,35 +23,54 @@ import (
 // SystemConfig describes a whole TransEdge deployment: a set of clusters
 // (one per partition), each with 3f+1 replicas, connected by a simulated
 // wide-area network.
+//
+// Every field has one default, applied by withDefaults; the zero value is
+// a working configuration.
 type SystemConfig struct {
-	Clusters int // number of partitions / clusters
-	F        int // byzantine faults tolerated per cluster (n = 3f+1)
+	Clusters int // number of partitions / clusters (default 1)
+	F        int // byzantine faults tolerated per cluster, n = 3f+1 (default 1)
 	Seed     uint64
 
-	BatchInterval   time.Duration
-	BatchMaxSize    int
-	PipelineDepth   int           // in-flight batches per leader (default DefaultPipelineDepth)
-	IntraLatency    time.Duration // replica-to-replica within a cluster
-	InterLatency    time.Duration // cluster-to-cluster and client links
+	// BatchInterval is how often the leader flushes pending work into a
+	// batch (the paper's batch-processing timer, Fig. 2 event 6; default
+	// 1ms). A batch also goes out at once when 2000 transactions are
+	// pending.
+	BatchInterval time.Duration
+	// PipelineDepth is how many proposed batches the leader may keep in
+	// flight between proposal and SMR delivery (default
+	// DefaultPipelineDepth; 1 restores the stop-and-wait pipeline where
+	// consensus latency caps commit throughput). Each in-flight batch
+	// chains PrevDigest off its predecessor's speculative header, so
+	// admission and Merkle derivation never block on delivery.
+	PipelineDepth int
+	IntraLatency  time.Duration // replica-to-replica within a cluster
+	InterLatency  time.Duration // cluster-to-cluster and client links
+	// FreshnessWindow bounds how far a proposed batch timestamp may
+	// deviate from a validating replica's clock (Sec. 4.4.2). Zero
+	// disables the check.
 	FreshnessWindow time.Duration
-	ROParkTimeout   time.Duration
-	RetainBatches   int
-	StoreShards     int // versioned-store shard count (0 = store.DefaultShards)
+	// ROParkTimeout bounds how long a second-round read-only request may
+	// wait for a dependency batch to commit (default 5s).
+	ROParkTimeout time.Duration
 	// Engine names every replica's storage backend, resolved through
-	// the store engine registry ("" = store.DefaultEngine). Validate
-	// with store.NewEngine before building a system: NewNode panics on
+	// the store engine registry ("" = store.DefaultEngine). Check it with
+	// store.CheckEngine before building a system: NewNode panics on
 	// unknown names.
-	Engine        string
-	ReadExecutors int // off-loop read pool size per replica (0 = GOMAXPROCS)
-	// CheckpointInterval spaces the stable checkpoints that bound every
-	// replica's log window and anchor crash recovery (0 =
-	// DefaultCheckpointInterval, negative disables).
+	Engine string
+	// CheckpointInterval is how many batches apart replicas sign
+	// checkpoints (default DefaultCheckpointInterval). A 2f+1 checkpoint
+	// quorum becomes a stable checkpoint, which truncates the log window,
+	// Merkle versions and store versions below it and anchors state
+	// transfer and crash recovery.
 	CheckpointInterval int
 	// StateTransferTimeout bounds a syncing replica's wait for a
-	// StateResponse before it retries another peer (0 = 1s).
+	// StateResponse before it retries another peer (default 1s).
 	StateTransferTimeout time.Duration
-	// ViewTimeout bounds each replica's wait for leader progress before
-	// it votes a PBFT view change (0 disables leader failover).
+	// ViewTimeout bounds each replica's wait for leader progress on
+	// pending work before it votes a PBFT view change (DESIGN.md §7).
+	// Zero disables failover — the seed's fixed-leader behavior, which
+	// some byzantine tests rely on (a stalling leader then means client
+	// timeouts, not a new leader).
 	ViewTimeout time.Duration
 	// DataDir enables the durability layer (DESIGN.md §8): each replica
 	// gets <DataDir>/c<cluster>-r<replica> holding its WAL and persisted
@@ -61,12 +80,6 @@ type SystemConfig struct {
 	// System reproduces the exact genesis header the on-disk chain hangs
 	// off.
 	DataDir string
-	// WALSyncEvery is the group-commit width (0 = wal.DefaultSyncEvery,
-	// wal.SyncNever disables fsync — the benchmarking mode).
-	WALSyncEvery int
-	// WALSyncInterval bounds the staleness of a partial commit group
-	// (0 = wal.DefaultSyncInterval).
-	WALSyncInterval time.Duration
 
 	// InitialData is the global initial key space; each cluster loads the
 	// subset the partitioner assigns to it.
@@ -78,6 +91,22 @@ type SystemConfig struct {
 	ROByzantine map[NodeID]ROBehavior
 }
 
+// DefaultPipelineDepth is how many batches a leader keeps in flight when
+// SystemConfig.PipelineDepth is unset.
+const DefaultPipelineDepth = 4
+
+// DefaultCheckpointInterval is the checkpoint spacing when
+// SystemConfig.CheckpointInterval is unset: frequent enough to bound
+// steady-state memory to a modest window, rare enough that the per-
+// checkpoint store scan stays invisible next to per-batch work.
+const DefaultCheckpointInterval = 64
+
+// batchMaxSize is the pending-transaction count at which the leader
+// builds a batch without waiting for BatchInterval (the paper's size
+// trigger).
+const batchMaxSize = 2000
+
+// withDefaults returns c with every unset field at its default.
 func (c *SystemConfig) withDefaults() SystemConfig {
 	out := *c
 	if out.Clusters <= 0 {
@@ -89,16 +118,27 @@ func (c *SystemConfig) withDefaults() SystemConfig {
 	if out.BatchInterval <= 0 {
 		out.BatchInterval = time.Millisecond
 	}
-	if out.BatchMaxSize <= 0 {
-		out.BatchMaxSize = 2000
-	}
 	if out.PipelineDepth <= 0 {
 		out.PipelineDepth = DefaultPipelineDepth
 	}
 	if out.ROParkTimeout <= 0 {
 		out.ROParkTimeout = 5 * time.Second
 	}
+	if out.CheckpointInterval <= 0 {
+		out.CheckpointInterval = DefaultCheckpointInterval
+	}
+	if out.StateTransferTimeout <= 0 {
+		out.StateTransferTimeout = time.Second
+	}
 	return out
+}
+
+// replicas is the cluster size, 3F+1.
+func (c *SystemConfig) replicas() int { return 3*c.F + 1 }
+
+// partitioner maps keys to the clusters that own them.
+func (c *SystemConfig) partitioner() protocol.Partitioner {
+	return protocol.Partitioner{N: int32(c.Clusters)}
 }
 
 // System is a running TransEdge deployment.
@@ -120,8 +160,8 @@ type System struct {
 // each cluster), and wires the network. Call Start to launch event loops.
 func NewSystem(cfg SystemConfig) *System {
 	cfg = cfg.withDefaults()
-	n := 3*cfg.F + 1
-	part := protocol.Partitioner{N: int32(cfg.Clusters)}
+	n := cfg.replicas()
+	part := cfg.partitioner()
 
 	ring := cryptoutil.NewKeyRing()
 	keys := make(map[NodeID]cryptoutil.KeyPair)
@@ -168,36 +208,17 @@ func NewSystem(cfg SystemConfig) *System {
 		c, r := i/n, i%n
 		id := NodeID{Cluster: int32(c), Replica: int32(r)}
 		ncfgs[i] = NodeConfig{
-			Cluster:              int32(c),
-			Replica:              int32(r),
-			Clusters:             cfg.Clusters,
-			N:                    n,
-			F:                    cfg.F,
-			Keys:                 keys[id],
-			Ring:                 ring,
-			Net:                  net,
-			Part:                 part,
-			Behavior:             cfg.Byzantine[id],
-			ROBehavior:           cfg.ROByzantine[id],
-			BatchInterval:        cfg.BatchInterval,
-			BatchMaxSize:         cfg.BatchMaxSize,
-			PipelineDepth:        cfg.PipelineDepth,
-			FreshnessWindow:      cfg.FreshnessWindow,
-			ROParkTimeout:        cfg.ROParkTimeout,
-			RetainBatches:        cfg.RetainBatches,
-			StoreShards:          cfg.StoreShards,
-			EngineName:           cfg.Engine,
-			ReadExecutors:        cfg.ReadExecutors,
-			CheckpointInterval:   cfg.CheckpointInterval,
-			StateTransferTimeout: cfg.StateTransferTimeout,
-			ViewTimeout:          cfg.ViewTimeout,
-			DataDir:              nodeDataDir(cfg.DataDir, int32(c), int32(r)),
-			WALSyncEvery:         cfg.WALSyncEvery,
-			WALSyncInterval:      cfg.WALSyncInterval,
-			InitialData:          perCluster[c],
-			GenesisHeader:        headers[c],
-			GenesisCert:          certs[c],
+			SystemConfig:  cfg,
+			Cluster:       id.Cluster,
+			Replica:       id.Replica,
+			Keys:          keys[id],
+			Ring:          ring,
+			Net:           net,
+			GenesisHeader: headers[c],
+			GenesisCert:   certs[c],
 		}
+		ncfgs[i].DataDir = nodeDataDir(cfg.DataDir, id.Cluster, id.Replica)
+		ncfgs[i].InitialData = perCluster[c]
 		if r == 0 {
 			nodes[i] = newNode(ncfgs[i], trees[c])
 		} else {
@@ -365,7 +386,7 @@ func (s *System) Node(id NodeID) *Node {
 func (s *System) Leader(cluster int32) NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 3*s.Cfg.F + 1
+	n := s.Cfg.replicas()
 	var view uint64
 	for r := 0; r < n; r++ {
 		if node := s.nodes[NodeID{Cluster: cluster, Replica: int32(r)}]; node != nil {
@@ -378,7 +399,7 @@ func (s *System) Leader(cluster int32) NodeID {
 }
 
 // ReplicasPerCluster returns the cluster size.
-func (s *System) ReplicasPerCluster() int { return 3*s.Cfg.F + 1 }
+func (s *System) ReplicasPerCluster() int { return s.Cfg.replicas() }
 
 // newTreeFor builds the Merkle tree of an initial data load in one bulk
 // pass (initial loads are the largest tree builds in the system).

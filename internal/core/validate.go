@@ -109,18 +109,19 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 
 	// --- Local and prepared segments: conflict detection (Def. 3.1) ---
 	env := n.specConflictEnv(n.prefetchWriters(b))
+	part := n.cfg.partitioner()
 	for i := range b.Local {
 		t := &b.Local[i]
 		if !t.IsLocal() {
 			return fmt.Errorf("%w: distributed txn %v in local segment", ErrBadBatch, t.ID)
 		}
 		for _, r := range t.Reads {
-			if n.cfg.Part.Of(r.Key) != n.cfg.Cluster {
+			if part.Of(r.Key) != n.cfg.Cluster {
 				return fmt.Errorf("%w: local txn %v reads foreign key %q", ErrBadBatch, t.ID, r.Key)
 			}
 		}
 		for _, w := range t.Writes {
-			if n.cfg.Part.Of(w.Key) != n.cfg.Cluster {
+			if part.Of(w.Key) != n.cfg.Cluster {
 				return fmt.Errorf("%w: local txn %v writes foreign key %q", ErrBadBatch, t.ID, w.Key)
 			}
 		}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,8 +21,8 @@ import (
 // sharded in-memory MVCC store, the seed's semantics.
 const DefaultEngine = "sharded"
 
-// EngineBuilder constructs one engine instance. shards is the
-// StoreShards knob; backends without a shard concept may ignore it.
+// EngineBuilder constructs one engine instance with the given shard count
+// (0 = DefaultShards); backends without a shard concept may ignore it.
 type EngineBuilder func(shards int) Engine
 
 var (
@@ -59,11 +60,21 @@ func EngineNames() []string {
 	return names
 }
 
-// NewEngine builds the named backend ("" selects DefaultEngine). An
-// unknown name is an error listing the valid backends — callers
-// surface it instead of silently falling back to the default, so a
-// typo in an -engine flag or Options.Engine can never masquerade as a
-// measurement of the sharded store.
+// CheckEngine reports whether name ("" selects DefaultEngine) is a
+// registered backend. An unknown name is an error listing the valid
+// backends — callers surface it instead of silently falling back to the
+// default, so a typo in an -engine flag or Options.Engine can never
+// masquerade as a measurement of the sharded store.
+func CheckEngine(name string) error {
+	if name == "" || slices.Contains(EngineNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown storage engine %q (valid engines: %s)",
+		name, strings.Join(EngineNames(), ", "))
+}
+
+// NewEngine builds the named backend ("" selects DefaultEngine), failing
+// as CheckEngine does on an unknown name.
 func NewEngine(name string, shards int) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
@@ -72,8 +83,7 @@ func NewEngine(name string, shards int) (Engine, error) {
 	build, ok := engines[name]
 	enginesMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("unknown storage engine %q (valid engines: %s)",
-			name, strings.Join(EngineNames(), ", "))
+		return nil, CheckEngine(name)
 	}
 	return build(shards), nil
 }

@@ -288,7 +288,7 @@ func TestConcurrentApplyMultiGetPruneStress(t *testing.T) {
 	}
 
 	// The dispatcher: write, pin + hand out reads, prune — serialized,
-	// like the node's event loop. `oldest` plays oldestSnapshot's role
+	// like the node's event loop. `oldest` plays the log window base's role
 	// (monotone; every handed-out target is at or above it), and a prune
 	// pass fixes its boundary when it starts, clamped by pinned targets —
 	// exactly Node.pruneStoreStep's protocol.

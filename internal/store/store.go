@@ -158,12 +158,6 @@ func (s *Store) Load(kv map[string][]byte) {
 	s.advanceStable(GenesisBatch)
 }
 
-// Apply writes a batch of updates as versions tagged with batch. It is
-// ApplyAll under the seed store's name, kept for call-site compatibility.
-func (s *Store) Apply(batch int64, writes map[string][]byte) {
-	s.ApplyAll(batch, writes)
-}
-
 // forEachShardGroup visits every key grouped by shard, taking each
 // shard's lock (write when write is set, read otherwise) exactly once
 // around that shard's whole group. fn receives the shard (already

@@ -39,8 +39,8 @@ func TestLoadAndGet(t *testing.T) {
 func TestApplyVersions(t *testing.T) {
 	s := New()
 	s.Load(map[string][]byte{"k": []byte("v0")})
-	s.Apply(3, map[string][]byte{"k": []byte("v3")})
-	s.Apply(7, map[string][]byte{"k": []byte("v7")})
+	s.ApplyAll(3, map[string][]byte{"k": []byte("v3")})
+	s.ApplyAll(7, map[string][]byte{"k": []byte("v7")})
 
 	v, w, _ := s.Get("k")
 	if string(v) != "v7" || w != 7 {
@@ -68,8 +68,8 @@ func TestApplyVersions(t *testing.T) {
 
 func TestApplySameBatchLastWriteWins(t *testing.T) {
 	s := New()
-	s.Apply(2, map[string][]byte{"k": []byte("a")})
-	s.Apply(2, map[string][]byte{"k": []byte("b")})
+	s.ApplyAll(2, map[string][]byte{"k": []byte("a")})
+	s.ApplyAll(2, map[string][]byte{"k": []byte("b")})
 	v, w, _ := s.Get("k")
 	if string(v) != "b" || w != 2 {
 		t.Fatalf("Get = %q at %d, want b at 2", v, w)
@@ -85,7 +85,7 @@ func TestLastWriter(t *testing.T) {
 	if s.LastWriter("k") != GenesisBatch {
 		t.Fatal("LastWriter after load wrong")
 	}
-	s.Apply(5, map[string][]byte{"k": []byte("v5")})
+	s.ApplyAll(5, map[string][]byte{"k": []byte("v5")})
 	if s.LastWriter("k") != 5 {
 		t.Fatal("LastWriter after apply wrong")
 	}
@@ -95,7 +95,7 @@ func TestPrune(t *testing.T) {
 	s := New()
 	s.Load(map[string][]byte{"k": []byte("v0")})
 	for i := int64(1); i <= 10; i++ {
-		s.Apply(i, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", i))})
+		s.ApplyAll(i, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", i))})
 	}
 	s.Prune(5)
 	// Snapshots at or after 5 must still be exact.
@@ -123,7 +123,7 @@ func TestPruneBoundary(t *testing.T) {
 		if i == 2 || i == 4 {
 			w["cold"] = []byte(fmt.Sprintf("c%d", i))
 		}
-		s.Apply(i, w)
+		s.ApplyAll(i, w)
 	}
 	s.Prune(6)
 
@@ -170,12 +170,12 @@ func TestPruneThenApplySameBatchOverwrite(t *testing.T) {
 	s := New()
 	s.Load(map[string][]byte{"k": []byte("v0")})
 	for i := int64(1); i <= 5; i++ {
-		s.Apply(i, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", i))})
+		s.ApplyAll(i, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", i))})
 	}
 	s.Prune(3)
 
-	s.Apply(6, map[string][]byte{"k": []byte("first")})
-	s.Apply(6, map[string][]byte{"k": []byte("second")})
+	s.ApplyAll(6, map[string][]byte{"k": []byte("first")})
+	s.ApplyAll(6, map[string][]byte{"k": []byte("second")})
 	if v, w, _ := s.Get("k"); string(v) != "second" || w != 6 {
 		t.Fatalf("Get = %q@%d, want second@6", v, w)
 	}
@@ -196,8 +196,8 @@ func TestPruneThenApplySameBatchOverwrite(t *testing.T) {
 // ever version is in that batch must also replace in place.
 func TestApplySameBatchNewKey(t *testing.T) {
 	s := New()
-	s.Apply(1, map[string][]byte{"fresh": []byte("a")})
-	s.Apply(1, map[string][]byte{"fresh": []byte("b")})
+	s.ApplyAll(1, map[string][]byte{"fresh": []byte("a")})
+	s.ApplyAll(1, map[string][]byte{"fresh": []byte("b")})
 	if got := s.VersionCount("fresh"); got != 1 {
 		t.Fatalf("VersionCount = %d, want 1", got)
 	}
@@ -231,7 +231,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		}()
 	}
 	for b := int64(1); b <= 200; b++ {
-		s.Apply(b, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", b))})
+		s.ApplyAll(b, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", b))})
 	}
 	close(stop)
 	wg.Wait()
@@ -261,7 +261,7 @@ func TestAgainstModel(t *testing.T) {
 				model[k] = append(model[k], mv{batch, v})
 			}
 		}
-		s.Apply(batch, writes)
+		s.ApplyAll(batch, writes)
 
 		// Probe a random key at a random historical batch.
 		k := keys[rng.Intn(len(keys))]
@@ -289,7 +289,7 @@ func TestAgainstModel(t *testing.T) {
 func TestGetAsOfMonotoneProperty(t *testing.T) {
 	s := New()
 	for b := int64(1); b <= 50; b += 3 {
-		s.Apply(b, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", b))})
+		s.ApplyAll(b, map[string][]byte{"k": []byte(fmt.Sprintf("v%d", b))})
 	}
 	f := func(a, b uint8) bool {
 		lo, hi := int64(a%60), int64(b%60)

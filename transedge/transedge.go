@@ -55,39 +55,12 @@ type Options struct {
 	// Seed makes node identities and client behavior reproducible.
 	Seed uint64
 
-	// BatchInterval is the leader's batch flush period (default 1ms).
-	BatchInterval time.Duration
-	// BatchMaxSize triggers an immediate batch at this many pending
-	// transactions (default 2000).
-	BatchMaxSize int
-	// PipelineDepth is how many batches a cluster leader may keep in
-	// flight between proposal and consensus delivery (default 4). Depth 1
-	// restores the stop-and-wait pipeline, where consensus latency caps
-	// commit throughput.
-	PipelineDepth int
-	// StoreShards is each replica's versioned-store shard count, rounded
-	// up to a power of two (default 16). One shard restores a global
-	// store lock; more shards let concurrent snapshot reads scale.
-	StoreShards int
 	// Engine selects each replica's storage backend by registry name:
 	// "sharded" (the default in-memory MVCC store) or "lsm" (the
 	// log-structured engine with memtable, immutable runs, and
 	// background compaction). Unknown names fail Start with an error
 	// listing the valid backends.
 	Engine string
-	// ReadExecutors sizes each replica's pool serving read-only
-	// transactions off the consensus loop (default: GOMAXPROCS).
-	ReadExecutors int
-	// CheckpointInterval is how many batches apart replicas establish
-	// stable checkpoints (PBFT-style 2f+1 checkpoint quorums). Stable
-	// checkpoints bound each replica's in-memory log window and let a
-	// crashed or lagging replica rejoin via state transfer. Default 64;
-	// negative disables checkpointing (unbounded log, no recovery).
-	CheckpointInterval int
-	// StateTransferTimeout bounds how long a recovering replica waits
-	// for a peer's state response before asking the next peer
-	// (default 1s).
-	StateTransferTimeout time.Duration
 	// ViewTimeout bounds how long each replica waits for leader progress
 	// on pending work before voting a PBFT view change, electing the next
 	// replica (round-robin) as leader. Zero disables leader failover: a
@@ -100,13 +73,6 @@ type Options struct {
 	// default) keeps everything in memory — a power cycle of 2f+1
 	// replicas then loses the database.
 	DataDir string
-	// WALSyncEvery is the group-commit width: one fsync covers up to this
-	// many committed batches (default 8; wal.SyncNever, -1, disables
-	// fsync for benchmarking).
-	WALSyncEvery int
-	// WALSyncInterval bounds how long a partial commit group may stay
-	// unsynced (default 2ms).
-	WALSyncInterval time.Duration
 
 	// IntraClusterLatency and InterClusterLatency shape the simulated
 	// network (defaults: zero).
@@ -149,37 +115,22 @@ func Start(opts Options) (*System, error) {
 	if opts.F < 1 {
 		return nil, fmt.Errorf("%w: F must be >= 1", ErrBadOptions)
 	}
-	if opts.Engine != "" {
-		// Build-and-discard validates the name here, where it can be an
-		// error, instead of panicking deep inside node construction.
-		probe, err := store.NewEngine(opts.Engine, 1)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		if c, ok := probe.(interface{ Close() }); ok {
-			c.Close()
-		}
+	// Checked here, where it can be an error, instead of panicking deep
+	// inside node construction.
+	if err := store.CheckEngine(opts.Engine); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 	sys := core.NewSystem(core.SystemConfig{
-		Clusters:             opts.Clusters,
-		F:                    opts.F,
-		Seed:                 opts.Seed,
-		BatchInterval:        opts.BatchInterval,
-		BatchMaxSize:         opts.BatchMaxSize,
-		PipelineDepth:        opts.PipelineDepth,
-		StoreShards:          opts.StoreShards,
-		Engine:               opts.Engine,
-		ReadExecutors:        opts.ReadExecutors,
-		CheckpointInterval:   opts.CheckpointInterval,
-		StateTransferTimeout: opts.StateTransferTimeout,
-		ViewTimeout:          opts.ViewTimeout,
-		DataDir:              opts.DataDir,
-		WALSyncEvery:         opts.WALSyncEvery,
-		WALSyncInterval:      opts.WALSyncInterval,
-		IntraLatency:         opts.IntraClusterLatency,
-		InterLatency:         opts.InterClusterLatency,
-		FreshnessWindow:      opts.FreshnessWindow,
-		InitialData:          opts.InitialData,
+		Clusters:        opts.Clusters,
+		F:               opts.F,
+		Seed:            opts.Seed,
+		Engine:          opts.Engine,
+		ViewTimeout:     opts.ViewTimeout,
+		DataDir:         opts.DataDir,
+		IntraLatency:    opts.IntraClusterLatency,
+		InterLatency:    opts.InterClusterLatency,
+		FreshnessWindow: opts.FreshnessWindow,
+		InitialData:     opts.InitialData,
 	})
 	sys.Start()
 	return &System{sys: sys, opts: opts}, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"transedge/transedge"
 )
@@ -17,11 +16,10 @@ func startSystem(t *testing.T, clusters int) *transedge.System {
 		data[fmt.Sprintf("k%02d", i)] = []byte("v0")
 	}
 	sys, err := transedge.Start(transedge.Options{
-		Clusters:      clusters,
-		F:             1,
-		Seed:          1,
-		BatchInterval: time.Millisecond,
-		InitialData:   data,
+		Clusters:    clusters,
+		F:           1,
+		Seed:        1,
+		InitialData: data,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +58,11 @@ func TestStartAcceptsEveryRegisteredEngine(t *testing.T) {
 	for _, engine := range []string{"", "sharded", "lsm"} {
 		t.Run("engine="+engine, func(t *testing.T) {
 			sys, err := transedge.Start(transedge.Options{
-				Clusters:      1,
-				F:             1,
-				Seed:          1,
-				Engine:        engine,
-				BatchInterval: time.Millisecond,
-				InitialData:   map[string][]byte{"k": []byte("v0")},
+				Clusters:    1,
+				F:           1,
+				Seed:        1,
+				Engine:      engine,
+				InitialData: map[string][]byte{"k": []byte("v0")},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -164,44 +161,5 @@ func TestAbortSurfacesAsErrAborted(t *testing.T) {
 	}
 	if !errors.Is(loser, transedge.ErrAborted) {
 		t.Fatalf("loser err = %v, want ErrAborted", loser)
-	}
-}
-
-// TestCheckpointOptionsThroughPublicAPI drives enough commits through a
-// deployment with a tight CheckpointInterval that stable checkpoints
-// form and truncate the log, and the system keeps serving verified
-// reads — the public-API surface of the recovery subsystem.
-func TestCheckpointOptionsThroughPublicAPI(t *testing.T) {
-	data := make(map[string][]byte)
-	for i := 0; i < 32; i++ {
-		data[fmt.Sprintf("acct-%02d", i)] = []byte("0")
-	}
-	sys, err := transedge.Start(transedge.Options{
-		Clusters:             1,
-		F:                    1,
-		Seed:                 3,
-		CheckpointInterval:   4,
-		StateTransferTimeout: 50 * time.Millisecond,
-		InitialData:          data,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Stop()
-
-	c := sys.NewClient()
-	for i := 0; i < 24; i++ {
-		txn := c.Begin()
-		txn.Write(fmt.Sprintf("acct-%02d", i%32), []byte(fmt.Sprintf("%d", i)))
-		if err := txn.Commit(); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-	}
-	snap, err := c.ReadOnly([]string{"acct-00", "acct-01"})
-	if err != nil {
-		t.Fatalf("read-only after checkpointing: %v", err)
-	}
-	if len(snap.Values) != 2 {
-		t.Fatalf("snapshot returned %d values", len(snap.Values))
 	}
 }
