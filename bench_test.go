@@ -1,7 +1,7 @@
 // Microbenchmarks of the per-operation costs that every layer's hot
 // path pays: batch digests, certificate verification, Merkle apply,
-// build, multi-proof construction and verification, sharded-store apply
-// and snapshot reads, replica boot, and simulated-network delivery. Each
+// build, multi-proof construction and verification, sharded-store apply,
+// snapshot reads and export, replica boot, and simulated-network delivery. Each
 // reports its own cost metrics via b.ReportMetric. End-to-end numbers
 // (latency, throughput, heap per workload) come from the benchmark in
 // bench/ (`bash bench/run.sh`), not from here.
@@ -179,6 +179,31 @@ func BenchmarkStoreMultiGetAsOf(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkStoreExportAsOf — the whole-keyspace snapshot that checkpoint
+// derivation, checkpoint persistence and state transfer each take:
+// 10 000 keys × 256 B over the default 16 shards, a few hundred of them
+// overwritten since the snapshot so the export also reads history.
+func BenchmarkStoreExportAsOf(b *testing.B) {
+	s := store.New()
+	init := make(map[string][]byte, 10000)
+	for i := 0; i < 10000; i++ {
+		init[fmt.Sprintf("export-key-%06d", i)] = make([]byte, 256)
+	}
+	s.Load(init)
+	writes := make(map[string][]byte, 300)
+	for i := 0; i < 300; i++ {
+		writes[fmt.Sprintf("export-key-%06d", i*31)] = make([]byte, 256)
+	}
+	s.ApplyAll(1, writes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(s.ExportAsOf(0)) != len(init) {
+			b.Fatal("export lost keys")
+		}
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 // Two systems from one configuration (the second a restart over the same
 // DataDir, which pins the genesis timestamp) certify bit-identical genesis
 // headers; every replica's tree reproduces the certified root, which is
-// the root the Insert oracle computes for that cluster's keys; and no two
+// the root the Insert oracle computes for that cluster's keys; no two
 // replicas hold the same tree, so each pays — and a heap measurement
-// counts — its own copy.
+// counts — its own copy; and no replica, nor the configuration a restart
+// rebuilds it from, keeps its cluster's share of the initial data once
+// loaded.
 func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 	const clusters, keys = 3, 300
 	cfg := SystemConfig{Clusters: clusters, F: 1, Seed: 7, DataDir: t.TempDir(),
@@ -59,6 +61,10 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 				}
 				if n.curTree.Len() != want[c].Len() || n.st.Keys() != want[c].Len() {
 					t.Fatalf("%v: %d leaves, %d stored keys, want %d", id, n.curTree.Len(), n.st.Keys(), want[c].Len())
+				}
+				if n.cfg.InitialData != nil || sys.nodeCfgs[id].InitialData != nil {
+					t.Fatalf("%v: the genesis share outlives the boot (node %d keys, restart config %d keys)",
+						id, len(n.cfg.InitialData), len(sys.nodeCfgs[id].InitialData))
 				}
 				if other, dup := seen[n.curTree]; dup {
 					t.Fatalf("%v shares its tree with %v", id, other)

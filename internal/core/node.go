@@ -31,9 +31,9 @@ type NodeID = cryptoutil.NodeID
 
 // NodeConfig assembles one replica: the system's configuration narrowed
 // to it, plus what only this replica has. The embedded DataDir is the
-// replica's own subdirectory and InitialData its cluster's share; its
-// consensus and read-path fault behaviors are Byzantine[self] and
-// ROByzantine[self].
+// replica's own subdirectory and InitialData its cluster's share, which
+// the replica drops once it has loaded it; its consensus and read-path
+// fault behaviors are Byzantine[self] and ROByzantine[self].
 type NodeConfig struct {
 	SystemConfig
 
@@ -175,8 +175,8 @@ type Node struct {
 	// certCache memoizes batch-header certificate verifications keyed by
 	// header digest: all transactions of one prepare group share the same
 	// proof header, so this collapses O(txns) signature checks per batch
-	// into O(groups).
-	certCache map[protocol.Digest]bool
+	// into O(groups). At most certCacheLimit entries.
+	certCache map[protocol.Digest]struct{}
 
 	// Leader-only pipeline state.
 	pendingLocal    []protocol.Transaction
@@ -373,7 +373,7 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		preparedWrites:   make(keyRefs),
 		distTxns:         make(map[protocol.TxnID]*distTxn),
 		pendingDecisions: make(map[protocol.TxnID]*protocol.CommitDecision),
-		certCache:        make(map[protocol.Digest]bool),
+		certCache:        make(map[protocol.Digest]struct{}),
 		pendingEvidence:  make(map[protocol.TxnID]*protocol.PrepareProof),
 		pendingReads:     make(keyRefs),
 		pendingWrites:    make(keyRefs),
@@ -392,8 +392,11 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		}
 	}
 
-	// Install genesis: initial data load as batch 0.
+	// Install genesis: initial data load as batch 0. The store and the
+	// tree now hold the share; a restart derives it again from the
+	// system's InitialData (System.RestartReplica).
 	n.st.Load(cfg.InitialData)
+	n.cfg.InitialData = nil
 	n.curTree = tree
 	n.trees[0] = tree
 	genesisDigest := cfg.GenesisHeader.Digest()
@@ -571,21 +574,32 @@ func leaderOf(cluster int32) NodeID {
 	return NodeID{Cluster: cluster, Replica: bft.LeaderReplica}
 }
 
+// certCacheLimit bounds certCache; at the limit it starts over rather
+// than grow.
+const certCacheLimit = 4096
+
 // verifyHeaderCert checks an f+1 certificate over a batch header of any
-// cluster, memoized by header digest.
+// cluster, memoized by header digest. Only a success is remembered: a
+// failure belongs to the certificate, not the header, and remembering it
+// would let one forged certificate turn away the genuine one after it.
 func (n *Node) verifyHeaderCert(h *protocol.BatchHeader, cert cryptoutil.Certificate) bool {
 	d := h.Digest()
-	if ok, seen := n.certCache[d]; seen {
-		return ok
+	if _, ok := n.certCache[d]; ok {
+		return true
 	}
 	size := n.cfg.Ring.ClusterSize(h.Cluster)
 	if size == 0 {
 		return false
 	}
 	f := (size - 1) / 3
-	err := cryptoutil.VerifyCertificate(n.cfg.Ring, cert, d[:], f+1)
-	n.certCache[d] = err == nil
-	return err == nil
+	if cryptoutil.VerifyCertificate(n.cfg.Ring, cert, d[:], f+1) != nil {
+		return false
+	}
+	if len(n.certCache) >= certCacheLimit {
+		n.certCache = make(map[protocol.Digest]struct{}, certCacheLimit)
+	}
+	n.certCache[d] = struct{}{}
+	return true
 }
 
 // ownedKeys filters the keys of a read/write set belonging to this

@@ -211,8 +211,12 @@ func TestCrashedFollowerDoesNotStallCommits(t *testing.T) {
 }
 
 // TestRecoveryBeforeAnyStableCheckpoint: a replica crashed and restarted
-// before the first checkpoint interval must still recover once the
-// cluster reaches one (empty state responses re-arm the retry).
+// before the first checkpoint interval has no checkpoint to install. It
+// rebuilds the certified genesis from the system's InitialData — no
+// replica keeps its share — and replays the suffix on top of it, so it
+// must reach the tip and serve verified reads on its own; and it must
+// still recover once the cluster reaches a checkpoint (empty state
+// responses re-arm the retry).
 func TestRecoveryBeforeAnyStableCheckpoint(t *testing.T) {
 	const interval = 8
 	sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
@@ -226,6 +230,39 @@ func TestRecoveryBeforeAnyStableCheckpoint(t *testing.T) {
 	crashed := core.NodeID{Cluster: 0, Replica: 1}
 	sys.StopReplica(crashed)
 	restarted := sys.RestartReplica(crashed)
+
+	// The suffix replayed on the rebuilt genesis is the only way to the tip.
+	leader := sys.Node(core.NodeID{Cluster: 0, Replica: 0})
+	for deadline := time.Now().Add(10 * time.Second); restarted.Tip() < leader.Tip(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica restarted pre-checkpoint never replayed to the tip (tip %d, leader %d)",
+				restarted.Tip(), leader.Tip())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if id := restarted.StableCheckpoint(); id >= 0 {
+		t.Fatalf("restarted replica holds checkpoint %d; the test needs it to start from genesis", id)
+	}
+	// Every answer is proven against a root the replica certified: the
+	// genesis values of the untouched keys as much as the two commits.
+	roc := client.New(client.Config{
+		ID: 9, Net: sys.Net, Ring: sys.Ring, Part: sys.Part,
+		Clusters: sys.Cfg.Clusters, Timeout: 5 * time.Second,
+		ROTarget: func(int32) core.NodeID { return crashed },
+	})
+	res, err := roc.ReadOnly(keys)
+	if err != nil {
+		t.Fatalf("read-only via the replica restarted from genesis: %v", err)
+	}
+	for i, k := range keys {
+		want := sys.Cfg.InitialData[k]
+		if i < 2 {
+			want = []byte(fmt.Sprintf("v-%d", i))
+		}
+		if got := res.Values[k]; string(got) != string(want) {
+			t.Fatalf("restarted replica read %q = %q, want %q", k, got, want)
+		}
+	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; time.Now().Before(deadline); i++ {

@@ -42,13 +42,13 @@ type PreparedEntry struct {
 // vote cannot understate committed history; Entries list the validated
 // slots above the tip. Sig signs ViewChangeDigest(vc).
 type ViewChange struct {
-	Cluster  int32
-	Replica  int32
-	View     uint64
+	Cluster   int32
+	Replica   int32
+	View      uint64
 	TipHeader BatchHeader
-	TipCert  cryptoutil.Certificate
-	Entries  []PreparedEntry
-	Sig      []byte
+	TipCert   cryptoutil.Certificate
+	Entries   []PreparedEntry
+	Sig       []byte
 }
 
 // NewView is the new leader's certificate for View: any 2f+1 verified

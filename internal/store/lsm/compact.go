@@ -129,7 +129,7 @@ func (l *LSM) compactPass() bool {
 		// already re-signaled, and the next pass sees fresh runs.
 		return false
 	}
-	head := l.runs[:len(l.runs)-len(src) : len(l.runs)-len(src)]
+	head := l.runs[: len(l.runs)-len(src) : len(l.runs)-len(src)]
 	if merged != nil {
 		l.runs = append(head, merged)
 	} else {

@@ -14,6 +14,11 @@
 // MultiGetAsOf, LastWriters) group their keys by shard and take each
 // shard lock exactly once per call.
 //
+// A shard keeps every key's newest version inline in one key-sorted slice
+// and looks keys up by binary search; older versions live in a per-shard
+// history map that holds only keys overwritten inside the retained window
+// (DESIGN.md §5, "Shard layout").
+//
 // StableBatch is an atomically published watermark: every version tagged
 // with a batch at or below it is fully applied. The single writer (the
 // consensus event loop) advances it after ApplyAll finishes all shards,
@@ -22,6 +27,7 @@
 package store
 
 import (
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -33,11 +39,19 @@ import (
 const GenesisBatch int64 = 0
 
 // DefaultShards is the shard count used by New. Sixteen shards keep
-// reader contention negligible at typical core counts while the per-shard
-// maps stay large enough to amortize hashing.
+// reader contention negligible at typical core counts while each shard's
+// sorted slice stays short enough for a cheap binary search.
 const DefaultShards = 16
 
-// version is one historical value of a key.
+// entry is one key's newest version: 48 bytes, held inline in the shard's
+// sorted slice, so a key costs no allocation of its own.
+type entry struct {
+	key   string
+	batch int64
+	value []byte
+}
+
+// version is one superseded value of a key, kept in the shard's history.
 type version struct {
 	batch int64
 	value []byte
@@ -46,9 +60,18 @@ type version struct {
 // shard is one lock domain of the keyspace. The padding keeps two shards'
 // mutexes off one cache line so reader locks don't false-share.
 type shard struct {
-	mu   sync.RWMutex
-	data map[string][]version
-	_    [64]byte
+	mu sync.RWMutex
+	// entries holds every key's newest version, strictly ascending by key.
+	entries []entry
+	// history holds, per overwritten key, its older versions in ascending
+	// batch order (each below the key's entry). Pruning drops what no
+	// servable snapshot can see, and the map itself once it is empty (nil
+	// until the first overwrite).
+	history map[string][]version
+	// pending collects the new keys of the ApplyAll group in progress;
+	// insertPending merges them into entries before the lock is released.
+	pending []entry
+	_       [64]byte
 }
 
 // Store is a thread-safe sharded multi-version map. Versions for a key
@@ -78,9 +101,6 @@ func NewSharded(n int) *Store {
 		size <<= 1
 	}
 	s := &Store{shards: make([]shard, size), mask: uint64(size - 1)}
-	for i := range s.shards {
-		s.shards[i].data = make(map[string][]version)
-	}
 	s.stable.Store(-1)
 	return s
 }
@@ -119,40 +139,148 @@ func (s *Store) advanceStable(batch int64) {
 	}
 }
 
-// put writes one version into a shard; the caller holds the shard lock.
-// Overwriting within the same batch replaces the version (last write
-// wins), matching batch semantics where conflicting transactions never
-// share a batch.
-func (sh *shard) put(batch int64, key string, value []byte) {
-	vs := sh.data[key]
-	if n := len(vs); n > 0 && vs[n-1].batch == batch {
-		vs[n-1].value = value
-	} else {
-		vs = append(vs, version{batch: batch, value: value})
+func compareEntries(a, b entry) int { return strings.Compare(a.key, b.key) }
+
+// find binary-searches the shard for key: its index and whether it is
+// there (if not, the index is where it would be inserted). The caller
+// holds at least the read lock.
+func (sh *shard) find(key string) (int, bool) {
+	lo, hi := 0, len(sh.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if sh.entries[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	sh.data[key] = vs
+	return lo, lo < len(sh.entries) && sh.entries[lo].key == key
+}
+
+// put writes one version into a shard; the caller holds the shard lock and
+// calls insertPending before releasing it. Overwriting within the same
+// batch replaces the version (last write wins), matching batch semantics
+// where conflicting transactions never share a batch.
+func (sh *shard) put(batch int64, key string, value []byte) {
+	i, ok := sh.find(key)
+	if !ok {
+		sh.pending = append(sh.pending, entry{key: key, batch: batch, value: value})
+		return
+	}
+	e := &sh.entries[i]
+	if e.batch != batch {
+		if sh.history == nil {
+			sh.history = make(map[string][]version)
+		}
+		sh.history[key] = append(sh.history[key], version{batch: e.batch, value: e.value})
+		e.batch = batch
+	}
+	e.value = value
+}
+
+// insertPending merges the new keys put collected into entries: one
+// sort of the new keys and one backward merge in place, however many
+// there are. The caller holds the write lock.
+func (sh *shard) insertPending() {
+	p := sh.pending
+	if len(p) == 0 {
+		return
+	}
+	slices.SortFunc(p, compareEntries)
+	n := len(sh.entries)
+	es := slices.Grow(sh.entries, len(p))[:n+len(p)]
+	i, j := n-1, len(p)-1
+	for k := len(es) - 1; j >= 0; k-- {
+		if i >= 0 && es[i].key > p[j].key {
+			es[k] = es[i]
+			i--
+		} else {
+			es[k] = p[j]
+			j--
+		}
+	}
+	sh.entries = es
+	clear(p)
+	sh.pending = p[:0]
 }
 
 // getAsOf resolves a snapshot read inside a shard; the caller holds at
 // least the read lock.
 func (sh *shard) getAsOf(key string, asOf int64) Versioned {
-	vs := sh.data[key]
-	// First index with batch > asOf; the predecessor is the answer.
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].batch > asOf })
-	if i == 0 {
+	i, ok := sh.find(key)
+	if !ok {
 		return Versioned{}
 	}
-	v := vs[i-1]
+	return sh.entryAsOf(&sh.entries[i], asOf)
+}
+
+// entryAsOf resolves e's key at asOf: e itself, or the newest older
+// version at or below asOf from the history.
+func (sh *shard) entryAsOf(e *entry, asOf int64) Versioned {
+	if e.batch <= asOf {
+		return Versioned{Value: e.value, Writer: e.batch, Found: true}
+	}
+	vs := sh.history[e.key]
+	// First index with batch > asOf; the predecessor is the answer.
+	j := sort.Search(len(vs), func(j int) bool { return vs[j].batch > asOf })
+	if j == 0 {
+		return Versioned{}
+	}
+	v := vs[j-1]
 	return Versioned{Value: v.value, Writer: v.batch, Found: true}
 }
 
-// Load initializes keys at the genesis version. Intended for the initial
-// data placement before the system starts.
+// shardRuns splits all (iterated twice) over the shards, into unsorted
+// runs sized exactly to each shard's share.
+func (s *Store) shardRuns(all iter.Seq[entry]) [][]entry {
+	counts := make([]int, len(s.shards))
+	for e := range all {
+		counts[s.shardIndex(e.key)]++
+	}
+	runs := make([][]entry, len(s.shards))
+	for si, c := range counts {
+		if c > 0 {
+			runs[si] = make([]entry, 0, c)
+		}
+	}
+	for e := range all {
+		si := s.shardIndex(e.key)
+		runs[si] = append(runs[si], e)
+	}
+	return runs
+}
+
+// Load initializes keys at the genesis version, each replacing whatever
+// the key held. Intended for the initial data placement before the system
+// starts; on an empty store every shard's slice is sized exactly.
 func (s *Store) Load(kv map[string][]byte) {
-	for k, v := range kv {
-		sh := s.shardOf(k)
+	runs := s.shardRuns(func(yield func(entry) bool) {
+		for k, v := range kv {
+			if !yield(entry{key: k, batch: GenesisBatch, value: v}) {
+				return
+			}
+		}
+	})
+	for si, run := range runs {
+		if len(run) == 0 {
+			continue
+		}
+		slices.SortFunc(run, compareEntries)
+		sh := &s.shards[si]
 		sh.mu.Lock()
-		sh.data[k] = []version{{batch: GenesisBatch, value: v}}
+		if len(sh.entries) == 0 {
+			sh.entries = run
+		} else {
+			for _, e := range run {
+				if i, ok := sh.find(e.key); ok {
+					sh.entries[i] = e
+					delete(sh.history, e.key)
+				} else {
+					sh.pending = append(sh.pending, e)
+				}
+			}
+			sh.insertPending()
+		}
 		sh.mu.Unlock()
 	}
 	s.advanceStable(GenesisBatch)
@@ -160,11 +288,11 @@ func (s *Store) Load(kv map[string][]byte) {
 
 // forEachShardGroup visits every key grouped by shard, taking each
 // shard's lock (write when write is set, read otherwise) exactly once
-// around that shard's whole group. fn receives the shard (already
-// locked) and the key's index. The grouping costs one index-slice
-// allocation and an O(keys × distinct-shards) scan — for the small key
-// counts of batch fan-outs that beats materializing O(ShardCount)
-// per-shard slices per call.
+// around that shard's whole group; a write group ends by merging the keys
+// it inserted. fn receives the shard (already locked) and the key's index.
+// The grouping costs one index-slice allocation and an O(keys ×
+// distinct-shards) scan — for the small key counts of batch fan-outs that
+// beats materializing O(ShardCount) per-shard slices per call.
 func (s *Store) forEachShardGroup(keys []string, write bool, fn func(sh *shard, i int)) {
 	if len(keys) == 0 {
 		return
@@ -192,6 +320,7 @@ func (s *Store) forEachShardGroup(keys []string, write bool, fn func(sh *shard, 
 			}
 		}
 		if write {
+			sh.insertPending()
 			sh.mu.Unlock()
 		} else {
 			sh.mu.RUnlock()
@@ -224,12 +353,12 @@ func (s *Store) Get(key string) (value []byte, writer int64, ok bool) {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	vs := sh.data[key]
-	if len(vs) == 0 {
+	i, ok := sh.find(key)
+	if !ok {
 		return nil, 0, false
 	}
-	last := vs[len(vs)-1]
-	return last.value, last.batch, true
+	e := &sh.entries[i]
+	return e.value, e.batch, true
 }
 
 // GetAsOf returns the value of key as of the given batch (the newest
@@ -268,11 +397,11 @@ func (s *Store) LastWriter(key string) int64 {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	vs := sh.data[key]
-	if len(vs) == 0 {
+	i, ok := sh.find(key)
+	if !ok {
 		return -1
 	}
-	return vs[len(vs)-1].batch
+	return sh.entries[i].batch
 }
 
 // LastWriters resolves the last-writer batch of many keys, grouping by
@@ -281,8 +410,8 @@ func (s *Store) LastWriter(key string) int64 {
 func (s *Store) LastWriters(keys []string) []int64 {
 	out := make([]int64, len(keys))
 	s.forEachShardGroup(keys, false, func(sh *shard, i int) {
-		if vs := sh.data[keys[i]]; len(vs) > 0 {
-			out[i] = vs[len(vs)-1].batch
+		if j, ok := sh.find(keys[i]); ok {
+			out[i] = sh.entries[j].batch
 		} else {
 			out[i] = -1
 		}
@@ -301,51 +430,124 @@ type KV struct {
 }
 
 // ExportAsOf captures the snapshot at asOf as a key-sorted slice of KV
-// entries: for every key, the newest version with writer <= asOf. The
-// iteration is per shard — each shard's read lock is held only for its
-// own scan — so concurrent readers and the (single) writer are never
-// stalled across the whole keyspace. Callers must ensure versions at
-// asOf have not been pruned (Prune keepFrom <= asOf).
+// entries: for every key, the newest version with writer <= asOf. Each
+// shard's run is copied out under that shard's read lock alone — so
+// concurrent readers and the (single) writer are never stalled across
+// the whole keyspace — and comes out key-sorted, so the runs are merged,
+// not sorted: two allocations, whatever the key count. Callers must
+// ensure versions at asOf have not been pruned (Prune keepFrom <= asOf).
 func (s *Store) ExportAsOf(asOf int64) []KV {
-	out := make([]KV, 0, s.Keys())
+	runs := make([]KV, 0, s.Keys())
+	var boundBuf [DefaultShards + 1]int
+	bounds := append(boundBuf[:0], 0)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k := range sh.data {
-			if v := sh.getAsOf(k, asOf); v.Found {
-				out = append(out, KV{Key: k, Value: v.Value, Writer: v.Writer})
+		for j := range sh.entries {
+			if v := sh.entryAsOf(&sh.entries[j], asOf); v.Found {
+				runs = append(runs, KV{Key: sh.entries[j].key, Value: v.Value, Writer: v.Writer})
 			}
 		}
 		sh.mu.RUnlock()
+		if len(runs) > bounds[len(bounds)-1] {
+			bounds = append(bounds, len(runs))
+		}
 	}
-	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
-	return out
+	return mergeRuns(runs, bounds)
+}
+
+// mergeRuns merges the key-sorted, pairwise disjoint runs
+// runs[bounds[i]:bounds[i+1]] two at a time: each round halves the run
+// count and writes into the other of two buffers, runs and one more of
+// its length, and the last round's buffer is the result. Every element
+// costs one comparison per round, log2(runs) in all.
+func mergeRuns(runs []KV, bounds []int) []KV {
+	if len(bounds) <= 2 {
+		return runs
+	}
+	src, dst := runs, make([]KV, len(runs))
+	for len(bounds) > 2 {
+		n := 1
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+1]
+			if i+2 < len(bounds) {
+				hi = bounds[i+2]
+			}
+			merge2(dst[lo:hi], src[lo:mid], src[mid:hi])
+			bounds[n] = hi // n <= i+1: this round reads on from i+2
+			n++
+		}
+		bounds = bounds[:n]
+		src, dst = dst, src
+	}
+	return src
+}
+
+// merge2 merges the key-sorted runs a and b into dst, len(a)+len(b) long.
+func merge2(dst, a, b []KV) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].Key < b[j].Key {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // ImportAsOf replaces the store's content with an exported snapshot:
 // every key gets exactly one version, tagged with its original writer
-// batch, and the StableBatch watermark is set to asOf. Shards are
-// replaced one write-lock at a time; a concurrent multi-shard snapshot
-// read can therefore observe a half-installed state — safe in TransEdge
-// because every read-only answer is Merkle-verified end to end, so a
-// torn read surfaces as a failed client verification and a retry, never
-// as silently wrong data (DESIGN.md §6).
+// batch, and the StableBatch watermark is set to asOf. Each shard's run is
+// sized exactly; exports are key-sorted, and a run that is not is sorted
+// here (a repeated key keeps its last entry). Shards are replaced one
+// write-lock at a time; a concurrent multi-shard snapshot read can
+// therefore observe a half-installed state — safe in TransEdge because
+// every read-only answer is Merkle-verified end to end, so a torn read
+// surfaces as a failed client verification and a retry, never as
+// silently wrong data (DESIGN.md §6).
 func (s *Store) ImportAsOf(asOf int64, entries []KV) {
-	byShard := make([][]KV, len(s.shards))
-	for _, e := range entries {
-		i := int(s.shardIndex(e.Key))
-		byShard[i] = append(byShard[i], e)
-	}
+	runs := s.shardRuns(func(yield func(entry) bool) {
+		for _, e := range entries {
+			if !yield(entry{key: e.Key, batch: e.Writer, value: e.Value}) {
+				return
+			}
+		}
+	})
 	for i := range s.shards {
+		run := sortedRun(runs[i])
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.data = make(map[string][]version, len(byShard[i]))
-		for _, e := range byShard[i] {
-			sh.data[e.Key] = []version{{batch: e.Writer, value: e.Value}}
-		}
+		sh.entries, sh.history = run, nil
 		sh.mu.Unlock()
 	}
 	s.advanceStable(asOf)
+}
+
+// sortedRun returns run strictly ascending by key: as is when it already
+// is, else stably sorted with only the last of each repeated key kept.
+func sortedRun(run []entry) []entry {
+	i := 1
+	for i < len(run) && run[i-1].key < run[i].key {
+		i++
+	}
+	if i >= len(run) {
+		return run
+	}
+	slices.SortStableFunc(run, compareEntries)
+	out := run[:0]
+	for i, e := range run {
+		if i+1 < len(run) && run[i+1].key == e.key {
+			continue
+		}
+		out = append(out, e)
+	}
+	clear(run[len(out):])
+	return out
 }
 
 // Keys returns the number of distinct keys stored.
@@ -354,7 +556,7 @@ func (s *Store) Keys() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		total += len(sh.data)
+		total += len(sh.entries)
 		sh.mu.RUnlock()
 	}
 	return total
@@ -366,7 +568,10 @@ func (s *Store) VersionCount(key string) int {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.data[key])
+	if _, ok := sh.find(key); !ok {
+		return 0
+	}
+	return 1 + len(sh.history[key])
 }
 
 // Prune drops versions strictly older than the newest version at or below
@@ -382,16 +587,26 @@ func (s *Store) Prune(keepFrom int64) {
 
 // PruneShard prunes one shard (0 <= i < ShardCount), holding only that
 // shard's write lock for the duration — the incremental unit the periodic
-// lifecycle hook calls so pruning never stalls the whole keyspace.
+// lifecycle hook calls so pruning never stalls the whole keyspace. Only
+// the history is visited: a key never overwritten has nothing to drop.
 func (s *Store) PruneShard(i int, keepFrom int64) {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for k, vs := range sh.data {
-		j := sort.Search(len(vs), func(j int) bool { return vs[j].batch > keepFrom })
+	for k, vs := range sh.history {
+		j, _ := sh.find(k)
+		if sh.entries[j].batch <= keepFrom {
+			// The newest version is the one visible at keepFrom.
+			delete(sh.history, k)
+			continue
+		}
+		j = sort.Search(len(vs), func(j int) bool { return vs[j].batch > keepFrom })
 		// vs[j-1] is the version visible at keepFrom; keep it and later.
 		if j > 1 {
-			sh.data[k] = append(vs[:0:0], vs[j-1:]...)
+			sh.history[k] = append(vs[:0:0], vs[j-1:]...)
 		}
+	}
+	if len(sh.history) == 0 {
+		sh.history = nil
 	}
 }

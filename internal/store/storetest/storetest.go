@@ -35,6 +35,7 @@ func Run(t *testing.T, mk func() store.Engine) {
 	t.Run("EmptyBatchAdvancesWatermark", func(t *testing.T) { testEmptyBatch(t, newEngine(t, mk)) })
 	t.Run("BatchedReadsMatchPointReads", func(t *testing.T) { testBatchedReads(t, newEngine(t, mk)) })
 	t.Run("ExportImportRoundTrip", func(t *testing.T) { testExportImport(t, mk, mk) })
+	t.Run("ImportUnsortedEntries", func(t *testing.T) { testImportUnsorted(t, mk) })
 	t.Run("PruneKeepsServableSnapshot", func(t *testing.T) { testPrune(t, newEngine(t, mk)) })
 	t.Run("PruneShardCoversAllShards", func(t *testing.T) { testPruneShard(t, newEngine(t, mk)) })
 	t.Run("RandomizedAgainstModel", func(t *testing.T) { testRandomized(t, newEngine(t, mk)) })
@@ -246,6 +247,40 @@ func testExportImport(t *testing.T, mkSrc, mkDst func() store.Engine) {
 	}
 }
 
+// testImportUnsorted: an import whose entries are not key-sorted — a
+// state transfer rejects such input before it reaches the engine, but
+// the engine must not depend on that — installs the same state as the
+// sorted snapshot and exports it key-sorted again.
+func testImportUnsorted(t *testing.T, mk func() store.Engine) {
+	src := newEngine(t, mk)
+	init := make(map[string][]byte, 64)
+	for i := 0; i < 64; i++ {
+		init[fmt.Sprintf("key-%02d", i)] = []byte(fmt.Sprintf("g%d", i))
+	}
+	src.Load(init)
+	src.ApplyAll(1, map[string][]byte{"key-07": []byte("v1"), "new": []byte("n1")})
+	snap := src.ExportAsOf(1)
+
+	shuffled := append([]store.KV(nil), snap...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	dst := newEngine(t, mk)
+	dst.ImportAsOf(1, shuffled)
+	if dst.Keys() != len(snap) {
+		t.Fatalf("Keys after a shuffled import = %d, want %d", dst.Keys(), len(snap))
+	}
+	for _, kv := range snap {
+		if v, w, ok := dst.GetAsOf(kv.Key, 1); !ok || w != kv.Writer || !bytes.Equal(v, kv.Value) {
+			t.Fatalf("after a shuffled import, GetAsOf(%q, 1) = (%q, %d, %v), want (%q, %d)",
+				kv.Key, v, w, ok, kv.Value, kv.Writer)
+		}
+	}
+	if got := dst.ExportAsOf(1); !snapshotsEqual(got, snap) {
+		t.Fatal("re-export after a shuffled import differs from the sorted snapshot")
+	}
+}
+
 func testPrune(t *testing.T, e store.Engine) {
 	e.Load(map[string][]byte{"k": []byte("g"), "young": []byte("gy")})
 	for b := int64(1); b <= 6; b++ {
@@ -338,6 +373,32 @@ func testRandomized(t *testing.T, e store.Engine) {
 		}
 		return "", 0, false
 	}
+	// checkExport holds an export to the model: strictly ascending keys,
+	// and exactly the model's visible (value, writer) for each.
+	checkExport := func(batch, asOf int64, snap []store.KV) {
+		t.Helper()
+		var want []string
+		for k := range model {
+			if _, _, ok := modelGetAsOf(k, asOf); ok {
+				want = append(want, k)
+			}
+		}
+		sort.Strings(want)
+		if len(snap) != len(want) {
+			failf("batch %d: ExportAsOf(%d) has %d entries, model %d", batch, asOf, len(snap), len(want))
+		}
+		for i, kv := range snap {
+			if i > 0 && snap[i-1].Key >= kv.Key {
+				failf("batch %d: ExportAsOf(%d) keys not strictly ascending at %d: %q then %q",
+					batch, asOf, i, snap[i-1].Key, kv.Key)
+			}
+			mv, mw, _ := modelGetAsOf(want[i], asOf)
+			if kv.Key != want[i] || kv.Writer != mw || string(kv.Value) != mv {
+				failf("batch %d: ExportAsOf(%d)[%d] = %+v, model = (%q, %q, %d)",
+					batch, asOf, i, kv, want[i], mv, mw)
+			}
+		}
+	}
 	check := func(batch int64) {
 		t.Helper()
 		keys := make([]string, keySpace)
@@ -353,6 +414,7 @@ func testRandomized(t *testing.T, e store.Engine) {
 					batch, k, asOf, got[i], mv, mw, mok)
 			}
 		}
+		checkExport(batch, asOf, e.ExportAsOf(asOf))
 	}
 
 	genesis := map[string][]byte{}
@@ -398,6 +460,7 @@ func testRandomized(t *testing.T, e store.Engine) {
 			// history collapses to single versions at the boundary.
 			op++
 			snap := e.ExportAsOf(batch)
+			checkExport(batch, batch, snap)
 			e.ImportAsOf(batch, snap)
 			for k := range model {
 				if v, w, ok := modelGetAsOf(k, batch); ok {
