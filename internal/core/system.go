@@ -82,7 +82,10 @@ type SystemConfig struct {
 	DataDir string
 
 	// InitialData is the global initial key space; each cluster loads the
-	// subset the partitioner assigns to it.
+	// subset the partitioner assigns to it. The System keeps reading this
+	// map: RestartReplica rebuilds a replica's genesis state from it, so it
+	// must not be mutated after NewSystem (a changed share no longer
+	// matches the certified genesis root).
 	InitialData map[string][]byte
 
 	// Byzantine assigns consensus-level fault behaviors to nodes.
@@ -180,23 +183,16 @@ func NewSystem(cfg SystemConfig) *System {
 	net := transport.NewNetwork()
 	net.SetLatency(transport.ClusterLatency(cfg.IntraLatency, cfg.InterLatency))
 
-	// Split the initial data per cluster.
-	perCluster := make([]map[string][]byte, cfg.Clusters)
-	for c := range perCluster {
-		perCluster[c] = make(map[string][]byte)
-	}
-	for k, v := range cfg.InitialData {
-		perCluster[part.Of(k)][k] = v
-	}
-
-	// One genesis per cluster, clusters side by side: the initial load's
-	// Merkle tree, and the batch-0 header every replica signs over its
-	// root.
+	// One genesis per cluster, clusters side by side: the cluster's share
+	// of the initial data, its Merkle tree, and the batch-0 header every
+	// replica signs over its root.
 	genesisTime := genesisTimestamp(cfg.DataDir)
+	perCluster := make([]map[string][]byte, cfg.Clusters)
 	trees := make([]*merkle.Tree, cfg.Clusters)
 	headers := make([]protocol.BatchHeader, cfg.Clusters)
 	certs := make([]cryptoutil.Certificate, cfg.Clusters)
 	forEachParallel(cfg.Clusters, func(c int) {
+		perCluster[c] = clusterShare(cfg.InitialData, part, int32(c))
 		trees[c] = newTreeFor(perCluster[c])
 		headers[c], certs[c] = genesis(int32(c), cfg.Clusters, trees[c].Root(), genesisTime, keys, n)
 	})
@@ -286,17 +282,24 @@ func (s *System) RestartReplica(id NodeID) *Node {
 	if !ok {
 		return nil
 	}
-	cfg.InitialData = make(map[string][]byte)
-	for k, v := range s.Cfg.InitialData {
-		if s.Part.Of(k) == id.Cluster {
-			cfg.InitialData[k] = v
-		}
-	}
+	cfg.InitialData = clusterShare(s.Cfg.InitialData, s.Part, id.Cluster)
 	cfg.Recovering = true
 	node := NewNode(cfg)
 	s.nodes[id] = node
 	node.Start()
 	return node
+}
+
+// clusterShare returns the keys of data that part assigns to cluster c:
+// the initial data the cluster's genesis root certifies.
+func clusterShare(data map[string][]byte, part protocol.Partitioner, c int32) map[string][]byte {
+	share := make(map[string][]byte, len(data)/int(part.N))
+	for k, v := range data {
+		if part.Of(k) == c {
+			share[k] = v
+		}
+	}
+	return share
 }
 
 // nodeDataDir derives one replica's data directory (empty in = empty

@@ -68,9 +68,6 @@ type shard struct {
 	// servable snapshot can see, and the map itself once it is empty (nil
 	// until the first overwrite).
 	history map[string][]version
-	// pending collects the new keys of the ApplyAll group in progress;
-	// insertPending merges them into entries before the lock is released.
-	pending []entry
 	_       [64]byte
 }
 
@@ -157,14 +154,15 @@ func (sh *shard) find(key string) (int, bool) {
 	return lo, lo < len(sh.entries) && sh.entries[lo].key == key
 }
 
-// put writes one version into a shard; the caller holds the shard lock and
-// calls insertPending before releasing it. Overwriting within the same
-// batch replaces the version (last write wins), matching batch semantics
-// where conflicting transactions never share a batch.
+// put writes one version into a shard; the caller holds the shard lock.
+// A new key is inserted in place, shifting the shard's later entries.
+// Overwriting within the same batch replaces the version (last write
+// wins), matching batch semantics where conflicting transactions never
+// share a batch.
 func (sh *shard) put(batch int64, key string, value []byte) {
 	i, ok := sh.find(key)
 	if !ok {
-		sh.pending = append(sh.pending, entry{key: key, batch: batch, value: value})
+		sh.entries = slices.Insert(sh.entries, i, entry{key: key, batch: batch, value: value})
 		return
 	}
 	e := &sh.entries[i]
@@ -176,32 +174,6 @@ func (sh *shard) put(batch int64, key string, value []byte) {
 		e.batch = batch
 	}
 	e.value = value
-}
-
-// insertPending merges the new keys put collected into entries: one
-// sort of the new keys and one backward merge in place, however many
-// there are. The caller holds the write lock.
-func (sh *shard) insertPending() {
-	p := sh.pending
-	if len(p) == 0 {
-		return
-	}
-	slices.SortFunc(p, compareEntries)
-	n := len(sh.entries)
-	es := slices.Grow(sh.entries, len(p))[:n+len(p)]
-	i, j := n-1, len(p)-1
-	for k := len(es) - 1; j >= 0; k-- {
-		if i >= 0 && es[i].key > p[j].key {
-			es[k] = es[i]
-			i--
-		} else {
-			es[k] = p[j]
-			j--
-		}
-	}
-	sh.entries = es
-	clear(p)
-	sh.pending = p[:0]
 }
 
 // getAsOf resolves a snapshot read inside a shard; the caller holds at
@@ -250,9 +222,10 @@ func (s *Store) shardRuns(all iter.Seq[entry]) [][]entry {
 	return runs
 }
 
-// Load initializes keys at the genesis version, each replacing whatever
-// the key held. Intended for the initial data placement before the system
-// starts; on an empty store every shard's slice is sized exactly.
+// Load initializes keys at the genesis version: the initial data
+// placement, on an empty store, before the system starts. Every shard's
+// slice is sized exactly. Loading into a store that already holds keys
+// panics.
 func (s *Store) Load(kv map[string][]byte) {
 	runs := s.shardRuns(func(yield func(entry) bool) {
 		for k, v := range kv {
@@ -268,19 +241,11 @@ func (s *Store) Load(kv map[string][]byte) {
 		slices.SortFunc(run, compareEntries)
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		if len(sh.entries) == 0 {
-			sh.entries = run
-		} else {
-			for _, e := range run {
-				if i, ok := sh.find(e.key); ok {
-					sh.entries[i] = e
-					delete(sh.history, e.key)
-				} else {
-					sh.pending = append(sh.pending, e)
-				}
-			}
-			sh.insertPending()
+		if len(sh.entries) > 0 {
+			sh.mu.Unlock()
+			panic("store: Load on a non-empty store")
 		}
+		sh.entries = run
 		sh.mu.Unlock()
 	}
 	s.advanceStable(GenesisBatch)
@@ -288,8 +253,8 @@ func (s *Store) Load(kv map[string][]byte) {
 
 // forEachShardGroup visits every key grouped by shard, taking each
 // shard's lock (write when write is set, read otherwise) exactly once
-// around that shard's whole group; a write group ends by merging the keys
-// it inserted. fn receives the shard (already locked) and the key's index.
+// around that shard's whole group. fn receives the shard (already locked)
+// and the key's index.
 // The grouping costs one index-slice allocation and an O(keys ×
 // distinct-shards) scan — for the small key counts of batch fan-outs that
 // beats materializing O(ShardCount) per-shard slices per call.
@@ -320,7 +285,6 @@ func (s *Store) forEachShardGroup(keys []string, write bool, fn func(sh *shard, 
 			}
 		}
 		if write {
-			sh.insertPending()
 			sh.mu.Unlock()
 		} else {
 			sh.mu.RUnlock()
