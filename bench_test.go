@@ -1,7 +1,8 @@
 // Microbenchmarks of the per-operation costs that every layer's hot
 // path pays: batch digests, certificate verification, Merkle apply,
 // build, multi-proof construction and verification, sharded-store apply,
-// snapshot reads and export, replica boot, and simulated-network delivery. Each
+// snapshot reads and export, replica boot and bytes per key, and
+// simulated-network delivery. Each
 // reports its own cost metrics via b.ReportMetric. End-to-end numbers
 // (latency, throughput, heap per workload) come from the benchmark in
 // bench/ (`bash bench/run.sh`), not from here.
@@ -9,6 +10,7 @@ package bench_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -78,10 +80,11 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 	}
 }
 
-// BenchmarkMerkleApply — applying a 100-key batch to a 5000-key tree:
+// BenchmarkMerkleApply — applying a 100-new-key batch to a 5000-key tree:
 // old inserts keys one at a time (re-hashing the root path per key),
-// bulk merges the sorted batch in one pass. hashes/op reports the node
-// hashes per apply, the quantity the optimization shrinks.
+// bulk merges the sorted batch in one pass. overwrite applies 3 writes to
+// existing keys of a 10 000-key tree, one transaction's writes in every
+// benchmark workload. hashes/op reports the node hashes per apply.
 func BenchmarkMerkleApply(b *testing.B) {
 	base := merkle.New()
 	for i := 0; i < 5000; i++ {
@@ -91,25 +94,38 @@ func BenchmarkMerkleApply(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		updates[fmt.Sprintf("update-%d", i)] = merkle.HashValue([]byte("w"))
 	}
-	run := func(apply func()) func(b *testing.B) {
+	existing := make([]merkle.Update, 10000)
+	for i := range existing {
+		k := []byte(fmt.Sprintf("existing-%d", i))
+		existing[i] = merkle.Update{KeyHash: merkle.HashKey(k), ValHash: merkle.HashValue(k)}
+	}
+	big := merkle.Build(slices.Clone(existing))
+	run := func(apply func(i int)) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			start := merkle.HashOps()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				apply()
+				apply(i)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(merkle.HashOps()-start)/float64(b.N), "hashes/op")
 		}
 	}
-	b.Run("old", run(func() {
+	b.Run("old", run(func(int) {
 		t := base
 		for k, vh := range updates {
 			t = t.Insert([]byte(k), vh)
 		}
 	}))
-	b.Run("bulk", run(func() { _ = base.Apply(updates) }))
+	b.Run("bulk", run(func(int) { _ = base.Apply(updates) }))
+	var ups [3]merkle.Update
+	b.Run("overwrite", run(func(i int) {
+		for j := range ups {
+			ups[j] = merkle.Update{KeyHash: existing[(i*3+j)*7919%len(existing)].KeyHash, ValHash: merkle.Digest{0: byte(i)}}
+		}
+		_ = big.ApplyBulk(ups[:])
+	}))
 }
 
 // --- Sharded storage microbenchmarks (shards=1 is a single-lock
@@ -372,6 +388,36 @@ func BenchmarkSystemBoot(b *testing.B) {
 		sys.Stop()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkReplicaBytesPerKey — what one key costs one replica in memory,
+// the number a node or store layout change moves: the live heap a booted
+// system of rw-local's shape (2 clusters x 4 replicas over 20 000 keys x
+// 256 B) holds beyond its InitialData, over the 80 000 key-replicas (each
+// key lives on the 4 replicas of its cluster). Values stay shared with
+// InitialData until first overwritten, so B/key-replica counts the Merkle
+// trie, the store and the per-replica fixed costs spread over the keys.
+func BenchmarkReplicaBytesPerKey(b *testing.B) {
+	const keys, replicasPerKey = 20000, 4
+	data := make(map[string][]byte, keys)
+	for i := 0; i < keys; i++ {
+		data[fmt.Sprintf("bpk-key-%06d", i)] = make([]byte, 256)
+	}
+	liveHeap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var grown float64
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		sys := core.NewSystem(core.SystemConfig{Clusters: 2, F: 1, Seed: 1, InitialData: data})
+		sys.Start()
+		grown += liveHeap() - before
+		sys.Stop()
+	}
+	b.ReportMetric(grown/float64(b.N)/(keys*replicasPerKey), "B/key-replica")
 }
 
 // BenchmarkTransportDelivery — what the simulated network charges one

@@ -8,10 +8,11 @@ import (
 
 // TestNodeSizes pins the resident cost of the ADS: every replica keeps one
 // leaf and (amortized) one inner node per key per retained version delta.
-// A leaf must stay pointer-free so the collector never scans it.
+// A leaf must stay pointer-free so the collector never scans it, and holds
+// its two bindings only: its hash is recomputed where it is read.
 func TestNodeSizes(t *testing.T) {
-	if got := reflect.TypeOf(leaf{}).Size(); got != 96 {
-		t.Errorf("leaf is %d bytes, want 96", got)
+	if got := reflect.TypeOf(leaf{}).Size(); got != 64 {
+		t.Errorf("leaf is %d bytes, want 64", got)
 	}
 	if got := reflect.TypeOf(inner{}).Size(); got > 80 {
 		t.Errorf("inner is %d bytes, want <= 80 (the allocator's size class)", got)

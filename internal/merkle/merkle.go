@@ -41,13 +41,13 @@ const (
 
 // The trie is built from two node types, both immutable after
 // construction. Every replica keeps every retained version resident, so
-// their sizes are the ADS's memory cost: 96 + 72 bytes per key (the latter
+// their sizes are the ADS's memory cost: 64 + 72 bytes per key (the latter
 // rounded to the allocator's 80-byte class).
 
 // leaf binds one key hash to one value hash. It holds no pointers, so the
-// allocator places leaves in spans the collector never scans.
+// allocator places leaves in spans the collector never scans, and no hash:
+// its hash is recomputed wherever it is read (see ref.hash).
 type leaf struct {
-	hash    Digest
 	keyHash Digest
 	valHash Digest
 }
@@ -67,9 +67,13 @@ type ref struct {
 	lf *leaf
 }
 
+// hash returns the subtree's hash. An inner node's is cached; a leaf's is
+// computed on every call, so each read of it counts in HashOps: once when
+// a parent links the fresh leaf, and again only when a rebuilt parent, the
+// root of a one-key tree or a proof needs an untouched one.
 func (r ref) hash() Digest {
 	if r.lf != nil {
-		return r.lf.hash
+		return leafHash(r.lf.keyHash, r.lf.valHash)
 	}
 	return r.in.hash
 }
@@ -133,7 +137,7 @@ func innerHash(bit int16, left, right Digest) Digest {
 }
 
 func newLeaf(keyHash, valHash Digest) ref {
-	return ref{lf: &leaf{hash: leafHash(keyHash, valHash), keyHash: keyHash, valHash: valHash}}
+	return ref{lf: &leaf{keyHash: keyHash, valHash: valHash}}
 }
 
 func newInner(bit int16, left, right ref) ref {
@@ -403,9 +407,14 @@ func bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
 	}
 	if dmin >= b {
 		// Every update conforms to the prefix: route by this node's bit.
+		// leftmostKey walks the right child's left spine, so it runs only
+		// when an update goes right.
 		zeros, ones := splitAt(ups, b)
 		left, al := bulkMerge(n.left, rep, zeros)
-		right, ar := bulkMerge(n.right, leftmostKey(n.right), ones)
+		right, ar := n.right, 0
+		if len(ones) > 0 {
+			right, ar = bulkMerge(n.right, leftmostKey(n.right), ones)
+		}
 		return newInner(n.bit, left, right), al + ar
 	}
 	// Some updates split off above this node, at bit dmin. Updates agreeing

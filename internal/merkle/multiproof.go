@@ -59,9 +59,10 @@ type MultiNode struct {
 // ErrNoKeys is returned by ProveMulti for an empty key set.
 var ErrNoKeys = errors.New("merkle: multi-proof over zero keys")
 
-// ProveMulti produces one MultiProof covering every key. No hashing of
-// nodes happens here: the proof collects hashes the tree already holds.
-// The empty tree yields an empty proof — EmptyRoot is well known, so the
+// ProveMulti produces one MultiProof covering every key. The proof
+// collects the hashes the tree's inner nodes hold; the only node hashes
+// computed here are those of pruned siblings that are leaves, since a leaf
+// does not store its hash. The empty tree yields an empty proof — EmptyRoot is well known, so the
 // proof that nothing is present is the root itself.
 //
 // The walk carries the key hashes that reach each node as one sub-slice of

@@ -206,7 +206,9 @@ func (d *dec) u64() uint64 {
 func (d *dec) i32() int32 { return int32(d.u32()) }
 func (d *dec) i64() int64 { return int64(d.u64()) }
 
-func (d *dec) bytes() []byte {
+// field returns the next length-prefixed field as a sub-slice of the
+// input, without copying.
+func (d *dec) field() []byte {
 	n := d.u32()
 	if d.err != nil {
 		return nil
@@ -215,14 +217,19 @@ func (d *dec) bytes() []byte {
 		d.err = errDecShort
 		return nil
 	}
-	b := d.take(int(n))
+	return d.take(int(n))
+}
+
+func (d *dec) bytes() []byte {
+	b := d.field()
 	if b == nil {
 		return nil
 	}
 	return append([]byte(nil), b...)
 }
 
-func (d *dec) str() string { return string(d.bytes()) }
+// str converts straight from the input: the conversion is the one copy.
+func (d *dec) str() string { return string(d.field()) }
 
 func (d *dec) digest() Digest {
 	var out Digest

@@ -290,6 +290,33 @@ func TestEncodeDurableCheckpointAllocations(t *testing.T) {
 	}
 }
 
+// TestDecodeDurableCheckpointAllocations bounds what one cold restart or
+// state-transfer install decodes: one key string and one value slice per
+// entry, plus a constant for the certificates, the header, the groups and
+// the growth of the entry slice. A key is converted straight from the
+// input, not copied twice.
+func TestDecodeDurableCheckpointAllocations(t *testing.T) {
+	const n, slack = 2000, 64
+	c := goldenCheckpoint()
+	c.Entries = make([]SnapshotEntry, n)
+	for i := range c.Entries {
+		c.Entries[i] = SnapshotEntry{
+			Key:    fmt.Sprintf("account-with-a-long-identifier-%032d", i),
+			Value:  []byte("1000"),
+			Writer: int64(i % 64),
+		}
+	}
+	buf := EncodeDurableCheckpoint(c)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeDurableCheckpoint(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2*n+slack {
+		t.Fatalf("DecodeDurableCheckpoint made %.0f allocations for %d entries, want <= %d", allocs, n, 2*n+slack)
+	}
+}
+
 // TestDecodersRejectEveryTruncation: for each on-disk codec, every strict
 // prefix of a valid encoding must fail with an error — never panic, never
 // succeed with partial data.

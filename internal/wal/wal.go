@@ -287,10 +287,19 @@ func (l *Log) newSegment(seq int64) error {
 	return nil
 }
 
-// rotate closes the active segment and starts the next one. The closed
-// file keeps its unsynced tail: rotation is not a durability point (the
-// group-commit policy is), but closed files are never written again.
+// rotate closes the active segment and starts the next one. It fsyncs the
+// outgoing file first when frames are pending (unless fsync is disabled):
+// a closed file is never written or synced again, and a power cut that
+// tore it would make Open truncate there and delete every later segment,
+// synced records included.
 func (l *Log) rotate() error {
+	if l.pending > 0 && l.opts.SyncEvery != SyncNever {
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+		l.syncs.Add(1)
+		l.pending = 0
+	}
 	if err := l.f.Close(); err != nil {
 		return err
 	}

@@ -274,6 +274,34 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	w2.Close()
 }
 
+// TestRotationSyncsClosedSegment: frames still pending when the active
+// segment rotates are fsynced before it closes. Nothing syncs a closed
+// segment later, and a torn one would take every later segment with it on
+// Open. Under SyncNever rotation issues no fsync either.
+func TestRotationSyncsClosedSegment(t *testing.T) {
+	for _, tc := range []struct {
+		syncEvery int
+		wantSyncs int64
+	}{{100, 1}, {wal.SyncNever, 0}} {
+		w, err := wal.Open(wal.Options{Dir: t.TempDir(), SyncEvery: tc.syncEvery, SyncInterval: time.Hour, SegmentBytes: 64}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, w, 1, 2) // two 25-byte frames fill the first segment
+		if w.Segments() != 1 || w.SyncCount() != 0 {
+			t.Fatalf("SyncEvery=%d: %d segments, %d syncs before rotation, want 1 and 0", tc.syncEvery, w.Segments(), w.SyncCount())
+		}
+		appendN(t, w, 3, 1)
+		if w.Segments() != 2 {
+			t.Fatalf("SyncEvery=%d: %d segments after the third frame, want 2", tc.syncEvery, w.Segments())
+		}
+		if w.SyncCount() != tc.wantSyncs {
+			t.Fatalf("SyncEvery=%d: SyncCount = %d after rotating past 2 pending frames, want %d", tc.syncEvery, w.SyncCount(), tc.wantSyncs)
+		}
+		w.Close()
+	}
+}
+
 func TestTruncateEverythingRotatesActive(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(wal.Options{Dir: dir}, nil)
