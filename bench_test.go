@@ -1,8 +1,8 @@
 // Microbenchmarks of the per-operation costs that every layer's hot
 // path pays: batch digests, certificate verification, Merkle apply,
-// build, multi-proof construction and verification, sharded-store apply,
-// snapshot reads and export, replica boot and bytes per key, and
-// simulated-network delivery. Each
+// build and compaction, multi-proof construction and verification,
+// sharded-store apply, snapshot reads and export, replica boot and bytes
+// per key, and simulated-network delivery. Each
 // reports its own cost metrics via b.ReportMetric. End-to-end numbers
 // (latency, throughput, heap per workload) come from the benchmark in
 // bench/ (`bash bench/run.sh`), not from here.
@@ -11,6 +11,7 @@ package bench_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sync"
 	"testing"
@@ -390,6 +391,33 @@ func BenchmarkSystemBoot(b *testing.B) {
 	}
 }
 
+// BenchmarkMerkleCompact — the event-loop pause a compaction adds at a
+// stable checkpoint: copying a 10 000-key lineage's 128 retained versions,
+// each three overwrites past the one before, into a fresh arena.
+func BenchmarkMerkleCompact(b *testing.B) {
+	const keys, versions = 10000, 128
+	ups := make([]merkle.Update, keys)
+	for i := range ups {
+		k := []byte(fmt.Sprintf("compact-key-%06d", i))
+		ups[i] = merkle.Update{KeyHash: merkle.HashKey(k), ValHash: merkle.HashValue(k)}
+	}
+	lineage := []*merkle.Tree{merkle.Build(slices.Clone(ups))}
+	for v := 1; v < versions; v++ {
+		var batch [3]merkle.Update
+		for j := range batch {
+			batch[j] = merkle.Update{KeyHash: ups[(v*3+j)*7919%keys].KeyHash, ValHash: merkle.Digest{0: byte(v), 1: byte(j)}}
+		}
+		lineage = append(lineage, lineage[v-1].ApplyBulk(batch[:]))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merkle.Compact(lineage)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/compaction")
+}
+
 // BenchmarkReplicaBytesPerKey — what one key costs one replica in memory,
 // the number a node or store layout change moves: the live heap a booted
 // system of rw-local's shape (2 clusters x 4 replicas over 20 000 keys x
@@ -397,27 +425,34 @@ func BenchmarkSystemBoot(b *testing.B) {
 // key lives on the 4 replicas of its cluster). Values stay shared with
 // InitialData until first overwritten, so B/key-replica counts the Merkle
 // trie, the store and the per-replica fixed costs spread over the keys.
+// scan-B/key-replica is the part of it the collector must scan for
+// pointers on every cycle (runtime/metrics /gc/scan/heap:bytes).
 func BenchmarkReplicaBytesPerKey(b *testing.B) {
 	const keys, replicasPerKey = 20000, 4
 	data := make(map[string][]byte, keys)
 	for i := 0; i < keys; i++ {
 		data[fmt.Sprintf("bpk-key-%06d", i)] = make([]byte, 256)
 	}
-	liveHeap := func() float64 {
+	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	liveHeap := func() (live, scan float64) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
+		metrics.Read(sample)
+		return float64(ms.HeapAlloc), float64(sample[0].Value.Uint64())
 	}
-	var grown float64
+	var grown, scanned float64
 	for i := 0; i < b.N; i++ {
-		before := liveHeap()
+		live, scan := liveHeap()
 		sys := core.NewSystem(core.SystemConfig{Clusters: 2, F: 1, Seed: 1, InitialData: data})
 		sys.Start()
-		grown += liveHeap() - before
+		liveAfter, scanAfter := liveHeap()
+		grown += liveAfter - live
+		scanned += scanAfter - scan
 		sys.Stop()
 	}
 	b.ReportMetric(grown/float64(b.N)/(keys*replicasPerKey), "B/key-replica")
+	b.ReportMetric(scanned/float64(b.N)/(keys*replicasPerKey), "scan-B/key-replica")
 }
 
 // BenchmarkTransportDelivery — what the simulated network charges one

@@ -14,8 +14,9 @@ import (
 // DataDir, which pins the genesis timestamp) certify bit-identical genesis
 // headers; every replica's tree reproduces the certified root, which is
 // the root the Insert oracle computes for that cluster's keys; no two
-// replicas hold the same tree, so each pays — and a heap measurement
-// counts — its own copy; and no replica, nor the configuration a restart
+// replicas hold the same tree or write into one Merkle arena, so each pays
+// — and a heap measurement counts — its own copy, and each event loop is
+// its lineage's one writer; and no replica, nor the configuration a restart
 // rebuilds it from, keeps its cluster's share of the initial data once
 // loaded.
 func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
@@ -68,6 +69,11 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 				}
 				if other, dup := seen[n.curTree]; dup {
 					t.Fatalf("%v shares its tree with %v", id, other)
+				}
+				for tree, other := range seen {
+					if n.curTree.SharesArena(tree) {
+						t.Fatalf("%v shares its Merkle arena with %v", id, other)
+					}
 				}
 				seen[n.curTree] = id
 			}

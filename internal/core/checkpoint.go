@@ -260,9 +260,53 @@ func (n *Node) truncateBelow(id int64) {
 			delete(n.trees, tid)
 		}
 	}
+	n.maybeCompactTrees()
 	// Consensus bookkeeping below the stable base — equivocation evidence,
 	// stale pre-prepares, dead instances — can never matter again either.
 	n.consensus.TruncateBelow(id)
+}
+
+// arenaGrowthLimit bounds the Merkle arena's garbage (DESIGN.md §11, "Arena
+// and compaction"): once the nodes appended since the arena was built or
+// last compacted reach 1/arenaGrowthLimit of the nodes it then held, the
+// versions still retained are copied into a fresh arena. Compaction copies
+// at most arenaGrowthLimit nodes per node appended.
+const arenaGrowthLimit = 8
+
+// maybeCompactTrees compacts every Merkle version the loop holds — the
+// retained window, the delivered tip and the speculative chain — once the
+// arena has grown by 1/arenaGrowthLimit. Read executors still proving
+// against an older version keep the old arena alive until they finish.
+func (n *Node) maybeCompactTrees() {
+	_, _, newest := n.specTail()
+	nodes, base := newest.Arena()
+	if grown := nodes - base; grown <= 0 || grown < base/arenaGrowthLimit {
+		return
+	}
+	versions, ids := n.heldTrees()
+	out := merkle.Compact(versions)
+	n.curTree = out[0]
+	for i, s := range n.spec {
+		s.tree = out[1+i]
+	}
+	for i, id := range ids {
+		n.trees[id] = out[1+len(n.spec)+i]
+	}
+}
+
+// heldTrees lists every Merkle version the loop holds: the delivered tip,
+// the speculative chain, then the retained window in the order of ids.
+func (n *Node) heldTrees() (versions []*merkle.Tree, ids []int64) {
+	versions = make([]*merkle.Tree, 0, 1+len(n.spec)+len(n.trees))
+	versions = append(versions, n.curTree)
+	for _, s := range n.spec {
+		versions = append(versions, s.tree)
+	}
+	for id, tree := range n.trees {
+		ids = append(ids, id)
+		versions = append(versions, tree)
+	}
+	return versions, ids
 }
 
 // ---- State transfer ----

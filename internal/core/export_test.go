@@ -1,7 +1,18 @@
 package core
 
+import "transedge/internal/merkle"
+
 // Test-only access to loop-owned checkpoint state for the external
 // core_test package.
+
+// MerkleArena reports how many nodes a stopped node's Merkle arena holds
+// and how many distinct nodes the versions it retains reach.
+func (n *Node) MerkleArena() (nodes, reachable int) {
+	_, _, newest := n.specTail()
+	nodes, _ = newest.Arena()
+	versions, _ := n.heldTrees()
+	return nodes, merkle.Reachable(versions)
+}
 
 // SetCheckpointHooks installs the derivation and persister hooks (either
 // may be nil). Call before Start.

@@ -7,6 +7,7 @@ import (
 
 	"transedge/internal/client"
 	"transedge/internal/core"
+	"transedge/internal/merkle"
 )
 
 // commitN commits n sequential write-only local transactions on keys of
@@ -103,6 +104,50 @@ func TestCheckpointBoundsStoreVersions(t *testing.T) {
 		if got := n.VersionCount(key); got > limit {
 			t.Fatalf("replica %d holds %d versions of %q after %d commits (tip %d, stable checkpoint %d), want <= %d",
 				r, got, key, commits, n.Tip(), n.StableCheckpoint(), limit)
+		}
+	}
+}
+
+// TestCheckpointCompactsMerkleArena: the Merkle arena's memory follows the
+// stable checkpoint too. Every commit rewrites one key's root-to-leaf path
+// into the append-only arena; without compaction at truncation the arena
+// would hold every such copy ever made. With it, every replica's arena
+// stays within 9/8 of the nodes its retained versions reach, plus the
+// growth the trigger has not seen yet: the path copies appended since the
+// last truncation (one interval, and the batches that commit while a
+// checkpoint gathers its quorum).
+func TestCheckpointCompactsMerkleArena(t *testing.T) {
+	const interval, commits, keys = 4, 64, 200
+	sys := testSystem(t, 1, 1, keys, func(cfg *core.SystemConfig) {
+		cfg.CheckpointInterval = interval
+	})
+	c := testClient(sys, 1)
+	key := keysOn(sys, 0, 1)[0]
+
+	// A commit overwrites key: a new leaf plus a copy of each inner node on
+	// its path, whose length the initial load fixes.
+	ups := make([]merkle.Update, keys)
+	for i := range ups {
+		k := fmt.Sprintf("key-%03d", i)
+		ups[i] = merkle.Update{KeyHash: merkle.HashKey([]byte(k)), ValHash: merkle.HashValue([]byte(k))}
+	}
+	proof, _, err := merkle.Build(ups).Prove([]byte(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathCopy := len(proof.Steps) + 1
+
+	commitN(t, c, []string{key}, 0, commits)
+	sys.Stop()
+	for r := int32(0); r < 4; r++ {
+		n := sys.Node(core.NodeID{Cluster: 0, Replica: r})
+		if got := n.Metrics.CheckpointsStable; got < 10 {
+			t.Fatalf("replica %d: %d stable checkpoints after %d commits, want >= 10", r, got, commits)
+		}
+		nodes, reachable := n.MerkleArena()
+		if limit := reachable*9/8 + 2*interval*pathCopy; nodes > limit {
+			t.Fatalf("replica %d: Merkle arena holds %d nodes, its versions reach %d: want <= %d (%d per commit)",
+				r, nodes, reachable, limit, pathCopy)
 		}
 	}
 }

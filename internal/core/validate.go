@@ -395,23 +395,23 @@ func (n *Node) justified(decision protocol.Decision, votes []protocol.PreparedVo
 // previous version plus the write sets of local transactions and of
 // committed (positively decided) distributed transactions on this shard,
 // merged in one bulk pass so each touched trie node hashes exactly once.
-// Later writes of the same key within the batch win, matching the
-// insertion order the sequential path used.
+// The updates are listed in write order, and ApplyBulk keeps the last
+// occurrence of a key: later writes of the same key within the batch win.
 func (n *Node) applyBatchToTree(tree *merkle.Tree, b *protocol.Batch) *merkle.Tree {
-	updates := make(map[string]merkle.Digest)
-	for i := range b.Local {
-		for _, w := range b.Local[i].Writes {
-			updates[w.Key] = merkle.HashValue(w.Value)
+	var ups []merkle.Update
+	add := func(writes []protocol.WriteOp) {
+		for _, w := range writes {
+			ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(w.Key)), ValHash: merkle.HashValue(w.Value)})
 		}
+	}
+	for i := range b.Local {
+		add(b.Local[i].Writes)
 	}
 	for i := range b.Committed {
 		rec := &b.Committed[i]
-		if rec.Decision != protocol.DecisionCommit {
-			continue
-		}
-		for _, w := range n.localWrites(&rec.Txn) {
-			updates[w.Key] = merkle.HashValue(w.Value)
+		if rec.Decision == protocol.DecisionCommit {
+			add(n.localWrites(&rec.Txn))
 		}
 	}
-	return tree.Apply(updates)
+	return tree.ApplyBulk(ups)
 }

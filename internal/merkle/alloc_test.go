@@ -8,21 +8,50 @@ import (
 
 // TestNodeSizes pins the resident cost of the ADS: every replica keeps one
 // leaf and (amortized) one inner node per key per retained version delta.
-// A leaf must stay pointer-free so the collector never scans it, and holds
-// its two bindings only: its hash is recomputed where it is read.
+// A leaf holds its two bindings only (its hash is recomputed where it is
+// read), an inner node links its children by arena index, and neither
+// holds a pointer, so no chunk is ever scanned by the collector. A growth
+// chunk fills the 8 KiB size class to within one node.
 func TestNodeSizes(t *testing.T) {
 	if got := reflect.TypeOf(leaf{}).Size(); got != 64 {
 		t.Errorf("leaf is %d bytes, want 64", got)
 	}
-	if got := reflect.TypeOf(inner{}).Size(); got > 80 {
-		t.Errorf("inner is %d bytes, want <= 80 (the allocator's size class)", got)
+	if got := reflect.TypeOf(inner{}).Size(); got > 48 {
+		t.Errorf("inner is %d bytes, want <= 48", got)
 	}
-	lt := reflect.TypeOf(leaf{})
-	for i := 0; i < lt.NumField(); i++ {
-		if k := lt.Field(i).Type.Kind(); k != reflect.Array {
-			t.Errorf("leaf field %s has kind %v: leaves must hold no pointers", lt.Field(i).Name, k)
+	for _, typ := range []reflect.Type{reflect.TypeOf(leaf{}), reflect.TypeOf(inner{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); !pointerFree(f.Type) {
+				t.Errorf("%s.%s has type %v: nodes must hold no pointers", typ.Name(), f.Name, f.Type)
+			}
 		}
 	}
+	const class = 8192
+	for _, chunk := range []reflect.Type{reflect.TypeOf([innerChunk]inner{}), reflect.TypeOf([leafChunk]leaf{})} {
+		if size, node := chunk.Size(), chunk.Elem().Size(); size > class || class-size >= node {
+			t.Errorf("%v is %d bytes: want the most nodes that fit %d", chunk, size, class)
+		}
+	}
+}
+
+// pointerFree reports whether values of typ hold no pointer anywhere.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 var sinkDigest Digest

@@ -37,14 +37,14 @@ func TestBuildHashCount(t *testing.T) {
 // pathShape walks tr by kh's bits and returns the number of inner nodes
 // on the path and how many of their off-path children are leaves.
 func pathShape(tr *Tree, kh Digest) (depth, leafSiblings int) {
-	r := tr.root
-	for n := r.in; n != nil; n = r.in {
+	for r := tr.root; !r.isLeaf(); {
+		n := tr.nodes.in(r)
 		depth++
 		next, sibling := n.left, n.right
 		if bitAt(kh, int(n.bit)) == 1 {
 			next, sibling = n.right, n.left
 		}
-		if sibling.lf != nil {
+		if sibling.isLeaf() {
 			leafSiblings++
 		}
 		r = next
@@ -84,13 +84,13 @@ func TestOverwriteHashCount(t *testing.T) {
 // prunes to a sibling hash: children of an inner node some key's path
 // passes through that no key's path enters.
 func prunedLeafSiblings(tr *Tree, keys [][]byte) int {
-	passed := make(map[*inner]bool)
+	passed := make(map[ref]bool)
 	entered := make(map[ref]bool)
 	for _, k := range keys {
 		kh := HashKey(k)
-		r := tr.root
-		for n := r.in; n != nil; n = r.in {
-			passed[n] = true
+		for r := tr.root; !r.isLeaf(); {
+			passed[r] = true
+			n := tr.nodes.in(r)
 			if bitAt(kh, int(n.bit)) == 0 {
 				r = n.left
 			} else {
@@ -100,9 +100,10 @@ func prunedLeafSiblings(tr *Tree, keys [][]byte) int {
 		}
 	}
 	count := 0
-	for n := range passed {
+	for p := range passed {
+		n := tr.nodes.in(p)
 		for _, c := range []ref{n.left, n.right} {
-			if c.lf != nil && !entered[c] {
+			if c.isLeaf() && !entered[c] {
 				count++
 			}
 		}

@@ -40,13 +40,12 @@ const (
 )
 
 // The trie is built from two node types, both immutable after
-// construction. Every replica keeps every retained version resident, so
-// their sizes are the ADS's memory cost: 64 + 72 bytes per key (the latter
-// rounded to the allocator's 80-byte class).
+// construction and both pointer-free, stored in arenas (arena.go). Every
+// replica keeps every retained version resident, so their sizes are the
+// ADS's memory cost: 64 + 44 bytes per key.
 
-// leaf binds one key hash to one value hash. It holds no pointers, so the
-// allocator places leaves in spans the collector never scans, and no hash:
-// its hash is recomputed wherever it is read (see ref.hash).
+// leaf binds one key hash to one value hash. It holds no hash: its hash is
+// recomputed wherever it is read (see nodes.hash).
 type leaf struct {
 	keyHash Digest
 	valHash Digest
@@ -58,24 +57,6 @@ type inner struct {
 	hash        Digest
 	left, right ref
 	bit         int16
-}
-
-// ref points at a subtree: exactly one field is set, except in the empty
-// tree's root, where neither is.
-type ref struct {
-	in *inner
-	lf *leaf
-}
-
-// hash returns the subtree's hash. An inner node's is cached; a leaf's is
-// computed on every call, so each read of it counts in HashOps: once when
-// a parent links the fresh leaf, and again only when a rebuilt parent, the
-// root of a one-key tree or a proof needs an untouched one.
-func (r ref) hash() Digest {
-	if r.lf != nil {
-		return leafHash(r.lf.keyHash, r.lf.valHash)
-	}
-	return r.in.hash
 }
 
 func bitAt(d Digest, i int) byte {
@@ -136,20 +117,21 @@ func innerHash(bit int16, left, right Digest) Digest {
 	return sha256.Sum256(buf[:])
 }
 
-func newLeaf(keyHash, valHash Digest) ref {
-	return ref{lf: &leaf{keyHash: keyHash, valHash: valHash}}
-}
-
-func newInner(bit int16, left, right ref) ref {
-	return ref{in: &inner{hash: innerHash(bit, left.hash(), right.hash()), left: left, right: right, bit: bit}}
-}
-
 // Tree is an immutable Merkle trie version. The zero value is not usable;
 // call New. All update operations return a new version sharing structure
-// with the receiver.
+// with the receiver, in the receiver's arena.
+//
+// One rule comes with the arena: a lineage — the versions derived from one
+// Build, one first write to an empty tree, or one Compact — has one writer
+// at a time. Insert, ApplyBulk, Compact, Reachable and Arena on any of its
+// versions must not run concurrently with each other; any number of
+// readers (Root, Get, the provers, Walk) may run beside the writer, on
+// versions published to them (handed over through a channel, a lock or an
+// atomic).
 type Tree struct {
-	root ref
-	size int
+	nodes *nodes // nil while the tree holds no key
+	root  ref
+	size  int
 }
 
 // New returns an empty tree.
@@ -166,7 +148,7 @@ func (t *Tree) Root() Digest {
 	if t.size == 0 {
 		return EmptyRoot
 	}
-	return t.root.hash()
+	return t.nodes.hash(t.root)
 }
 
 // HashKey maps an application key to its trie position.
@@ -185,56 +167,59 @@ func (t *Tree) Insert(key []byte, valHash Digest) *Tree {
 // InsertHashed is Insert for a pre-hashed key.
 func (t *Tree) InsertHashed(keyHash, valHash Digest) *Tree {
 	if t.size == 0 {
-		return &Tree{root: newLeaf(keyHash, valHash), size: 1}
+		a := newArena(0, 1)
+		return a.publish(a.newLeaf(keyHash, valHash), 1)
 	}
-	lf := findLeaf(t.root, keyHash)
+	a := t.nodes.a
+	lf := t.nodes.lf(findLeaf(t.nodes, t.root, keyHash))
 	if lf.keyHash == keyHash {
-		return &Tree{root: replace(t.root, keyHash, valHash), size: t.size}
+		return a.publish(a.replace(t.root, keyHash, valHash), t.size)
 	}
 	crit := int16(firstDiffBit(lf.keyHash, keyHash))
-	return &Tree{root: insertAt(t.root, crit, keyHash, valHash), size: t.size + 1}
+	return a.publish(a.insertAt(t.root, crit, keyHash, valHash), t.size+1)
 }
 
-// findLeaf walks to the leaf whose position keyHash's bits select.
-func findLeaf(r ref, keyHash Digest) *leaf {
-	for r.in != nil {
-		if bitAt(keyHash, int(r.in.bit)) == 0 {
-			r = r.in.left
+// findLeaf walks from r to the leaf whose position keyHash's bits select.
+func findLeaf(v *nodes, r ref, keyHash Digest) ref {
+	for !r.isLeaf() {
+		n := v.in(r)
+		if bitAt(keyHash, int(n.bit)) == 0 {
+			r = n.left
 		} else {
-			r = r.in.right
+			r = n.right
 		}
 	}
-	return r.lf
+	return r
 }
 
 // replace copies the path to the existing leaf for keyHash and swaps in a
 // new value hash.
-func replace(r ref, keyHash, valHash Digest) ref {
-	n := r.in
-	if n == nil {
-		return newLeaf(keyHash, valHash)
+func (a *arena) replace(r ref, keyHash, valHash Digest) ref {
+	if r.isLeaf() {
+		return a.newLeaf(keyHash, valHash)
 	}
+	n := a.view.in(r)
 	if bitAt(keyHash, int(n.bit)) == 0 {
-		return newInner(n.bit, replace(n.left, keyHash, valHash), n.right)
+		return a.newInner(n.bit, a.replace(n.left, keyHash, valHash), n.right)
 	}
-	return newInner(n.bit, n.left, replace(n.right, keyHash, valHash))
+	return a.newInner(n.bit, n.left, a.replace(n.right, keyHash, valHash))
 }
 
 // insertAt inserts a new leaf for keyHash, creating the split node at the
 // crit-bit position.
-func insertAt(r ref, crit int16, keyHash, valHash Digest) ref {
-	n := r.in
-	if n == nil || n.bit > crit {
-		nl := newLeaf(keyHash, valHash)
+func (a *arena) insertAt(r ref, crit int16, keyHash, valHash Digest) ref {
+	if r.isLeaf() || a.view.in(r).bit > crit {
+		nl := a.newLeaf(keyHash, valHash)
 		if bitAt(keyHash, int(crit)) == 0 {
-			return newInner(crit, nl, r)
+			return a.newInner(crit, nl, r)
 		}
-		return newInner(crit, r, nl)
+		return a.newInner(crit, r, nl)
 	}
+	n := a.view.in(r)
 	if bitAt(keyHash, int(n.bit)) == 0 {
-		return newInner(n.bit, insertAt(n.left, crit, keyHash, valHash), n.right)
+		return a.newInner(n.bit, a.insertAt(n.left, crit, keyHash, valHash), n.right)
 	}
-	return newInner(n.bit, n.left, insertAt(n.right, crit, keyHash, valHash))
+	return a.newInner(n.bit, n.left, a.insertAt(n.right, crit, keyHash, valHash))
 }
 
 // Apply returns a new version with every update applied. Updates with the
@@ -279,10 +264,12 @@ func (t *Tree) ApplyBulk(ups []Update) *Tree {
 	}
 	ups = ups[:w]
 	if t.size == 0 {
-		return &Tree{root: buildSubtree(ups), size: len(ups)}
+		a := newArena(len(ups)-1, len(ups))
+		return a.publish(a.buildSubtree(ups), len(ups))
 	}
-	root, added := bulkMerge(t.root, leftmostKey(t.root), ups)
-	return &Tree{root: root, size: t.size + added}
+	a := t.nodes.a
+	root, added := a.bulkMerge(t.root, a.leftmostKey(t.root), ups)
+	return a.publish(root, t.size+added)
 }
 
 // sortKey stands in for one update while the set is ordered: 16 bytes
@@ -341,11 +328,11 @@ func sortUpdates(ups []Update) {
 // leftmostKey returns the key hash of the leftmost leaf under r; because
 // every key in a subtree agrees on all bits above the subtree's crit bit,
 // it represents the subtree's common prefix.
-func leftmostKey(r ref) Digest {
-	for r.in != nil {
-		r = r.in.left
+func (a *arena) leftmostKey(r ref) Digest {
+	for !r.isLeaf() {
+		r = a.view.in(r).left
 	}
-	return r.lf.keyHash
+	return a.view.lf(r).keyHash
 }
 
 // firstDiffBefore returns the index of the most significant bit at which
@@ -377,26 +364,26 @@ func splitAt(ups []Update, bit int) ([]Update, []Update) {
 
 // buildSubtree constructs the canonical crit-bit subtree over sorted,
 // distinct key hashes.
-func buildSubtree(ups []Update) ref {
+func (a *arena) buildSubtree(ups []Update) ref {
 	if len(ups) == 1 {
-		return newLeaf(ups[0].KeyHash, ups[0].ValHash)
+		return a.newLeaf(ups[0].KeyHash, ups[0].ValHash)
 	}
 	crit := int16(firstDiffBit(ups[0].KeyHash, ups[len(ups)-1].KeyHash))
 	zeros, ones := splitAt(ups, int(crit))
-	return newInner(crit, buildSubtree(zeros), buildSubtree(ones))
+	return a.newInner(crit, a.buildSubtree(zeros), a.buildSubtree(ones))
 }
 
 // bulkMerge merges sorted, distinct updates into the subtree rooted at r,
 // whose common key prefix is represented by rep (the leftmost leaf's key
 // hash). Returns the new subtree and how many keys were newly added.
-func bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
+func (a *arena) bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
 	if len(ups) == 0 {
 		return r, 0
 	}
-	n := r.in
-	if n == nil {
-		return mergeLeaf(r.lf, ups)
+	if r.isLeaf() {
+		return a.mergeLeaf(a.view.lf(r), ups)
 	}
+	n := a.view.in(r)
 	b := int(n.bit)
 	// All keys in the subtree agree on bits above b, so rep stands in for
 	// the whole subtree there; and since the updates are sorted, the
@@ -410,12 +397,12 @@ func bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
 		// leftmostKey walks the right child's left spine, so it runs only
 		// when an update goes right.
 		zeros, ones := splitAt(ups, b)
-		left, al := bulkMerge(n.left, rep, zeros)
+		left, al := a.bulkMerge(n.left, rep, zeros)
 		right, ar := n.right, 0
 		if len(ones) > 0 {
-			right, ar = bulkMerge(n.right, leftmostKey(n.right), ones)
+			right, ar = a.bulkMerge(n.right, a.leftmostKey(n.right), ones)
 		}
-		return newInner(n.bit, left, right), al + ar
+		return a.newInner(n.bit, left, right), al + ar
 	}
 	// Some updates split off above this node, at bit dmin. Updates agreeing
 	// with the prefix at dmin keep merging into r; the others form a fresh
@@ -425,29 +412,29 @@ func bulkMerge(r ref, rep Digest, ups []Update) (ref, int) {
 	if bitAt(rep, dmin) == 1 {
 		conform, diverge = ones, zeros
 	}
-	merged, added := bulkMerge(r, rep, conform)
-	side := buildSubtree(diverge)
+	merged, added := a.bulkMerge(r, rep, conform)
+	side := a.buildSubtree(diverge)
 	if bitAt(rep, dmin) == 0 {
-		return newInner(int16(dmin), merged, side), added + len(diverge)
+		return a.newInner(int16(dmin), merged, side), added + len(diverge)
 	}
-	return newInner(int16(dmin), side, merged), added + len(diverge)
+	return a.newInner(int16(dmin), side, merged), added + len(diverge)
 }
 
 // mergeLeaf merges updates into a single-leaf subtree: an update matching
 // the leaf's key overwrites its value; the rest join it in a canonical
 // subtree.
-func mergeLeaf(lf *leaf, ups []Update) (ref, int) {
+func (a *arena) mergeLeaf(lf *leaf, ups []Update) (ref, int) {
 	i := sort.Search(len(ups), func(i int) bool {
 		return bytes.Compare(ups[i].KeyHash[:], lf.keyHash[:]) >= 0
 	})
 	if i < len(ups) && ups[i].KeyHash == lf.keyHash {
-		return buildSubtree(ups), len(ups) - 1
+		return a.buildSubtree(ups), len(ups) - 1
 	}
 	merged := make([]Update, 0, len(ups)+1)
 	merged = append(merged, ups[:i]...)
 	merged = append(merged, Update{KeyHash: lf.keyHash, ValHash: lf.valHash})
 	merged = append(merged, ups[i:]...)
-	return buildSubtree(merged), len(ups)
+	return a.buildSubtree(merged), len(ups)
 }
 
 // Get returns the value hash bound to key in this version.
@@ -456,7 +443,7 @@ func (t *Tree) Get(key []byte) (Digest, bool) {
 		return Digest{}, false
 	}
 	kh := HashKey(key)
-	lf := findLeaf(t.root, kh)
+	lf := t.nodes.lf(findLeaf(t.nodes, t.root, kh))
 	if lf.keyHash != kh {
 		return Digest{}, false
 	}
@@ -501,17 +488,18 @@ func (t *Tree) Prove(key []byte) (Proof, Digest, error) {
 // hash at every level, root first, with the leaf the walk ends at.
 func (t *Tree) lookupPath(kh Digest) ([]ProofStep, *leaf) {
 	var steps []ProofStep
-	r := t.root
-	for n := r.in; n != nil; n = r.in {
+	v, r := t.nodes, t.root
+	for !r.isLeaf() {
+		n := v.in(r)
 		if bitAt(kh, int(n.bit)) == 0 {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.right.hash()})
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: v.hash(n.right)})
 			r = n.left
 		} else {
-			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.left.hash()})
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: v.hash(n.left)})
 			r = n.right
 		}
 	}
-	return steps, r.lf
+	return steps, v.lf(r)
 }
 
 // VerifyProof checks that proof authenticates key -> value under root.
@@ -618,15 +606,17 @@ func Build(ups []Update) *Tree {
 // Intended for tests and debugging tools.
 func (t *Tree) Walk(fn func(keyHash, valHash Digest)) {
 	if t.size > 0 {
-		walk(t.root, fn)
+		walk(t.nodes, t.root, fn)
 	}
 }
 
-func walk(r ref, fn func(keyHash, valHash Digest)) {
-	if r.lf != nil {
-		fn(r.lf.keyHash, r.lf.valHash)
+func walk(v *nodes, r ref, fn func(keyHash, valHash Digest)) {
+	if r.isLeaf() {
+		lf := v.lf(r)
+		fn(lf.keyHash, lf.valHash)
 		return
 	}
-	walk(r.in.left, fn)
-	walk(r.in.right, fn)
+	n := v.in(r)
+	walk(v, n.left, fn)
+	walk(v, n.right, fn)
 }

@@ -82,8 +82,8 @@ func (t *Tree) ProveMulti(keys [][]byte) (MultiProof, error) {
 	for i, k := range keys {
 		khs[i] = HashKey(k)
 	}
-	nodes := make([]MultiNode, 0, countMulti(t.root, khs))
-	return MultiProof{Nodes: emitMulti(nodes, t.root, khs)}, nil
+	out := make([]MultiNode, 0, countMulti(t.nodes, t.root, khs))
+	return MultiProof{Nodes: emitMulti(out, t.nodes, t.root, khs)}, nil
 }
 
 // partitionByBit reorders khs so the hashes whose bit is 0 come first and
@@ -105,43 +105,44 @@ func partitionByBit(khs []Digest, bit int) int {
 
 // countMulti returns how many nodes emitMulti emits for the subtree at r
 // when the (non-empty) reach set routes into it.
-func countMulti(r ref, reach []Digest) int {
-	n := r.in
-	if n == nil {
+func countMulti(v *nodes, r ref, reach []Digest) int {
+	if r.isLeaf() {
 		return 1
 	}
+	n := v.in(r)
 	count := 1
 	zeros := partitionByBit(reach, int(n.bit))
 	if zeros > 0 {
-		count += countMulti(n.left, reach[:zeros])
+		count += countMulti(v, n.left, reach[:zeros])
 	}
 	if zeros < len(reach) {
-		count += countMulti(n.right, reach[zeros:])
+		count += countMulti(v, n.right, reach[zeros:])
 	}
 	return count
 }
 
 // emitMulti appends the preorder flattening of the subtree at r, pruned to
 // the lookup paths of the (non-empty) reach set.
-func emitMulti(out []MultiNode, r ref, reach []Digest) []MultiNode {
-	n := r.in
-	if n == nil {
-		if slices.Contains(reach, r.lf.keyHash) {
+func emitMulti(out []MultiNode, v *nodes, r ref, reach []Digest) []MultiNode {
+	if r.isLeaf() {
+		lf := v.lf(r)
+		if slices.Contains(reach, lf.keyHash) {
 			return append(out, MultiNode{Kind: MultiLeafRef})
 		}
-		return append(out, MultiNode{Kind: MultiLeafOther, KeyHash: r.lf.keyHash, ValHash: r.lf.valHash})
+		return append(out, MultiNode{Kind: MultiLeafOther, KeyHash: lf.keyHash, ValHash: lf.valHash})
 	}
+	n := v.in(r)
 	switch zeros := partitionByBit(reach, int(n.bit)); zeros {
 	case len(reach):
-		out = append(out, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: n.right.hash()})
-		return emitMulti(out, n.left, reach)
+		out = append(out, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: v.hash(n.right)})
+		return emitMulti(out, v, n.left, reach)
 	case 0:
-		out = append(out, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: n.left.hash()})
-		return emitMulti(out, n.right, reach)
+		out = append(out, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: v.hash(n.left)})
+		return emitMulti(out, v, n.right, reach)
 	default:
 		out = append(out, MultiNode{Kind: MultiInner, Bit: n.bit})
-		out = emitMulti(out, n.left, reach[:zeros])
-		return emitMulti(out, n.right, reach[zeros:])
+		out = emitMulti(out, v, n.left, reach[:zeros])
+		return emitMulti(out, v, n.right, reach[zeros:])
 	}
 }
 
