@@ -260,20 +260,6 @@ func benchMultiTree(n int) (*merkle.Tree, [][]byte, []merkle.KeyAnswer) {
 	return tr, keys, answers
 }
 
-// singleProofCost returns the canonical bytes of the N independent
-// proofs replaced by one multi-proof over keys.
-func singleProofCost(tr *merkle.Tree, keys [][]byte) int {
-	total := 0
-	for _, k := range keys {
-		if p, _, err := tr.Prove(k); err == nil {
-			total += len(protocol.EncodeProof(&p))
-		} else if ap, err := tr.ProveAbsent(k); err == nil {
-			total += len(protocol.EncodeAbsenceProof(&ap))
-		}
-	}
-	return total
-}
-
 func BenchmarkMultiProve(b *testing.B) {
 	for _, n := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
@@ -283,7 +269,6 @@ func BenchmarkMultiProve(b *testing.B) {
 				b.Fatal(err)
 			}
 			multiBytes := len(protocol.EncodeMultiProof(&mp))
-			singleBytes := singleProofCost(tr, keys)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -293,8 +278,6 @@ func BenchmarkMultiProve(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(multiBytes), "proofbytes/op")
-			b.ReportMetric(float64(singleBytes), "singlebytes/op")
-			b.ReportMetric(float64(singleBytes)/float64(multiBytes), "shrink_x")
 		})
 	}
 }

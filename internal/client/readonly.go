@@ -14,15 +14,15 @@ type ROResult struct {
 	// Values maps each requested key to its snapshot value (nil if the
 	// key does not exist).
 	Values map[string][]byte
-	// Rounds is 1 when the first responses were already consistent and 2
-	// when unsatisfied dependencies forced a repair round. The paper's
-	// Theorem 4.6 claims two rounds always suffice; our reproduction
-	// found that with three or more partitions and interleaved prepare
-	// groups a repaired batch can surface a dependency (acquired at
-	// commit time from a different group member's vote) that prepare-time
-	// CD piggybacks could not carry, so the client iterates the repair
-	// round to a fixpoint. Empirically almost every transaction finishes
-	// in <=2 rounds; see DESIGN.md ("Deviations").
+	// Rounds counts the rounds the read took: 1 when the first responses
+	// were already consistent, one more per repair round that unsatisfied
+	// dependencies forced. The paper's Theorem 4.6 claims two rounds
+	// always suffice; this reproduction found that with three or more
+	// partitions and interleaved prepare groups a repaired batch can
+	// surface a dependency (acquired at commit time from a different
+	// group member's vote) that prepare-time CD piggybacks could not
+	// carry, so the client iterates the repair round to a fixpoint, at
+	// most maxRORounds rounds. Almost every read finishes in two.
 	Rounds int
 	// Batches records the batch served per accessed cluster.
 	Batches map[int32]int64
@@ -48,8 +48,9 @@ type roundReply struct {
 //  1. ask one node per partition for values + proofs + certified header,
 //  2. verify authenticity (certificate, Merkle proofs, freshness),
 //  3. check every cross-partition dependency V_i[j] <= LCE_j,
-//  4. if violated, ask partition j for the state covering the dependency
-//     and re-verify; no third round is ever needed.
+//  4. if violated, ask partition j for the state covering the dependency,
+//     re-verify, and check again, until no dependency is violated (at
+//     most maxRORounds rounds; see ROResult.Rounds).
 func (c *Client) ReadOnly(keys []string) (*ROResult, error) {
 	return c.readOnly(keys, nil, nil)
 }

@@ -173,7 +173,7 @@ func TestParkedRequestExpires(t *testing.T) {
 	select {
 	case r := <-replyTo:
 		if r.Err == "" {
-			t.Fatalf("expected an error reply, got batch %d", r.BatchID)
+			t.Fatalf("expected an error reply, got batch %d", r.Header.ID)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked request never expired")

@@ -57,25 +57,26 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 				if got := n.cfg.GenesisHeader.MerkleRoot; got != want[c].Root() {
 					t.Fatalf("%v: certified genesis root is not the Insert oracle's", id)
 				}
-				if n.curTree.Root() != n.cfg.GenesisHeader.MerkleRoot || n.trees[0] != n.curTree {
+				own := n.log.last().tree
+				if own.Root() != n.cfg.GenesisHeader.MerkleRoot {
 					t.Fatalf("%v: replica's tree does not reproduce the certified root", id)
 				}
-				if n.curTree.Len() != want[c].Len() || n.st.Keys() != want[c].Len() {
-					t.Fatalf("%v: %d leaves, %d stored keys, want %d", id, n.curTree.Len(), n.st.Keys(), want[c].Len())
+				if own.Len() != want[c].Len() || n.st.Keys() != want[c].Len() {
+					t.Fatalf("%v: %d leaves, %d stored keys, want %d", id, own.Len(), n.st.Keys(), want[c].Len())
 				}
 				if n.cfg.InitialData != nil || sys.nodeCfgs[id].InitialData != nil {
 					t.Fatalf("%v: the genesis share outlives the boot (node %d keys, restart config %d keys)",
 						id, len(n.cfg.InitialData), len(sys.nodeCfgs[id].InitialData))
 				}
-				if other, dup := seen[n.curTree]; dup {
+				if other, dup := seen[own]; dup {
 					t.Fatalf("%v shares its tree with %v", id, other)
 				}
 				for tree, other := range seen {
-					if n.curTree.SharesArena(tree) {
+					if own.SharesArena(tree) {
 						t.Fatalf("%v shares its Merkle arena with %v", id, other)
 					}
 				}
-				seen[n.curTree] = id
+				seen[own] = id
 			}
 		}
 	}

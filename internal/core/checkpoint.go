@@ -254,12 +254,6 @@ func (n *Node) maybeStabilize(cs *checkpointState) {
 func (n *Node) truncateBelow(id int64) {
 	dropped := n.log.truncate(id)
 	n.Metrics.LogTruncated += int64(dropped)
-	base := n.log.baseID()
-	for tid := range n.trees {
-		if tid < base {
-			delete(n.trees, tid)
-		}
-	}
 	n.maybeCompactTrees()
 	// Consensus bookkeeping below the stable base — equivocation evidence,
 	// stale pre-prepares, dead instances — can never matter again either.
@@ -283,30 +277,28 @@ func (n *Node) maybeCompactTrees() {
 	if grown := nodes - base; grown <= 0 || grown < base/arenaGrowthLimit {
 		return
 	}
-	versions, ids := n.heldTrees()
-	out := merkle.Compact(versions)
-	n.curTree = out[0]
+	out := merkle.Compact(n.heldTrees())
 	for i, s := range n.spec {
 		s.tree = out[1+i]
 	}
-	for i, id := range ids {
-		n.trees[id] = out[1+len(n.spec)+i]
-	}
+	i := 1 + len(n.spec)
+	n.log.each(func(e *logEntry) {
+		e.tree = out[i]
+		i++
+	})
 }
 
 // heldTrees lists every Merkle version the loop holds: the delivered tip,
-// the speculative chain, then the retained window in the order of ids.
-func (n *Node) heldTrees() (versions []*merkle.Tree, ids []int64) {
-	versions = make([]*merkle.Tree, 0, 1+len(n.spec)+len(n.trees))
-	versions = append(versions, n.curTree)
+// the speculative chain, then the retained window in batch order (which
+// ends at the tip again; Compact maps both to one result).
+func (n *Node) heldTrees() []*merkle.Tree {
+	versions := make([]*merkle.Tree, 0, 1+len(n.spec)+n.log.len())
+	versions = append(versions, n.log.last().tree)
 	for _, s := range n.spec {
 		versions = append(versions, s.tree)
 	}
-	for id, tree := range n.trees {
-		ids = append(ids, id)
-		versions = append(versions, tree)
-	}
-	return versions, ids
+	n.log.each(func(e *logEntry) { versions = append(versions, e.tree) })
+	return versions
 }
 
 // ---- State transfer ----
@@ -586,9 +578,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	n.drainPersister()
 	n.rollbackSpec(0)
 	n.st.ImportAsOf(id, entries)
-	n.curTree = tree
-	n.trees = map[int64]*merkle.Tree{id: tree}
-	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert})
+	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert, tree: tree})
 	n.tip.Store(id)
 	n.pruneCursor, n.pruneBoundary, n.prunedThrough = 0, 0, 0
 

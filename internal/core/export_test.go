@@ -10,8 +10,7 @@ import "transedge/internal/merkle"
 func (n *Node) MerkleArena() (nodes, reachable int) {
 	_, _, newest := n.specTail()
 	nodes, _ = newest.Arena()
-	versions, _ := n.heldTrees()
-	return nodes, merkle.Reachable(versions)
+	return nodes, merkle.Reachable(n.heldTrees())
 }
 
 // SetCheckpointHooks installs the derivation and persister hooks (either

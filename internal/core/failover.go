@@ -195,36 +195,7 @@ func (n *Node) rekindleDistTxns() {
 			if e == nil || e.batch == nil {
 				continue // body pruned; peers must have moved past this group
 			}
-			proof := protocol.PrepareProof{Header: e.header, Cert: e.cert, Prepared: e.batch.Prepared}
-			if dt.rec.CoordCluster == n.cfg.Cluster {
-				dt.isCoord = true
-				if dt.votesByPart == nil {
-					dt.votesByPart = make(map[int32]*protocol.PreparedVote)
-				}
-				if dt.votesByPart[n.cfg.Cluster] == nil {
-					self := protocol.PreparedVote{
-						TxnID: id, FromCluster: n.cfg.Cluster,
-						Vote: protocol.DecisionCommit, Proof: proof,
-					}
-					dt.votesByPart[n.cfg.Cluster] = &self
-				}
-				cp := &protocol.CoordinatorPrepare{TxnID: id, CoordCluster: n.cfg.Cluster, Proof: proof}
-				for _, part := range dt.rec.Txn.Partitions {
-					if part != n.cfg.Cluster {
-						n.cfg.Net.Send(n.self, leaderOf(part), cp)
-					}
-				}
-				n.maybeDecide(dt)
-			} else {
-				n.cfg.Net.Send(n.self, leaderOf(dt.rec.CoordCluster), &protocol.PreparedVote{
-					TxnID: id, FromCluster: n.cfg.Cluster,
-					Vote: protocol.DecisionCommit, Proof: proof,
-				})
-				if d := n.pendingDecisions[id]; d != nil {
-					delete(n.pendingDecisions, id)
-					n.applyDecision(dt, d)
-				}
-			}
+			n.drivePrepared(dt, e)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"transedge/internal/merkle"
@@ -78,21 +79,29 @@ func (n *Node) onCommitRequest(m *protocol.CommitRequest) {
 	n.maybeBuildBatch(false)
 }
 
+// leadOrRelay reports whether this replica leads and handles a 2PC message
+// itself. A follower got the message because its sender addressed a stale
+// leader (the view-0 one): it relays it once to the leader it follows —
+// relayed returns the copy to send, marked Forwarded, and a message that
+// already is a relay is dropped to bound hops — and arms its progress
+// watchdog, since it has now handed the leader work.
+func (n *Node) leadOrRelay(forwarded bool, relayed func() any) bool {
+	if n.IsLeader() {
+		return true
+	}
+	if !forwarded {
+		n.cfg.Net.Send(n.self, n.consensus.LeaderID(), relayed())
+		n.armProgressTimer()
+	}
+	return false
+}
+
 // onCoordinatorPrepare handles step 3→4 of Fig. 3: another cluster asks us
 // to 2PC-prepare a distributed transaction. We verify the coordinator's
 // SMR-log inclusion proof, run conflict detection on our shard's
 // footprint, and either queue a prepare record or vote abort immediately.
 func (n *Node) onCoordinatorPrepare(from NodeID, m *protocol.CoordinatorPrepare) {
-	if !n.IsLeader() {
-		// The sender's view of our leadership is stale (it addresses the
-		// view-0 leader). Relay once to the leader we follow; a relayed
-		// copy that still misses is dropped to bound hops.
-		if !m.Forwarded {
-			fwd := *m
-			fwd.Forwarded = true
-			n.cfg.Net.Send(n.self, n.consensus.LeaderID(), &fwd)
-			n.armProgressTimer()
-		}
+	if !n.leadOrRelay(m.Forwarded, func() any { fwd := *m; fwd.Forwarded = true; return &fwd }) {
 		return
 	}
 	if dt, dup := n.distTxns[m.TxnID]; dup {
@@ -102,33 +111,17 @@ func (n *Node) onCoordinatorPrepare(from NodeID, m *protocol.CoordinatorPrepare)
 		if dt.rec.CoordCluster == m.CoordCluster && dt.prepareBatch >= 0 &&
 			dt.decision == protocol.DecisionPending && !dt.isCoord {
 			if e := n.log.get(dt.prepareBatch); e != nil && e.batch != nil {
-				n.cfg.Net.Send(n.self, leaderOf(m.CoordCluster), &protocol.PreparedVote{
-					TxnID: m.TxnID, FromCluster: n.cfg.Cluster,
-					Vote: protocol.DecisionCommit,
-					Proof: protocol.PrepareProof{
-						Header: e.header, Cert: e.cert, Prepared: e.batch.Prepared,
-					},
-				})
+				n.drivePrepared(dt, e)
 			}
 		}
 		return
 	}
-	if !n.verifyHeaderCert(&m.Proof.Header, m.Proof.Cert) ||
-		m.Proof.Header.Cluster != m.CoordCluster {
+	// The proven record must be one the sending cluster coordinates: a
+	// participant's prepare record relayed as a coordinator's would park
+	// our vote with a cluster that never decides.
+	rec, err := n.provenPrepare(&m.Proof, m.CoordCluster, m.TxnID)
+	if err != nil || rec.CoordCluster != m.CoordCluster {
 		return // unauthentic prepare: drop silently
-	}
-	if protocol.PreparedSectionDigest(m.Proof.Prepared) != m.Proof.Header.PreparedDigest {
-		return
-	}
-	var rec *protocol.PrepareRecord
-	for i := range m.Proof.Prepared {
-		if m.Proof.Prepared[i].Txn.ID == m.TxnID {
-			rec = &m.Proof.Prepared[i]
-			break
-		}
-	}
-	if rec == nil {
-		return
 	}
 	t := rec.Txn
 	reads, writes := n.localReads(&t), n.localWrites(&t)
@@ -150,13 +143,7 @@ func (n *Node) onCoordinatorPrepare(from NodeID, m *protocol.CoordinatorPrepare)
 // onPreparedVote handles step 5 of Fig. 3 at the coordinator: collect one
 // vote per participant; once all partitions voted, decide and distribute.
 func (n *Node) onPreparedVote(from NodeID, m *protocol.PreparedVote) {
-	if !n.IsLeader() {
-		if !m.Forwarded {
-			fwd := *m
-			fwd.Forwarded = true
-			n.cfg.Net.Send(n.self, n.consensus.LeaderID(), &fwd)
-			n.armProgressTimer()
-		}
+	if !n.leadOrRelay(m.Forwarded, func() any { fwd := *m; fwd.Forwarded = true; return &fwd }) {
 		return
 	}
 	dt := n.distTxns[m.TxnID]
@@ -189,25 +176,85 @@ func (n *Node) onPreparedVote(from NodeID, m *protocol.PreparedVote) {
 	n.maybeDecide(dt)
 }
 
-// validVote checks a commit vote's proof: certified header, intact
-// prepared segment, and the prepared transaction matching ours bit for
-// bit.
+// validVote checks a commit vote's proof (see provenPrepare) and that the
+// prepared transaction matches ours bit for bit.
 func (n *Node) validVote(v *protocol.PreparedVote, want *protocol.Transaction) bool {
-	if v.Proof.Header.Cluster != v.FromCluster {
-		return false
+	rec, err := n.provenPrepare(&v.Proof, v.FromCluster, v.TxnID)
+	return err == nil && protocol.TransactionDigest(&rec.Txn) == protocol.TransactionDigest(want)
+}
+
+// Prepare-proof failures, worded for the batch evidence check that
+// reports them (validateBatch); the 2PC handlers drop the message.
+var (
+	errProofInvalid  = errors.New("coordinator proof invalid")
+	errProofTampered = errors.New("evidence segment tampered")
+	errProofMissing  = errors.New("not in coordinator evidence")
+)
+
+// provenPrepare checks a prepare proof — the SMR-log inclusion proof of
+// Sec. 3.3.2/3.3.3 that a CoordinatorPrepare, a PreparedVote and a
+// foreign-coordinated prepare record's batch evidence carry — and returns
+// the record it proves for id: the header must be cluster's and carry its
+// f+1 certificate, the shipped prepared segment must be the one the header
+// commits to, and the segment must hold id. Whether the record is the one
+// expected is the caller's check.
+func (n *Node) provenPrepare(p *protocol.PrepareProof, cluster int32, id protocol.TxnID) (*protocol.PrepareRecord, error) {
+	if p.Header.Cluster != cluster || !n.verifyHeaderCert(&p.Header, p.Cert) {
+		return nil, errProofInvalid
 	}
-	if !n.verifyHeaderCert(&v.Proof.Header, v.Proof.Cert) {
-		return false
+	if protocol.PreparedSectionDigest(p.Prepared) != p.Header.PreparedDigest {
+		return nil, errProofTampered
 	}
-	if protocol.PreparedSectionDigest(v.Proof.Prepared) != v.Proof.Header.PreparedDigest {
-		return false
-	}
-	for i := range v.Proof.Prepared {
-		if v.Proof.Prepared[i].Txn.ID == v.TxnID {
-			return protocol.TransactionDigest(&v.Proof.Prepared[i].Txn) == protocol.TransactionDigest(want)
+	for i := range p.Prepared {
+		if p.Prepared[i].Txn.ID == id {
+			return &p.Prepared[i], nil
 		}
 	}
-	return false
+	return nil, errProofMissing
+}
+
+// drivePrepared sends the 2PC messages a durable, undecided prepare record
+// owes; e is the log entry of its prepare batch, whose header, certificate
+// and prepared segment prove the record. As coordinator (step 3 of
+// Fig. 3) it records our own implicit commit vote and asks every other
+// participant to prepare; as participant (step 5) it sends our certified
+// vote to the coordinator and applies any decision that raced ahead.
+// Delivery drives each record once; a new leader drives every undecided
+// one again, since a crashed leader's sends are not in the log, and a
+// participant re-sends its vote to a coordinator that asks again.
+// Receivers deduplicate.
+func (n *Node) drivePrepared(dt *distTxn, e *logEntry) {
+	id := dt.rec.Txn.ID
+	proof := protocol.PrepareProof{Header: e.header, Cert: e.cert, Prepared: e.batch.Prepared}
+	if dt.rec.CoordCluster != n.cfg.Cluster {
+		n.cfg.Net.Send(n.self, leaderOf(dt.rec.CoordCluster), &protocol.PreparedVote{
+			TxnID: id, FromCluster: n.cfg.Cluster,
+			Vote: protocol.DecisionCommit, Proof: proof,
+		})
+		if d := n.pendingDecisions[id]; d != nil {
+			delete(n.pendingDecisions, id)
+			n.applyDecision(dt, d)
+		}
+		return
+	}
+	// The coordinator fields are lazily initialized: a leader that took
+	// over through a view change inherits records created on the bare
+	// follower path.
+	dt.isCoord = true
+	if dt.votesByPart == nil {
+		dt.votesByPart = make(map[int32]*protocol.PreparedVote)
+	}
+	dt.votesByPart[n.cfg.Cluster] = &protocol.PreparedVote{
+		TxnID: id, FromCluster: n.cfg.Cluster,
+		Vote: protocol.DecisionCommit, Proof: proof,
+	}
+	cp := &protocol.CoordinatorPrepare{TxnID: id, CoordCluster: n.cfg.Cluster, Proof: proof}
+	for _, part := range dt.rec.Txn.Partitions {
+		if part != n.cfg.Cluster {
+			n.cfg.Net.Send(n.self, leaderOf(part), cp)
+		}
+	}
+	n.maybeDecide(dt)
 }
 
 // maybeDecide finalizes 2PC once every accessed partition has voted: the
@@ -252,13 +299,7 @@ func (n *Node) maybeDecide(dt *distTxn) {
 // the coordinator's decision against the vote evidence and mark the
 // transaction decided inside its prepare group.
 func (n *Node) onCommitDecision(from NodeID, m *protocol.CommitDecision) {
-	if !n.IsLeader() {
-		if !m.Forwarded {
-			fwd := *m
-			fwd.Forwarded = true
-			n.cfg.Net.Send(n.self, n.consensus.LeaderID(), &fwd)
-			n.armProgressTimer()
-		}
+	if !n.leadOrRelay(m.Forwarded, func() any { fwd := *m; fwd.Forwarded = true; return &fwd }) {
 		return
 	}
 	dt := n.distTxns[m.TxnID]
@@ -270,7 +311,10 @@ func (n *Node) onCommitDecision(from NodeID, m *protocol.CommitDecision) {
 	if dt.decision != protocol.DecisionPending {
 		return
 	}
-	if !n.decisionJustified(m, &dt.rec.Txn) {
+	// A commit needs a verified positive vote from every accessed
+	// partition; an abort needs at least one abort vote (an unjustified
+	// abort is a liveness, not a safety, failure — see DESIGN.md).
+	if !n.justified(m.Decision, m.Votes, &dt.rec.Txn) {
 		return
 	}
 	if dt.prepareBatch < 0 {
@@ -279,14 +323,6 @@ func (n *Node) onCommitDecision(from NodeID, m *protocol.CommitDecision) {
 		return
 	}
 	n.applyDecision(dt, m)
-}
-
-// decisionJustified validates a coordinator's verdict: a commit needs a
-// verified positive vote from every accessed partition; an abort needs at
-// least one abort vote (an unjustified abort is a liveness, not a safety,
-// failure — see DESIGN.md).
-func (n *Node) decisionJustified(m *protocol.CommitDecision, txn *protocol.Transaction) bool {
-	return n.justified(m.Decision, m.Votes, txn)
 }
 
 func (n *Node) applyDecision(dt *distTxn, m *protocol.CommitDecision) {
@@ -323,7 +359,7 @@ func (n *Node) specTail() (protocol.BatchHeader, protocol.Digest, *merkle.Tree) 
 		return s.header, s.digest, s.tree
 	}
 	e := n.log.last()
-	return e.header, e.digest, n.curTree
+	return e.header, e.digest, e.tree
 }
 
 // specGroupsConsumed counts the open prepare groups already committed by

@@ -63,12 +63,10 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 
 	// Install the Merkle version computed speculatively at proposal
 	// (leader) or validation (followers) time.
-	if specTree != nil {
-		n.curTree = specTree
-	} else {
-		n.curTree = n.applyBatchToTree(n.curTree, b)
+	entry.tree = specTree
+	if specTree == nil {
+		entry.tree = n.applyBatchToTree(n.log.last().tree, b)
 	}
-	n.trees[b.ID] = n.curTree
 	n.log.append(entry)
 	n.tip.Store(b.ID)
 	n.Metrics.BatchesCommitted++
@@ -95,7 +93,6 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 	// (leader) emit the 2PC messages that were gated on durability.
 	if len(b.Prepared) > 0 {
 		g := &group{prepareBatch: b.ID}
-		proof := protocol.PrepareProof{Header: entry.header, Cert: entry.cert, Prepared: b.Prepared}
 		for i := range b.Prepared {
 			rec := b.Prepared[i]
 			id := rec.Txn.ID
@@ -116,44 +113,8 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 			delete(n.pendingEvidence, id)
 			n.releasePending(reads, wr) // moved into the prepared sets
 
-			if !n.IsLeader() {
-				continue
-			}
-
-			if rec.CoordCluster == n.cfg.Cluster {
-				// Step 3: we coordinate — our prepare is durable, so ask
-				// every other participant to prepare, and record our own
-				// implicit positive vote. The coordinator fields are
-				// lazily initialized: a leader that took over through a
-				// view change inherits dt records created on the bare
-				// follower path.
-				dt.isCoord = true
-				if dt.votesByPart == nil {
-					dt.votesByPart = make(map[int32]*protocol.PreparedVote)
-				}
-				self := protocol.PreparedVote{
-					TxnID: id, FromCluster: n.cfg.Cluster,
-					Vote: protocol.DecisionCommit, Proof: proof,
-				}
-				dt.votesByPart[n.cfg.Cluster] = &self
-				cp := &protocol.CoordinatorPrepare{TxnID: id, CoordCluster: n.cfg.Cluster, Proof: proof}
-				for _, part := range rec.Txn.Partitions {
-					if part != n.cfg.Cluster {
-						n.cfg.Net.Send(n.self, leaderOf(part), cp)
-					}
-				}
-				n.maybeDecide(dt)
-			} else {
-				// Step 5: we participate — send our certified vote to the
-				// coordinator, and apply any decision that raced ahead.
-				n.cfg.Net.Send(n.self, leaderOf(rec.CoordCluster), &protocol.PreparedVote{
-					TxnID: id, FromCluster: n.cfg.Cluster,
-					Vote: protocol.DecisionCommit, Proof: proof,
-				})
-				if d := n.pendingDecisions[id]; d != nil {
-					delete(n.pendingDecisions, id)
-					n.applyDecision(dt, d)
-				}
+			if n.IsLeader() {
+				n.drivePrepared(dt, entry)
 			}
 		}
 		n.groups = append(n.groups, g)

@@ -78,13 +78,15 @@ type ROBehavior struct {
 
 // logEntry is one committed batch as retained by a replica: the header,
 // its digest (the certified message — kept so chaining and serving never
-// re-hash the header), the consensus certificate, and the full batch for
-// segment serving.
+// re-hash the header), the consensus certificate, the full batch for
+// segment serving, and the Merkle version after the batch, which read-only
+// snapshots at this batch prove against.
 type logEntry struct {
 	batch  *protocol.Batch
 	header protocol.BatchHeader
 	digest protocol.Digest
 	cert   cryptoutil.Certificate
+	tree   *merkle.Tree
 }
 
 // distTxn tracks one distributed transaction at this node, in both the
@@ -148,8 +150,6 @@ type Node struct {
 	// and must therefore shut down when its loop exits; injected
 	// engines belong to the caller.
 	ownsEngine bool
-	curTree    *merkle.Tree
-	trees      map[int64]*merkle.Tree
 	// log is the retained window of committed batches: everything below
 	// the latest stable checkpoint is truncated (entry 0 starts as
 	// genesis; after a state transfer the base is the installed
@@ -368,7 +368,6 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		st:               engine,
 		ownsEngine:       ownsEngine,
 		readers:          newReadExecutor(0, 0),
-		trees:            make(map[int64]*merkle.Tree),
 		preparedReads:    make(keyRefs),
 		preparedWrites:   make(keyRefs),
 		distTxns:         make(map[protocol.TxnID]*distTxn),
@@ -397,14 +396,13 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 	// system's InitialData (System.RestartReplica).
 	n.st.Load(cfg.InitialData)
 	n.cfg.InitialData = nil
-	n.curTree = tree
-	n.trees[0] = tree
 	genesisDigest := cfg.GenesisHeader.Digest()
 	n.log.init(0, &logEntry{
 		batch:  &protocol.Batch{Cluster: cfg.Cluster, ID: 0, CD: cfg.GenesisHeader.CD.Clone(), LCE: cfg.GenesisHeader.LCE, MerkleRoot: cfg.GenesisHeader.MerkleRoot, Timestamp: cfg.GenesisHeader.Timestamp},
 		header: cfg.GenesisHeader,
 		digest: genesisDigest,
 		cert:   cfg.GenesisCert,
+		tree:   tree,
 	})
 	n.consensus = bft.New(bft.Config{
 		Cluster:       cfg.Cluster,

@@ -153,6 +153,7 @@ func TestPipelineDeliveryRetiresSlot(t *testing.T) {
 		t.Fatalf("spec chain has %d slots, want 1", len(n.spec))
 	}
 
+	specTree := n.spec[0].tree
 	n.onDeliver(protocol.CertifiedBatch{Batch: n.spec[0].batch})
 
 	if len(n.spec) != 0 {
@@ -172,7 +173,7 @@ func TestPipelineDeliveryRetiresSlot(t *testing.T) {
 	if got := n.st.LastWriter("k0"); got != 1 {
 		t.Fatalf("store writer = %d, want 1", got)
 	}
-	if n.curTree != n.trees[1] {
+	if n.log.get(1).tree != specTree {
 		t.Fatal("speculative tree not installed as the delivered version")
 	}
 }

@@ -77,7 +77,7 @@ func (n *Node) resolveROTarget(m *protocol.RORequest) (int64, bool) {
 	target := n.lastBatchID()
 	second := false
 	if m.AsOfLCE >= 0 {
-		target = n.findBatchWithLCE(m.AsOfLCE)
+		target = n.log.searchLCE(m.AsOfLCE)
 		if target < 0 {
 			return 0, false
 		}
@@ -100,21 +100,13 @@ func (n *Node) resolveROTarget(m *protocol.RORequest) (int64, bool) {
 	return target, true
 }
 
-// findBatchWithLCE returns the earliest retained batch whose LCE is at
-// least p, or -1 if no such batch has committed yet. LCE is monotone
-// over the log, so binary search applies; a dependency satisfied only by
-// a truncated prefix resolves to the window base, which is at least as
-// new and therefore still dependency-satisfying.
-func (n *Node) findBatchWithLCE(p int64) int64 {
-	return n.log.searchLCE(p)
-}
-
 // roSnapshot is everything an executor needs to answer from one batch's
 // snapshot: the certified header and the Merkle tree version are captured
 // on the event loop, after which they are immutable — the tree is a
-// persistent structure and log entries never change once appended — so
-// executors read them without synchronization. Store versions at batchID
-// are pinned against pruning by the executor's target tracking.
+// persistent structure, and the snapshot holds copies of the log entry's
+// fields, which a later compaction does not touch — so executors read
+// them without synchronization. Store versions at batchID are pinned
+// against pruning by the executor's target tracking.
 type roSnapshot struct {
 	batchID int64
 	header  protocol.BatchHeader
@@ -135,7 +127,7 @@ func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
 		batchID = base
 	}
 	entry := n.log.get(batchID)
-	snap := roSnapshot{batchID: batchID, header: entry.header, cert: entry.cert, tree: n.trees[batchID]}
+	snap := roSnapshot{batchID: batchID, header: entry.header, cert: entry.cert, tree: entry.tree}
 	req := *m
 	task := func() { n.serveROSnapshot(&req, snap) }
 	if !n.readers.trySubmit(batchID, task) {
@@ -151,7 +143,6 @@ func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
 func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 	reply := protocol.ROReply{
 		Cluster: n.cfg.Cluster,
-		BatchID: snap.batchID,
 		Header:  snap.header,
 		Cert:    snap.cert,
 	}

@@ -148,24 +148,13 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 			if ev == nil {
 				return fmt.Errorf("%w: prepare %v lacks coordinator evidence", ErrBadEvidence, rec.Txn.ID)
 			}
-			if ev.Header.Cluster != rec.CoordCluster || !n.verifyHeaderCert(&ev.Header, ev.Cert) {
-				return fmt.Errorf("%w: prepare %v coordinator proof invalid", ErrBadEvidence, rec.Txn.ID)
+			coord, err := n.provenPrepare(ev, rec.CoordCluster, rec.Txn.ID)
+			if err != nil {
+				return fmt.Errorf("%w: prepare %v %v", ErrBadEvidence, rec.Txn.ID, err)
 			}
-			if protocol.PreparedSectionDigest(ev.Prepared) != ev.Header.PreparedDigest {
-				return fmt.Errorf("%w: prepare %v evidence segment tampered", ErrBadEvidence, rec.Txn.ID)
-			}
-			found := false
-			for j := range ev.Prepared {
-				if ev.Prepared[j].Txn.ID == rec.Txn.ID {
-					if protocol.TransactionDigest(&ev.Prepared[j].Txn) != protocol.TransactionDigest(&rec.Txn) {
-						return fmt.Errorf("%w: prepare %v content differs from coordinator's", ErrBadEvidence, rec.Txn.ID)
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%w: prepare %v not in coordinator evidence", ErrBadEvidence, rec.Txn.ID)
+			if coord.CoordCluster != rec.CoordCluster ||
+				protocol.TransactionDigest(&coord.Txn) != protocol.TransactionDigest(&rec.Txn) {
+				return fmt.Errorf("%w: prepare %v content differs from coordinator's", ErrBadEvidence, rec.Txn.ID)
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package protocol
 
 import (
-	"errors"
-	"fmt"
-
 	"transedge/internal/cryptoutil"
 	"transedge/internal/store"
 )
@@ -46,8 +43,9 @@ type StateRequest struct {
 // writer feeds OCC validation after install, so it is covered by the
 // snapshot digest; the value is authenticated separately through the
 // checkpoint header's Merkle root). It is the store's export record
-// itself, so a snapshot travels from ExportAsOf to the wire, the
-// checkpoint file and ImportAsOf without being copied entry by entry.
+// itself, so a snapshot travels from ExportAsOf to the state-transfer
+// reply, the checkpoint file and ImportAsOf without being copied entry
+// by entry.
 type SnapshotEntry = store.KV
 
 // CheckpointGroup is one open prepare group at the checkpoint: the batch
@@ -144,241 +142,4 @@ func CheckpointDigest(cluster int32, batchID int64, headerDigest, snapshotDigest
 	e.digest(snapshotDigest)
 	e.digest(groupsDigest)
 	return cryptoutil.Hash(e.b)
-}
-
-// ---- Canonical encoding round-trips ----
-//
-// The in-process transport ships Go values, but checkpoint votes and
-// state requests are exactly the messages a wire transport would need
-// first (they cross the trust boundary during recovery), so they get
-// canonical encoders AND decoders, property-tested to round-trip.
-
-// dec is the reading counterpart of enc: big-endian integers,
-// length-prefixed bytes, with sticky error state.
-type dec struct {
-	b   []byte
-	err error
-}
-
-var errDecShort = errors.New("protocol: encoding truncated")
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = errDecShort
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
-}
-
-func (d *dec) i32() int32 { return int32(d.u32()) }
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-// field returns the next length-prefixed field as a sub-slice of the
-// input, without copying.
-func (d *dec) field() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		d.err = errDecShort
-		return nil
-	}
-	return d.take(int(n))
-}
-
-func (d *dec) bytes() []byte {
-	b := d.field()
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-// str converts straight from the input: the conversion is the one copy.
-func (d *dec) str() string { return string(d.field()) }
-
-func (d *dec) digest() Digest {
-	var out Digest
-	b := d.take(len(out))
-	if b != nil {
-		copy(out[:], b)
-	}
-	return out
-}
-
-func (d *dec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("protocol: %d trailing bytes after decode", len(d.b))
-	}
-	return nil
-}
-
-// EncodeCheckpoint returns the canonical encoding of c.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	e := enc{b: make([]byte, 0, 4+8+32+4+4+len(c.Sig))}
-	e.i32(c.Cluster)
-	e.i64(c.BatchID)
-	e.digest(c.StateDigest)
-	e.i32(c.Replica)
-	e.bytes(c.Sig)
-	return e.b
-}
-
-// DecodeCheckpoint parses a canonical Checkpoint encoding.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	d := dec{b: b}
-	c := &Checkpoint{
-		Cluster:     d.i32(),
-		BatchID:     d.i64(),
-		StateDigest: d.digest(),
-		Replica:     d.i32(),
-		Sig:         d.bytes(),
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// EncodeStateRequest returns the canonical encoding of r.
-func EncodeStateRequest(r *StateRequest) []byte {
-	e := enc{b: make([]byte, 0, 16)}
-	e.i32(r.From.Cluster)
-	e.i32(r.From.Replica)
-	e.i64(r.HaveBatch)
-	return e.b
-}
-
-// DecodeStateRequest parses a canonical StateRequest encoding.
-func DecodeStateRequest(b []byte) (*StateRequest, error) {
-	d := dec{b: b}
-	r := &StateRequest{}
-	r.From.Cluster = d.i32()
-	r.From.Replica = d.i32()
-	r.HaveBatch = d.i64()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// EncodeSnapshotEntry returns the canonical encoding of one snapshot
-// entry (key, value, writer).
-func EncodeSnapshotEntry(s *SnapshotEntry) []byte {
-	e := enc{b: make([]byte, 0, 16+len(s.Key)+len(s.Value))}
-	e.str(s.Key)
-	e.bytes(s.Value)
-	e.i64(s.Writer)
-	return e.b
-}
-
-// DecodeSnapshotEntry parses a canonical SnapshotEntry encoding.
-func DecodeSnapshotEntry(b []byte) (*SnapshotEntry, error) {
-	d := dec{b: b}
-	s := &SnapshotEntry{Key: d.str(), Value: d.bytes(), Writer: d.i64()}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	if len(s.Value) == 0 {
-		s.Value = nil
-	}
-	return s, nil
-}
-
-// EncodeCheckpointGroup returns the canonical encoding of one open
-// prepare group.
-func EncodeCheckpointGroup(g *CheckpointGroup) []byte {
-	var e enc
-	e.i64(g.PrepareBatch)
-	e.u32(uint32(len(g.Recs)))
-	for i := range g.Recs {
-		e.prepareRecord(&g.Recs[i])
-	}
-	return e.b
-}
-
-// DecodeCheckpointGroup parses a canonical CheckpointGroup encoding.
-func DecodeCheckpointGroup(b []byte) (*CheckpointGroup, error) {
-	d := dec{b: b}
-	g := &CheckpointGroup{PrepareBatch: d.i64()}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		g.Recs = append(g.Recs, d.prepareRecord())
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// txn parses a canonical Transaction encoding (the decoder mirror of
-// enc.txn).
-func (d *dec) txn() Transaction {
-	t := Transaction{ID: TxnID(d.u64())}
-	nr := d.u32()
-	for i := uint32(0); i < nr && d.err == nil; i++ {
-		t.Reads = append(t.Reads, ReadEntry{Key: d.str(), Version: d.i64()})
-	}
-	nw := d.u32()
-	for i := uint32(0); i < nw && d.err == nil; i++ {
-		t.Writes = append(t.Writes, WriteOp{Key: d.str(), Value: d.bytes()})
-	}
-	np := d.u32()
-	for i := uint32(0); i < np && d.err == nil; i++ {
-		t.Partitions = append(t.Partitions, d.i32())
-	}
-	return t
-}
-
-// prepareRecord parses a canonical PrepareRecord encoding.
-func (d *dec) prepareRecord() PrepareRecord {
-	return PrepareRecord{Txn: d.txn(), CoordCluster: d.i32()}
-}
-
-// DecodeTransaction parses a canonical Transaction encoding (the inverse
-// of EncodeTransaction).
-func DecodeTransaction(b []byte) (*Transaction, error) {
-	d := dec{b: b}
-	t := d.txn()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }

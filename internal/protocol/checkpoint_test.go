@@ -5,11 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"transedge/internal/cryptoutil"
 )
 
-// normTxn maps empty write values to nil: the decoder returns nil for
+// normTxn maps empty slices to nil: the decoder returns nil for
 // zero-length fields, so round-trip comparisons normalize first.
 func normTxn(t Transaction) Transaction {
 	out := cloneTxn(t)
@@ -30,32 +28,17 @@ func normTxn(t Transaction) Transaction {
 	return out
 }
 
-func TestCheckpointEncodingRoundTrip(t *testing.T) {
-	f := func(cluster int32, batchID int64, digest [32]byte, replica int32, sig []byte) bool {
-		if len(sig) == 0 {
-			sig = nil
-		}
-		in := &Checkpoint{
-			Cluster: cluster, BatchID: batchID,
-			StateDigest: Digest(digest), Replica: replica, Sig: sig,
-		}
-		out, err := DecodeCheckpoint(EncodeCheckpoint(in))
-		return err == nil && reflect.DeepEqual(in, out)
+// throughCheckpointFile round-trips entries and groups through the
+// checkpoint file payload, the one place they are stored.
+func throughCheckpointFile(t *testing.T, entries []SnapshotEntry, groups []CheckpointGroup) *DurableCheckpoint {
+	t.Helper()
+	c := goldenCheckpoint()
+	c.Entries, c.Groups = entries, groups
+	out, err := decodeDurableCheckpoint(encodeDurableCheckpoint(c, 0))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStateRequestEncodingRoundTrip(t *testing.T) {
-	f := func(cluster, replica int32, have int64) bool {
-		in := &StateRequest{From: cryptoutil.NodeID{Cluster: cluster, Replica: replica}, HaveBatch: have}
-		out, err := DecodeStateRequest(EncodeStateRequest(in))
-		return err == nil && reflect.DeepEqual(in, out)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 func TestSnapshotEntryEncodingRoundTrip(t *testing.T) {
@@ -63,9 +46,8 @@ func TestSnapshotEntryEncodingRoundTrip(t *testing.T) {
 		if len(value) == 0 {
 			value = nil
 		}
-		in := &SnapshotEntry{Key: key, Value: value, Writer: writer}
-		out, err := DecodeSnapshotEntry(EncodeSnapshotEntry(in))
-		return err == nil && reflect.DeepEqual(in, out)
+		in := []SnapshotEntry{{Key: key, Value: value, Writer: writer}}
+		return reflect.DeepEqual(in, throughCheckpointFile(t, in, nil).Entries)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -75,43 +57,44 @@ func TestSnapshotEntryEncodingRoundTrip(t *testing.T) {
 func TestCheckpointGroupEncodingRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
-		in := &CheckpointGroup{PrepareBatch: r.Int63n(1000)}
+		in := CheckpointGroup{PrepareBatch: r.Int63n(1000)}
 		for j := r.Intn(4); j > 0; j-- {
 			in.Recs = append(in.Recs, PrepareRecord{Txn: normTxn(randTxn(r)), CoordCluster: int32(r.Intn(5))})
 		}
-		out, err := DecodeCheckpointGroup(EncodeCheckpointGroup(in))
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(in, out) {
+		out := throughCheckpointFile(t, nil, []CheckpointGroup{in}).Groups
+		if !reflect.DeepEqual([]CheckpointGroup{in}, out) {
 			t.Fatalf("round %d: decoded %+v, want %+v", i, out, in)
 		}
 	}
 }
 
+// TestTransactionEncodingRoundTrip round-trips random transactions through
+// the WAL payload, where a stored transaction is read back.
 func TestTransactionEncodingRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		in := normTxn(randTxn(r))
-		out, err := DecodeTransaction(EncodeTransaction(&in))
+		cb, err := DecodeCertifiedBatch(EncodeCertifiedBatch(&CertifiedBatch{Batch: &Batch{Local: []Transaction{in}}}))
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(&in, out) {
-			t.Fatalf("round %d: decoded %+v, want %+v", i, out, in)
+		if !reflect.DeepEqual(in, cb.Batch.Local[0]) {
+			t.Fatalf("round %d: decoded %+v, want %+v", i, cb.Batch.Local[0], in)
 		}
 	}
 }
 
+// TestDecodeRejectsTruncatedAndTrailing: every strict prefix of a header
+// encoding, and the encoding with a byte appended, fail to decode.
 func TestDecodeRejectsTruncatedAndTrailing(t *testing.T) {
-	c := &Checkpoint{Cluster: 1, BatchID: 64, Replica: 2, Sig: []byte("sig")}
-	b := EncodeCheckpoint(c)
-	for cut := 1; cut < len(b); cut++ {
-		if _, err := DecodeCheckpoint(b[:cut]); err == nil {
+	h := testTipHeader()
+	b := h.Encode()
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := DecodeBatchHeader(b[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeCheckpoint(append(append([]byte(nil), b...), 0)); err == nil {
+	if _, err := DecodeBatchHeader(append(append([]byte(nil), b...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }

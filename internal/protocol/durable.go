@@ -29,51 +29,6 @@ const batchCodecVersion = 1
 // durableCheckpointTag is the domain tag of the checkpoint file payload.
 const durableCheckpointTag = "transedge-durable-checkpoint-v1"
 
-// cd parses a canonical CDVector encoding (the decoder mirror of enc.cd).
-func (d *dec) cd() CDVector {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n)*8 > uint64(len(d.b)) {
-		d.err = errDecShort
-		return nil
-	}
-	v := make(CDVector, 0, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		v = append(v, d.i64())
-	}
-	return v
-}
-
-// commitRecord parses a canonical CommitRecord encoding.
-func (d *dec) commitRecord() CommitRecord {
-	r := CommitRecord{Txn: d.txn(), Decision: Decision(d.u8())}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		r.ReportedCDs = append(r.ReportedCDs, d.cd())
-	}
-	return r
-}
-
-// EncodeCertificate returns the canonical encoding of c (the enc.cert
-// helper from the view-change codecs, exposed for on-disk use).
-func EncodeCertificate(c *cryptoutil.Certificate) []byte {
-	var e enc
-	e.cert(c)
-	return e.b
-}
-
-// DecodeCertificate parses a canonical Certificate encoding.
-func DecodeCertificate(b []byte) (*cryptoutil.Certificate, error) {
-	d := dec{b: b}
-	c := d.cert()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
 // batch appends the canonical on-disk encoding of b (segments and
 // read-only section; no evidence, no memo).
 func (e *enc) batch(b *Batch) {
@@ -131,24 +86,6 @@ func (d *dec) batch() *Batch {
 	return b
 }
 
-// EncodeBatch returns the canonical on-disk encoding of b.
-func EncodeBatch(b *Batch) []byte {
-	var e enc
-	e.batch(b)
-	return e.b
-}
-
-// DecodeBatch parses a canonical on-disk Batch encoding and seals the
-// result.
-func DecodeBatch(buf []byte) (*Batch, error) {
-	d := dec{b: buf}
-	b := d.batch()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return b.Seal(), nil
-}
-
 // EncodeCertifiedBatch returns the canonical WAL record payload for cb:
 // the batch followed by its f+1 consensus certificate.
 func EncodeCertifiedBatch(cb *CertifiedBatch) []byte {
@@ -199,11 +136,6 @@ func certSize(c *cryptoutil.Certificate) int {
 	return n
 }
 
-// EncodeDurableCheckpoint returns the canonical checkpoint-file payload.
-func EncodeDurableCheckpoint(c *DurableCheckpoint) []byte {
-	return encodeDurableCheckpoint(c, 0)
-}
-
 // durableCheckpointFrame is the checkpoint file's frame header: the
 // big-endian IEEE CRC-32 of the payload that follows it.
 const durableCheckpointFrame = 4
@@ -226,7 +158,7 @@ func DecodeDurableCheckpointFile(raw []byte) (*DurableCheckpoint, error) {
 	if binary.BigEndian.Uint32(raw) != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("protocol: durable checkpoint CRC mismatch")
 	}
-	return DecodeDurableCheckpoint(payload)
+	return decodeDurableCheckpoint(payload)
 }
 
 // encodeDurableCheckpoint encodes the payload behind reserve zero bytes
@@ -273,10 +205,10 @@ func encodeDurableCheckpoint(c *DurableCheckpoint, reserve int) []byte {
 	return e.b
 }
 
-// DecodeDurableCheckpoint parses a canonical checkpoint-file payload.
+// decodeDurableCheckpoint parses a canonical checkpoint-file payload.
 // Certificates and the Merkle rebuild are verified by the caller, exactly
 // like a peer state transfer.
-func DecodeDurableCheckpoint(buf []byte) (*DurableCheckpoint, error) {
+func decodeDurableCheckpoint(buf []byte) (*DurableCheckpoint, error) {
 	d := dec{b: buf}
 	if tag := d.take(len(durableCheckpointTag)); d.err == nil && string(tag) != durableCheckpointTag {
 		return nil, fmt.Errorf("protocol: bad durable checkpoint tag")
@@ -313,4 +245,32 @@ func DecodeDurableCheckpoint(buf []byte) (*DurableCheckpoint, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// DecodeBatchHeader parses a canonical BatchHeader encoding (the inverse
+// of BatchHeader.Encode).
+func DecodeBatchHeader(b []byte) (*BatchHeader, error) {
+	d := dec{b: b}
+	if tag := d.take(len(headerTag)); tag == nil || string(tag) != headerTag {
+		return nil, fmt.Errorf("protocol: bad batch header tag")
+	}
+	h := &BatchHeader{
+		Cluster:    d.i32(),
+		ID:         d.i64(),
+		PrevDigest: d.digest(),
+		Timestamp:  d.i64(),
+	}
+	h.LocalDigest = d.digest()
+	h.PreparedDigest = d.digest()
+	h.CommittedDigest = d.digest()
+	nc := d.u32()
+	for i := uint32(0); i < nc && d.err == nil; i++ {
+		h.CD = append(h.CD, d.i64())
+	}
+	h.LCE = d.i64()
+	h.MerkleRoot = d.digest()
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return h, nil
 }

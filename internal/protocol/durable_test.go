@@ -66,11 +66,11 @@ func testCert(t *testing.T, cluster int32, msg []byte) (cryptoutil.Certificate, 
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	orig := testBatch().Seal()
-	buf := EncodeBatch(orig)
-	got, err := DecodeBatch(buf)
+	cb, err := DecodeCertifiedBatch(EncodeCertifiedBatch(&CertifiedBatch{Batch: orig}))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	got := cb.Batch
 	// Digest equality is the property recovery depends on: the decoded
 	// batch must reproduce the digest the certificate signs.
 	if got.Digest() != orig.Digest() {
@@ -136,8 +136,7 @@ func TestDurableCheckpointRoundTrip(t *testing.T) {
 			}},
 		}},
 	}
-	buf := EncodeDurableCheckpoint(orig)
-	got, err := DecodeDurableCheckpoint(buf)
+	got, err := decodeDurableCheckpoint(encodeDurableCheckpoint(orig, 0))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -238,7 +237,7 @@ func TestDurableCheckpointGoldenBytes(t *testing.T) {
 		name      string
 		got, want []byte
 	}{
-		{"payload", EncodeDurableCheckpoint(goldenCheckpoint()), want},
+		{"payload", encodeDurableCheckpoint(goldenCheckpoint(), 0), want},
 		{"file", EncodeDurableCheckpointFile(goldenCheckpoint()), file},
 	} {
 		if !bytes.Equal(tc.got, tc.want) {
@@ -252,7 +251,7 @@ func TestDurableCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode file: %v", err)
 	}
-	if !bytes.Equal(EncodeDurableCheckpoint(got), want) {
+	if !bytes.Equal(encodeDurableCheckpoint(got, 0), want) {
 		t.Fatal("file does not decode to the checkpoint it was written from")
 	}
 	for _, damaged := range [][]byte{nil, file[:3], append([]byte{0xc1, 0xeb, 0xad, 0x37}, want...), file[:len(file)-1]} {
@@ -306,14 +305,14 @@ func TestDecodeDurableCheckpointAllocations(t *testing.T) {
 			Writer: int64(i % 64),
 		}
 	}
-	buf := EncodeDurableCheckpoint(c)
+	buf := encodeDurableCheckpoint(c, 0)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := DecodeDurableCheckpoint(buf); err != nil {
+		if _, err := decodeDurableCheckpoint(buf); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2*n+slack {
-		t.Fatalf("DecodeDurableCheckpoint made %.0f allocations for %d entries, want <= %d", allocs, n, 2*n+slack)
+		t.Fatalf("decodeDurableCheckpoint made %.0f allocations for %d entries, want <= %d", allocs, n, 2*n+slack)
 	}
 }
 
@@ -332,13 +331,10 @@ func TestDecodersRejectEveryTruncation(t *testing.T) {
 		buf    []byte
 		decode func([]byte) error
 	}{
-		{"batch", EncodeBatch(b), func(x []byte) error { _, err := DecodeBatch(x); return err }},
 		{"certified", EncodeCertifiedBatch(&CertifiedBatch{Batch: b, Cert: cert}),
 			func(x []byte) error { _, err := DecodeCertifiedBatch(x); return err }},
-		{"checkpoint", EncodeDurableCheckpoint(chk),
-			func(x []byte) error { _, err := DecodeDurableCheckpoint(x); return err }},
-		{"certificate", EncodeCertificate(&cert),
-			func(x []byte) error { _, err := DecodeCertificate(x); return err }},
+		{"checkpoint", encodeDurableCheckpoint(chk, 0),
+			func(x []byte) error { _, err := decodeDurableCheckpoint(x); return err }},
 	}
 	for _, tc := range cases {
 		for cut := 0; cut < len(tc.buf); cut++ {
@@ -354,9 +350,9 @@ func TestDecodersRejectEveryTruncation(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsUnknownVersion(t *testing.T) {
-	buf := EncodeBatch(testBatch().Seal())
+	buf := EncodeCertifiedBatch(&CertifiedBatch{Batch: testBatch().Seal()})
 	buf[0] = 99 // future codec version
-	if _, err := DecodeBatch(buf); err == nil {
+	if _, err := DecodeCertifiedBatch(buf); err == nil {
 		t.Fatal("unknown codec version accepted")
 	}
 }

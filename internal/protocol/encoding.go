@@ -9,6 +9,11 @@ import (
 	"transedge/internal/cryptoutil"
 )
 
+// The canonical binary encoding. Every byte string a replica signs, stores
+// or measures goes through enc; the stored ones (the WAL record and the
+// checkpoint file) are read back through dec. The in-process transport
+// ships Go values, so no other message has a codec.
+
 // enc is an append-only canonical binary encoder. All integers are
 // big-endian and all variable-length fields are length-prefixed, so two
 // logically equal values always serialize to identical bytes.
@@ -40,6 +45,99 @@ func (e *enc) str(v string) {
 	e.b = append(e.b, v...)
 }
 func (e *enc) digest(d Digest) { e.b = append(e.b, d[:]...) }
+
+// dec is the reading counterpart of enc: big-endian integers,
+// length-prefixed bytes, with sticky error state.
+type dec struct {
+	b   []byte
+	err error
+}
+
+var errDecShort = errors.New("protocol: encoding truncated")
+
+func (d *dec) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if len(d.b) < n {
+		d.err = errDecShort
+		return nil
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *dec) u8() uint8 {
+	b := d.take(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
+}
+
+func (d *dec) u32() uint32 {
+	b := d.take(4)
+	if b == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint32(b)
+}
+
+func (d *dec) u64() uint64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint64(b)
+}
+
+func (d *dec) i32() int32 { return int32(d.u32()) }
+func (d *dec) i64() int64 { return int64(d.u64()) }
+
+// field returns the next length-prefixed field as a sub-slice of the
+// input, without copying.
+func (d *dec) field() []byte {
+	n := d.u32()
+	if d.err != nil {
+		return nil
+	}
+	if uint64(n) > uint64(len(d.b)) {
+		d.err = errDecShort
+		return nil
+	}
+	return d.take(int(n))
+}
+
+func (d *dec) bytes() []byte {
+	b := d.field()
+	if b == nil {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// str converts straight from the input: the conversion is the one copy.
+func (d *dec) str() string { return string(d.field()) }
+
+func (d *dec) digest() Digest {
+	var out Digest
+	b := d.take(len(out))
+	if b != nil {
+		copy(out[:], b)
+	}
+	return out
+}
+
+func (d *dec) finish() error {
+	if d.err != nil {
+		return d.err
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("protocol: %d trailing bytes after decode", len(d.b))
+	}
+	return nil
+}
 
 // transactionSize returns the exact canonical encoding length of t, used
 // to pre-size encoder buffers.
@@ -74,6 +172,24 @@ func (e *enc) txn(t *Transaction) {
 	}
 }
 
+// txn parses a canonical Transaction encoding.
+func (d *dec) txn() Transaction {
+	t := Transaction{ID: TxnID(d.u64())}
+	nr := d.u32()
+	for i := uint32(0); i < nr && d.err == nil; i++ {
+		t.Reads = append(t.Reads, ReadEntry{Key: d.str(), Version: d.i64()})
+	}
+	nw := d.u32()
+	for i := uint32(0); i < nw && d.err == nil; i++ {
+		t.Writes = append(t.Writes, WriteOp{Key: d.str(), Value: d.bytes()})
+	}
+	np := d.u32()
+	for i := uint32(0); i < np && d.err == nil; i++ {
+		t.Partitions = append(t.Partitions, d.i32())
+	}
+	return t
+}
+
 // EncodeTransaction returns the canonical encoding of t.
 func EncodeTransaction(t *Transaction) []byte {
 	e := enc{b: make([]byte, 0, transactionSize(t))}
@@ -94,11 +210,21 @@ func (e *enc) cd(v CDVector) {
 	}
 }
 
-// EncodeCDVector returns the canonical encoding of v.
-func EncodeCDVector(v CDVector) []byte {
-	e := enc{b: make([]byte, 0, 4+8*len(v))}
-	e.cd(v)
-	return e.b
+// cd parses a canonical CDVector encoding.
+func (d *dec) cd() CDVector {
+	n := d.u32()
+	if d.err != nil {
+		return nil
+	}
+	if uint64(n)*8 > uint64(len(d.b)) {
+		d.err = errDecShort
+		return nil
+	}
+	v := make(CDVector, 0, n)
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		v = append(v, d.i64())
+	}
+	return v
 }
 
 // prepareRecord appends the canonical encoding of r.
@@ -107,11 +233,9 @@ func (e *enc) prepareRecord(r *PrepareRecord) {
 	e.i32(r.CoordCluster)
 }
 
-// EncodePrepareRecord returns the canonical encoding of r.
-func EncodePrepareRecord(r *PrepareRecord) []byte {
-	e := enc{b: make([]byte, 0, transactionSize(&r.Txn)+4)}
-	e.prepareRecord(r)
-	return e.b
+// prepareRecord parses a canonical PrepareRecord encoding.
+func (d *dec) prepareRecord() PrepareRecord {
+	return PrepareRecord{Txn: d.txn(), CoordCluster: d.i32()}
 }
 
 // commitRecord appends the canonical encoding of r.
@@ -124,11 +248,39 @@ func (e *enc) commitRecord(r *CommitRecord) {
 	}
 }
 
-// EncodeCommitRecord returns the canonical encoding of r.
-func EncodeCommitRecord(r *CommitRecord) []byte {
-	var e enc
-	e.commitRecord(r)
-	return e.b
+// commitRecord parses a canonical CommitRecord encoding.
+func (d *dec) commitRecord() CommitRecord {
+	r := CommitRecord{Txn: d.txn(), Decision: Decision(d.u8())}
+	n := d.u32()
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		r.ReportedCDs = append(r.ReportedCDs, d.cd())
+	}
+	return r
+}
+
+// cert appends the canonical encoding of a certificate.
+func (e *enc) cert(c *cryptoutil.Certificate) {
+	e.i32(c.Cluster)
+	e.u32(uint32(len(c.Signatures)))
+	for _, s := range c.Signatures {
+		e.i32(s.Signer.Cluster)
+		e.i32(s.Signer.Replica)
+		e.bytes(s.Sig)
+	}
+}
+
+// cert parses a canonical certificate encoding.
+func (d *dec) cert() cryptoutil.Certificate {
+	c := cryptoutil.Certificate{Cluster: d.i32()}
+	n := d.u32()
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		var s cryptoutil.Signature
+		s.Signer.Cluster = d.i32()
+		s.Signer.Replica = d.i32()
+		s.Sig = d.bytes()
+		c.Signatures = append(c.Signatures, s)
+	}
+	return c
 }
 
 // Section digests: each batch segment hashes to one digest so that 2PC
@@ -199,12 +351,16 @@ type BatchHeader struct {
 	MerkleRoot Digest
 }
 
+// headerTag is the domain tag leading every canonical BatchHeader
+// encoding.
+const headerTag = "transedge-batch-v1"
+
 // Encode returns the canonical encoding of h.
 func (h *BatchHeader) Encode() []byte {
 	// Fixed-size fields plus the CD vector: domain tag (18) + cluster +
 	// ID + timestamp + LCE (28) + five digests (160) + CD length prefix.
 	e := enc{b: make([]byte, 0, 18+28+5*32+4+8*len(h.CD))}
-	e.b = append(e.b, []byte("transedge-batch-v1")...)
+	e.b = append(e.b, headerTag...)
 	e.i32(h.Cluster)
 	e.i64(h.ID)
 	e.digest(h.PrevDigest)
@@ -275,13 +431,6 @@ type CertifiedBatch struct {
 	Cert  cryptoutil.Certificate
 }
 
-// Proof errors.
-var (
-	ErrProofCert    = errors.New("protocol: batch certificate invalid")
-	ErrProofSection = errors.New("protocol: section does not match header digest")
-	ErrProofMissing = errors.New("protocol: transaction not present in proven section")
-)
-
 // PrepareProof proves that a transaction's prepare record is part of a
 // certified batch of the sending cluster's SMR log: the batch header, the
 // cluster's f+1 certificate over the header digest, and the full prepared
@@ -292,50 +441,4 @@ type PrepareProof struct {
 	Header   BatchHeader
 	Cert     cryptoutil.Certificate
 	Prepared []PrepareRecord
-}
-
-// Verify checks the certificate (threshold signatures over the header
-// digest) and that the prepared segment both matches the header and
-// contains txnID. It returns the matching record.
-func (p *PrepareProof) Verify(ring *cryptoutil.KeyRing, threshold int, txnID TxnID) (*PrepareRecord, error) {
-	d := p.Header.Digest()
-	if err := cryptoutil.VerifyCertificate(ring, p.Cert, d[:], threshold); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProofCert, err)
-	}
-	if PreparedSectionDigest(p.Prepared) != p.Header.PreparedDigest {
-		return nil, ErrProofSection
-	}
-	for i := range p.Prepared {
-		if p.Prepared[i].Txn.ID == txnID {
-			return &p.Prepared[i], nil
-		}
-	}
-	return nil, ErrProofMissing
-}
-
-// CommitProof proves that a commit record for a transaction is part of a
-// certified batch (used when a coordinator distributes its decision,
-// Sec. 3.3.4 step 7).
-type CommitProof struct {
-	Header    BatchHeader
-	Cert      cryptoutil.Certificate
-	Committed []CommitRecord
-}
-
-// Verify checks the certificate and segment binding and returns the commit
-// record for txnID.
-func (p *CommitProof) Verify(ring *cryptoutil.KeyRing, threshold int, txnID TxnID) (*CommitRecord, error) {
-	d := p.Header.Digest()
-	if err := cryptoutil.VerifyCertificate(ring, p.Cert, d[:], threshold); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProofCert, err)
-	}
-	if CommittedSectionDigest(p.Committed) != p.Header.CommittedDigest {
-		return nil, ErrProofSection
-	}
-	for i := range p.Committed {
-		if p.Committed[i].Txn.ID == txnID {
-			return &p.Committed[i], nil
-		}
-	}
-	return nil, ErrProofMissing
 }

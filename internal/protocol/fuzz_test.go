@@ -30,11 +30,13 @@ func fuzzSeeds() [][]byte {
 		Groups:  []CheckpointGroup{{PrepareBatch: 40}},
 	}
 	header := b.Header()
+	payload := EncodeCertifiedBatch(&CertifiedBatch{Batch: b, Cert: cert})
+	batch := payload[:len(payload)-certSize(&cert)]
 	seeds := [][]byte{
-		EncodeBatch(b),
-		EncodeCertifiedBatch(&CertifiedBatch{Batch: b, Cert: cert}),
-		EncodeDurableCheckpoint(chk),
-		EncodeCertificate(&cert),
+		batch,
+		payload,
+		encodeDurableCheckpoint(chk, 0),
+		payload[len(batch):],
 		header.Encode(),
 	}
 	// Damaged variants: truncations and a bit flip of each.
@@ -47,19 +49,22 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzDecodeBatch fuzzes the batch half of the WAL payload parser: the
+// input is completed with an empty certificate (cluster 0, no signatures:
+// eight zero bytes).
 func FuzzDecodeBatch(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(data)
-		if err == nil {
+		payload := append(append([]byte(nil), data...), make([]byte, 8)...)
+		if cb, err := DecodeCertifiedBatch(payload); err == nil {
 			// A successful decode must re-encode to the identical bytes
 			// (the encoding is canonical) and carry a stable digest.
-			if got := EncodeBatch(b); string(got) != string(data) {
+			if got := EncodeCertifiedBatch(cb); string(got) != string(payload) {
 				t.Fatal("accepted encoding is not canonical")
 			}
-			_ = b.Digest()
+			_ = cb.Batch.Digest()
 		}
 	})
 }
@@ -83,21 +88,31 @@ func FuzzDecodeDurableCheckpoint(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeDurableCheckpoint(data)
+		c, err := decodeDurableCheckpoint(data)
 		if err == nil {
-			if got := EncodeDurableCheckpoint(c); string(got) != string(data) {
+			if got := encodeDurableCheckpoint(c, 0); string(got) != string(data) {
 				t.Fatal("accepted encoding is not canonical")
 			}
 		}
 	})
 }
 
+// FuzzDecodeCertificate fuzzes the certificate half of the WAL payload
+// parser: the input follows a valid batch encoding.
 func FuzzDecodeCertificate(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
+	var none cryptoutil.Certificate
+	empty := EncodeCertifiedBatch(&CertifiedBatch{Batch: testBatch(), Cert: none})
+	batch := empty[:len(empty)-certSize(&none)]
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeCertificate(data)
+		payload := append(append([]byte(nil), batch...), data...)
+		if cb, err := DecodeCertifiedBatch(payload); err == nil {
+			if got := EncodeCertifiedBatch(cb); string(got) != string(payload) {
+				t.Fatal("accepted encoding is not canonical")
+			}
+		}
 	})
 }
 

