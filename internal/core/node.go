@@ -32,8 +32,8 @@ type NodeID = cryptoutil.NodeID
 // NodeConfig assembles one replica: the system's configuration narrowed
 // to it, plus what only this replica has. The embedded DataDir is the
 // replica's own subdirectory and InitialData its cluster's share, which
-// the replica drops once it has loaded it; its consensus and read-path
-// fault behaviors are Byzantine[self] and ROByzantine[self].
+// the replica drops once it has loaded it; its consensus fault behavior
+// is Byzantine[self].
 type NodeConfig struct {
 	SystemConfig
 
@@ -56,24 +56,6 @@ type NodeConfig struct {
 	// node does not manage an injected engine's lifecycle — the caller
 	// closes it.
 	Store store.Engine
-}
-
-// ROBehavior injects byzantine behavior into the read-only serving path.
-type ROBehavior struct {
-	// ServeStaleBatch makes the replica always answer read-only requests
-	// from the genesis snapshot (an old-but-consistent snapshot attack;
-	// clients detect it via the freshness timestamp, Sec. 4.4.2).
-	ServeStaleBatch bool
-	// CorruptValues flips served values without fixing proofs; clients
-	// must reject via Merkle verification.
-	CorruptValues bool
-	// CorruptProofs truncates served proofs.
-	CorruptProofs bool
-	// DuplicateOmitKey rewrites the reply to answer one requested key
-	// twice and omit another; the multi-proof still covers every
-	// requested key, so the client's exactly-once coverage check is what
-	// stops the omitted key from silently reading as absent.
-	DuplicateOmitKey bool
 }
 
 // logEntry is one committed batch as retained by a replica: the header,

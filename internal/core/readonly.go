@@ -114,18 +114,10 @@ type roSnapshot struct {
 	tree    *merkle.Tree
 }
 
-// serveRO resolves a read-only request's snapshot on the event loop and
-// hands the key fan-out to the read-executor pool (inline when the pool
-// is saturated, preserving liveness at the seed's behavior).
+// serveRO captures the snapshot resolveROTarget picked on the event loop
+// and hands the key fan-out to the read-executor pool (inline when the
+// pool is saturated, preserving liveness at the seed's behavior).
 func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
-	if n.cfg.ROByzantine[n.self].ServeStaleBatch {
-		// Byzantine: an old-but-consistent snapshot. Clients bound this
-		// with the freshness timestamp (Sec. 4.4.2).
-		batchID = 0
-	}
-	if base := n.log.baseID(); batchID < base {
-		batchID = base
-	}
 	entry := n.log.get(batchID)
 	snap := roSnapshot{batchID: batchID, header: entry.header, cert: entry.cert, tree: entry.tree}
 	req := *m
@@ -146,7 +138,6 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 		Header:  snap.header,
 		Cert:    snap.cert,
 	}
-	bad := n.cfg.ROByzantine[n.self]
 	part := n.cfg.partitioner()
 	// One sharded pass for every local key's value, then one proof for all
 	// keys. local and vals share m.Keys' ascending order, so a cursor maps
@@ -173,11 +164,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
 			continue
 		}
-		value := v.Value
-		if bad.CorruptValues {
-			value = append(append([]byte(nil), value...), 0xff)
-		}
-		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true})
+		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: v.Value, Found: true})
 	}
 	if len(m.Keys) > 0 {
 		// One pruned-subtree proof covers every key — membership and
@@ -190,9 +177,6 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			keys[i] = []byte(k)
 		}
 		if mp, err := snap.tree.ProveMulti(keys); err == nil {
-			if bad.CorruptProofs && len(mp.Nodes) > 0 {
-				mp.Nodes = mp.Nodes[:len(mp.Nodes)-1]
-			}
 			reply.Multi = &mp
 		} else {
 			// Unreachable today (ProveMulti only errors on zero keys,
@@ -201,12 +185,6 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			// surface an explicit server error instead.
 			reply = protocol.ROReply{Cluster: n.cfg.Cluster, Err: "multi-proof: " + err.Error()}
 		}
-	}
-	if bad.DuplicateOmitKey && len(reply.Values) >= 2 {
-		// Byzantine: answer the first key twice and omit the last, which
-		// a client enforcing exactly-once key coverage rejects before it
-		// checks the proof.
-		reply.Values[len(reply.Values)-1] = reply.Values[0]
 	}
 	atomic.AddInt64(&n.Metrics.ROServed, 1)
 	select {

@@ -144,81 +144,6 @@ func TestCDVectorsTrackDependencies(t *testing.T) {
 	}
 }
 
-func TestByzantineROServerCorruptValuesDetected(t *testing.T) {
-	sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-		cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
-			{Cluster: 0, Replica: 0}: {CorruptValues: true},
-		}
-	})
-	c := testClient(sys, 1)
-	ks := keysOn(sys, 0, 2)
-	_, err := c.ReadOnly(ks)
-	if !errors.Is(err, client.ErrVerification) {
-		t.Fatalf("err = %v, want ErrVerification", err)
-	}
-}
-
-func TestByzantineROServerCorruptProofsDetected(t *testing.T) {
-	sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-		cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
-			{Cluster: 0, Replica: 0}: {CorruptProofs: true},
-		}
-	})
-	c := testClient(sys, 1)
-	ks := keysOn(sys, 0, 2)
-	_, err := c.ReadOnly(ks)
-	if !errors.Is(err, client.ErrVerification) {
-		t.Fatalf("err = %v, want ErrVerification", err)
-	}
-}
-
-// TestByzantineRODuplicateOmitKeyDetected: a server that answers one
-// requested key twice (each copy validly proven) while omitting another
-// must be rejected — otherwise the omitted key would silently read as
-// absent.
-func TestByzantineRODuplicateOmitKeyDetected(t *testing.T) {
-	t.Run("multiproof", func(t *testing.T) {
-		sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-			cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
-				{Cluster: 0, Replica: 0}: {DuplicateOmitKey: true},
-			}
-		})
-		c := testClient(sys, 1)
-		ks := keysOn(sys, 0, 2)
-		_, err := c.ReadOnly(ks)
-		if !errors.Is(err, client.ErrVerification) {
-			t.Fatalf("err = %v, want ErrVerification", err)
-		}
-	})
-}
-
-func TestByzantineStaleSnapshotDetectedWithFreshnessBound(t *testing.T) {
-	sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-		cfg.ROByzantine = map[core.NodeID]core.ROBehavior{
-			{Cluster: 0, Replica: 0}: {ServeStaleBatch: true},
-		}
-	})
-	// Age the genesis snapshot past the staleness bound.
-	time.Sleep(120 * time.Millisecond)
-
-	strict := client.New(client.Config{
-		ID: 1, Net: sys.Net, Ring: sys.Ring, Part: sys.Part,
-		Clusters: sys.Cfg.Clusters, Timeout: 5 * time.Second,
-		MaxStaleness: 100 * time.Millisecond,
-	})
-	ks := keysOn(sys, 0, 1)
-	if _, err := strict.ReadOnly(ks); !errors.Is(err, client.ErrStale) {
-		t.Fatalf("err = %v, want ErrStale", err)
-	}
-
-	// Without a bound the stale-but-consistent snapshot verifies: this is
-	// exactly the freshness limitation the paper concedes in Sec. 4.4.2.
-	lax := testClient(sys, 2)
-	if _, err := lax.ReadOnly(ks); err != nil {
-		t.Fatalf("stale snapshot with valid proofs rejected: %v", err)
-	}
-}
-
 func TestClusterSurvivesByzantineFollowers(t *testing.T) {
 	sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
 		cfg.Byzantine = map[core.NodeID]bft.Behavior{
@@ -292,10 +217,9 @@ func TestReadOnlyAbsentKeysAreProven(t *testing.T) {
 		t.Fatal("absent key returned a value")
 	}
 
-	// A byzantine server claiming absence WITHOUT a proof is rejected:
-	// strip proofs by serving from a node configured to corrupt proofs
-	// is covered elsewhere; here we check the client-side requirement by
-	// direct request manipulation.
+	// The absence is proven, not claimed: a raw request shows the reply's
+	// multi-proof proving it against the certified root. A tampered proof
+	// is the truncated-proof row of TestByzantineFleet.
 	absent := ""
 	for i := 0; absent == ""; i++ {
 		k := fmt.Sprintf("absent-%d", i)

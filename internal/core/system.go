@@ -90,8 +90,6 @@ type SystemConfig struct {
 
 	// Byzantine assigns consensus-level fault behaviors to nodes.
 	Byzantine map[NodeID]bft.Behavior
-	// ROByzantine assigns read-only-path fault behaviors to nodes.
-	ROByzantine map[NodeID]ROBehavior
 }
 
 // DefaultPipelineDepth is how many batches a leader keeps in flight when

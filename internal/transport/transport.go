@@ -45,7 +45,9 @@ type Envelope struct {
 type LatencyFunc func(from, to NodeID) time.Duration
 
 // FilterFunc inspects an envelope before delivery; returning false drops
-// it. Used to simulate silent byzantine nodes and network partitions.
+// it. Used to simulate silent byzantine nodes and network partitions. It
+// runs inside Send and Broadcast, on the sender's goroutine, before the
+// envelope is queued.
 type FilterFunc func(Envelope) bool
 
 // ClusterLatency builds the latency model used throughout the evaluation:
@@ -57,43 +59,6 @@ func ClusterLatency(intra, inter time.Duration) LatencyFunc {
 			return intra
 		}
 		return inter
-	}
-}
-
-// ComposeFilters ANDs drop filters: a message is delivered only if every
-// non-nil filter passes it. Useful to layer a partition on top of an
-// existing byzantine filter without losing either.
-func ComposeFilters(filters ...FilterFunc) FilterFunc {
-	return func(e Envelope) bool {
-		for _, f := range filters {
-			if f != nil && !f(e) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// SilenceOutbound builds an asymmetric partition around one node: its
-// outbound messages to destinations matched by to are dropped while all
-// inbound links stay up — the node keeps hearing a cluster that can no
-// longer hear it (the nastiest shape for a leader, which keeps believing
-// it leads while the rest of the cluster times out on it).
-func SilenceOutbound(node NodeID, to func(NodeID) bool) FilterFunc {
-	return func(e Envelope) bool {
-		return !(e.From == node && to(e.To))
-	}
-}
-
-// SlowLinks wraps a latency model, adding extra delay on every link
-// matched by slow — targeted link degradation rather than a clean cut.
-func SlowLinks(base LatencyFunc, extra time.Duration, slow func(from, to NodeID) bool) LatencyFunc {
-	return func(from, to NodeID) time.Duration {
-		d := base(from, to)
-		if slow(from, to) {
-			d += extra
-		}
-		return d
 	}
 }
 
