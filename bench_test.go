@@ -200,7 +200,8 @@ func BenchmarkStoreMultiGetAsOf(b *testing.B) {
 }
 
 // BenchmarkStoreExportAsOf — the whole-keyspace snapshot that checkpoint
-// derivation, checkpoint persistence and state transfer each take:
+// persistence and state transfer each take (deriving a checkpoint takes
+// none: the Merkle root binds every key's writer):
 // 10 000 keys × 256 B over the default 16 shards, a few hundred of them
 // overwritten since the snapshot so the export also reads history.
 func BenchmarkStoreExportAsOf(b *testing.B) {

@@ -239,7 +239,8 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 				return nil, fmt.Errorf("%w: unrequested or duplicate key %q in reply", ErrVerification, v.Key)
 			}
 			delete(unused, v.Key)
-			answers[i] = merkle.KeyAnswer{Key: []byte(v.Key), Value: v.Value, Found: v.Found}
+			// A found key's leaf commits to its writer as well as its value.
+			answers[i] = merkle.KeyAnswer{Key: []byte(v.Key), Value: protocol.LeafValue(nil, v.Writer, v.Value), Found: v.Found}
 		}
 		if err := merkle.VerifyMulti(r.Header.MerkleRoot, answers, *r.Multi); err != nil {
 			return nil, fmt.Errorf("%w: multi-proof: %v", ErrVerification, err)

@@ -12,6 +12,7 @@ import (
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
+	"transedge/internal/store"
 )
 
 // TestVerifyROAcceptsOnlyMultiProofReplies feeds verifyRO a reply
@@ -131,10 +132,12 @@ func mutateReply(r, other *protocol.ROReply, op, a, b byte) {
 		nodes = r.Multi.Nodes
 	}
 	switch op % 16 {
-	case 0: // flip a bit of a value
+	case 0: // flip a bit of a value, or of its writer batch
 		if len(vals) > 0 {
 			v := &vals[at(a, len(vals))]
-			if len(v.Value) == 0 {
+			if b >= 128 {
+				v.Writer ^= 1 << (b % 64)
+			} else if len(v.Value) == 0 {
 				v.Value = []byte{b}
 			} else {
 				v.Value[at(b, len(v.Value))] ^= 1
@@ -241,12 +244,13 @@ func mutateReply(r, other *protocol.ROReply, op, a, b byte) {
 }
 
 // FuzzVerifyRO checks verifyRO against a byzantine server that may edit
-// any part of an honest reply: values, Found flags, answer keys and their
-// order and repeats, proof nodes, header fields, certificate signatures
-// and signers, and the session floor the client demands. The oracle:
-// verifyRO rejects, or it returns exactly the preloaded values under a
-// header the cluster certified, at a batch at or above the floor. A reply
-// that verified must verify again, to the same result, when re-served
+// any part of an honest reply: values and their writers, Found flags,
+// answer keys and their order and repeats, proof nodes, header fields,
+// certificate signatures and signers, and the session floor the client
+// demands. The oracle: verifyRO rejects, or it returns exactly the
+// preloaded values, written by the genesis batch, under a header the
+// cluster certified, at a batch at or above the floor. A reply that
+// verified must verify again, to the same result, when re-served
 // unchanged, to a fresh client and to the one that cached its certificate.
 // Each input runs on a fresh client, so no certificate memo carries over.
 func FuzzVerifyRO(f *testing.F) {
@@ -286,8 +290,9 @@ func FuzzVerifyRO(f *testing.F) {
 				t.Fatalf("accepted an unrequested or repeated answer for %q", v.Key)
 			}
 			answered[v.Key] = true
-			if v.Found != present || (present && !bytes.Equal(v.Value, want)) {
-				t.Fatalf("accepted %q = %q (found %v), want %q (found %v)", v.Key, v.Value, v.Found, want, present)
+			if v.Found != present || (present && (!bytes.Equal(v.Value, want) || v.Writer != store.GenesisBatch)) {
+				t.Fatalf("accepted %q = %q by batch %d (found %v), want %q by genesis (found %v)",
+					v.Key, v.Value, v.Writer, v.Found, want, present)
 			}
 		}
 		for _, again := range []*Client{c, newClient()} {

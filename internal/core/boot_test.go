@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"transedge/internal/merkle"
+	"transedge/internal/protocol"
+	"transedge/internal/store"
 )
 
 // TestBootIsDeterministicAndSharesNoTree: NewSystem builds its replicas
@@ -41,7 +43,7 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 	}
 	for k, v := range cfg.InitialData {
 		c := first.Part.Of(k)
-		want[c] = want[c].Insert([]byte(k), merkle.HashValue(v))
+		want[c] = want[c].Insert([]byte(k), merkle.HashValue(protocol.LeafValue(nil, store.GenesisBatch, v)))
 	}
 
 	for c := int32(0); c < clusters; c++ {

@@ -12,11 +12,12 @@ import (
 
 // Checkpointing and state transfer (DESIGN.md §6).
 //
-// Every CheckpointInterval batches each replica derives a checkpoint
-// digest from its post-delivery state, signs it, and broadcasts a vote.
-// 2f+1 matching votes establish a *stable checkpoint*: the log window,
-// Merkle versions, and store versions below it are truncated, and a
-// lagging or restarted replica installs the checkpoint wholesale from
+// Every CheckpointInterval batches each replica signs a checkpoint digest
+// over the delivered batch header — whose Merkle root commits to every
+// key's value and writer — and the open prepare groups, and broadcasts a
+// vote. 2f+1 matching votes establish a *stable checkpoint*: the log
+// window, Merkle versions, and store versions below it are truncated, and
+// a lagging or restarted replica installs the checkpoint wholesale from
 // any single (untrusted) peer, verifying every component against the
 // checkpoint and consensus certificates.
 
@@ -31,14 +32,13 @@ type checkpointState struct {
 	headerCert cryptoutil.Certificate
 	groups     []protocol.CheckpointGroup
 	// entries is the store export at id, and stays nil unless this replica
-	// serves a state transfer from the checkpoint: derivation drops its
-	// export once the digest is computed and an install does not keep the
-	// slice it verified. Whichever read executor first serves a request
-	// behind this (stable) checkpoint exports under exportOnce; later ones
-	// share the slice, and it is freed with the checkpoint when the next
-	// one turns stable. The loop never reads it. Versions visible at a
-	// stable checkpoint are immutable and prune-clamped, so the late
-	// export equals the one the digest was derived from.
+	// serves a state transfer from the checkpoint: neither deriving a
+	// checkpoint nor installing one keeps a copy of the keyspace. Whichever
+	// read executor first serves a request behind this (stable) checkpoint
+	// exports under exportOnce; later ones share the slice, and it is freed
+	// with the checkpoint when the next one turns stable. The loop never
+	// reads it. Versions visible at a stable checkpoint are immutable and
+	// prune-clamped, so the export reproduces the certified Merkle root.
 	exportOnce sync.Once
 	entries    []protocol.SnapshotEntry
 	votes      map[int32][]byte // replica -> verified signature over digest
@@ -69,87 +69,48 @@ func (n *Node) openGroups() []protocol.CheckpointGroup {
 	return out
 }
 
-// maybeCheckpoint runs after delivering batch id: at every checkpoint
-// interval it starts deriving this replica's checkpoint. The loop
-// captures what only it may read — the log entry and the open prepare
-// groups, as of this delivery — and a read executor pays the O(keys)
-// export and digest, pinned at id so the pruner keeps every version the
-// export must see. The derived state is still a function of the certified
-// prefix alone: versions at or below a delivered batch never change, so
-// the export reads the same content whenever it runs.
-func (n *Node) maybeCheckpoint(id int64) {
-	if id%int64(n.cfg.CheckpointInterval) != 0 || id == 0 {
+// maybeCheckpoint runs on the loop after delivering e: at every
+// checkpoint interval it derives this replica's checkpoint, signs it,
+// votes, and replays the votes peers sent before it got here. The digest
+// covers the delivered header and the open prepare groups as of this
+// delivery, so it costs O(groups) and no store export.
+func (n *Node) maybeCheckpoint(e *logEntry) {
+	id := e.header.ID
+	// Not during state-transfer replay: every interval the suffix crosses
+	// would otherwise broadcast votes for checkpoints the live peers are
+	// already past (they discard them as stale, and no quorum can ever
+	// form). The gate is the replay flag, NOT the broader syncing flag:
+	// live deliveries must keep checkpointing even while a sync is
+	// pending, or a byzantine peer whose forged sequence numbers keep the
+	// lagging signal lit could suppress checkpoint formation cluster-wide.
+	if id%int64(n.cfg.CheckpointInterval) != 0 || id == 0 || n.replaying {
 		return
 	}
-	// Not during state-transfer replay: every interval the suffix
-	// crosses would otherwise pay a full store scan and broadcast votes
-	// for checkpoints the live peers are already past (they discard them
-	// as stale, and no quorum can ever form). The gate is the replay
-	// flag, NOT the broader syncing flag: live deliveries must keep
-	// checkpointing even while a sync is pending, or a byzantine peer
-	// whose forged sequence numbers keep the lagging signal lit could
-	// suppress checkpoint formation cluster-wide.
-	if n.replaying {
-		return
-	}
-	entry := n.log.get(id)
-	if entry == nil {
-		return
-	}
+	groups := n.openGroups()
 	cs := &checkpointState{
 		id:         id,
-		header:     entry.header,
-		headerCert: entry.cert,
-		groups:     n.openGroups(),
+		digest:     protocol.CheckpointDigest(n.cfg.Cluster, id, e.digest, protocol.GroupsDigest(groups)),
+		header:     e.header,
+		headerCert: e.cert,
+		groups:     groups,
 		votes:      map[int32][]byte{},
-	}
-	headerDigest := entry.digest
-	derive := func() {
-		cs.digest = protocol.CheckpointDigest(n.cfg.Cluster, id, headerDigest,
-			protocol.SnapshotDigest(n.st.ExportAsOf(id)), protocol.GroupsDigest(cs.groups))
-		if n.hookDerived != nil {
-			n.hookDerived(id)
-		}
-	}
-	if n.readers.trySubmit(id, func() {
-		derive()
-		select {
-		case n.chkDerived <- cs:
-		case <-n.stop: // the loop is gone; nobody votes for this one
-		}
-	}) {
-		return
-	}
-	derive()
-	n.onCheckpointDerived(cs)
-}
-
-// onCheckpointDerived (loop) adopts a derived checkpoint: sign it, vote,
-// and replay the votes peers sent while it was being derived. A result
-// the log has moved past — an install or a truncation replaced the state
-// it describes, or a newer derivation finished first — is dropped: no
-// quorum this replica could still use can form for it.
-func (n *Node) onCheckpointDerived(cs *checkpointState) {
-	if n.log.get(cs.id) == nil ||
-		(n.stable != nil && cs.id <= n.stable.id) || (n.chk != nil && cs.id <= n.chk.id) {
-		return
 	}
 	n.chk = cs
 
 	sig := n.cfg.Keys.Sign(cs.digest[:])
 	cs.votes[n.cfg.Replica] = sig
 	n.cfg.Net.Broadcast(n.self, n.peers, &protocol.Checkpoint{
-		Cluster: n.cfg.Cluster, BatchID: cs.id,
+		Cluster: n.cfg.Cluster, BatchID: id,
 		StateDigest: cs.digest, Replica: n.cfg.Replica, Sig: sig,
 	})
 
 	// Replay buffered votes for this checkpoint; drop buffers at or
 	// below it (they can never become relevant again).
 	for bid, votes := range n.chkVotes {
-		if bid > cs.id {
+		if bid > id {
 			continue
 		}
-		if bid == cs.id {
+		if bid == id {
 			for _, v := range votes {
 				n.recordChkVote(cs, v)
 			}
@@ -522,10 +483,10 @@ func (n *Node) installCheckpoint(m *protocol.StateResponse) error {
 //  1. the f+1 consensus certificate authenticates the batch header
 //     (Merkle root, CD vector, LCE) at the checkpoint position;
 //  2. the 2f+1 checkpoint certificate authenticates the state digest,
-//     which binds the header digest, every key's writer batch, and the
-//     open prepare groups;
+//     which binds the header digest and the open prepare groups;
 //  3. rebuilding the Merkle tree from the shipped entries must
-//     reproduce the certified root, authenticating the values.
+//     reproduce the certified root, authenticating every key's value
+//     and writer batch.
 //
 // Only after every check passes is any local state touched. Both sources
 // of checkpoints — a peer's StateResponse and the local checkpoint file
@@ -553,17 +514,15 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 			return errSync("groups out of order")
 		}
 	}
-	digest := protocol.CheckpointDigest(n.cfg.Cluster, id, headerDigest,
-		protocol.SnapshotDigest(entries), protocol.GroupsDigest(groups))
+	digest := protocol.CheckpointDigest(n.cfg.Cluster, id, headerDigest, protocol.GroupsDigest(groups))
 	if err := cryptoutil.VerifyCertificate(n.cfg.Ring, cert, digest[:], n.chkQuorum()); err != nil {
 		return errSync("checkpoint certificate: %v", err)
 	}
 	ups := make([]merkle.Update, len(entries))
+	var leaf []byte
 	for i := range entries {
-		ups[i] = merkle.Update{
-			KeyHash: merkle.HashKey([]byte(entries[i].Key)),
-			ValHash: merkle.HashValue(entries[i].Value),
-		}
+		leaf = protocol.LeafValue(leaf[:0], entries[i].Writer, entries[i].Value)
+		ups[i] = merkle.Update{KeyHash: merkle.HashKey([]byte(entries[i].Key)), ValHash: merkle.HashValue(leaf)}
 	}
 	tree := merkle.Build(ups)
 	if tree.Root() != h.MerkleRoot {

@@ -15,9 +15,10 @@ import (
 	"transedge/internal/transport"
 )
 
-// Checkpoints off the consensus loop (DESIGN.md §6, §8): derivation runs
-// on a read executor, persistence on the persister goroutine, and no
-// checkpoint retains a copy of the keyspace unless it serves a transfer.
+// Checkpoints off the consensus loop (DESIGN.md §6, §8): persistence runs
+// on the persister goroutine, a state transfer's export on a read
+// executor, and no checkpoint retains a copy of the keyspace unless it
+// serves a transfer.
 
 // waitFor polls cond until it holds or the deadline passes, running step
 // (if any) between polls to keep the cluster moving.
@@ -150,7 +151,7 @@ func TestEventLoopNeverBlocksOnCheckpoint(t *testing.T) {
 	sys := core.NewSystem(durableConfig(t.TempDir(), 100))
 	var persisting atomic.Int32
 	for r := int32(0); r < 4; r++ {
-		sys.Node(core.NodeID{Cluster: 0, Replica: r}).SetCheckpointHooks(nil, func(int64) {
+		sys.Node(core.NodeID{Cluster: 0, Replica: r}).SetPersistHook(func(int64) {
 			persisting.Add(1)
 			time.Sleep(hold)
 			persisting.Add(-1)
@@ -234,7 +235,7 @@ func TestRestartDuringCheckpointPersist(t *testing.T) {
 		persists []int64
 	)
 	held, release := make(chan struct{}), make(chan struct{})
-	sys.Node(victim).SetCheckpointHooks(nil, func(id int64) {
+	sys.Node(victim).SetPersistHook(func(id int64) {
 		mu.Lock()
 		persists = append(persists, id)
 		second := len(persists) == 2
@@ -336,7 +337,7 @@ func TestInstalledCheckpointIsDurableBeforeItsSuffix(t *testing.T) {
 	var cutTip, installed, tipAtPersist atomic.Int64
 	cutTip.Store(-1)
 	installed.Store(-1)
-	sys.Node(victim).SetCheckpointHooks(nil, func(id int64) {
+	sys.Node(victim).SetPersistHook(func(id int64) {
 		if at := cutTip.Load(); at < 0 || id <= at || !installed.CompareAndSwap(-1, id) {
 			return
 		}
@@ -372,80 +373,5 @@ func TestInstalledCheckpointIsDurableBeforeItsSuffix(t *testing.T) {
 	sys.Stop()
 	if v := sys.Node(victim); v.Metrics.StateTransfers == 0 || v.Metrics.WALErrors != 0 {
 		t.Fatalf("victim: StateTransfers = %d, WALErrors = %d", v.Metrics.StateTransfers, v.Metrics.WALErrors)
-	}
-}
-
-// TestStaleCheckpointDerivationIsDropped: a checkpoint derivation that
-// comes back after a state transfer installed a newer checkpoint describes
-// state the replica no longer has. The loop must drop it — no vote for
-// the stale position, and the replica's derived-checkpoint slot is not
-// set back.
-func TestStaleCheckpointDerivationIsDropped(t *testing.T) {
-	const interval = 4
-	cfg := durableConfig("", 100)
-	cfg.CheckpointInterval = interval
-	sys := core.NewSystem(cfg)
-	victim := core.NodeID{Cluster: 0, Replica: 3}
-	leader := core.NodeID{Cluster: 0, Replica: 0}
-	// One executor on the victim: results reach its loop in submission
-	// order, so any vote it casts after its held derivation is released
-	// proves the loop has already seen the stale result.
-	sys.Node(victim).SetReadExecutors(1)
-
-	held, release := make(chan struct{}), make(chan struct{})
-	sys.Node(victim).SetCheckpointHooks(func(id int64) {
-		if id == interval {
-			close(held)
-			<-release
-		}
-	}, nil)
-	var cut, released atomic.Bool
-	var staleVotes, votesAfterRelease atomic.Int64
-	sys.Net.SetFilter(func(e transport.Envelope) bool {
-		if m, ok := e.Payload.(*protocol.Checkpoint); ok && e.From == victim {
-			if m.BatchID == interval {
-				staleVotes.Add(1)
-			}
-			if released.Load() {
-				votesAfterRelease.Add(1)
-			}
-		}
-		return !(cut.Load() && e.To == victim)
-	})
-	sys.Start()
-	t.Cleanup(sys.Stop)
-
-	c := testClient(sys, 1)
-	keys := keysOn(sys, 0, 8)
-	next := 0
-	commit := func() { commitN(t, c, keys, next, 1); next++ }
-	waitFor(t, "the victim to start deriving its first checkpoint", commit, func() bool { return closed(held) })
-
-	// Cut the victim off until the cluster is far past its buffering
-	// window, then heal: only a state transfer brings it back.
-	cut.Store(true)
-	for i := 0; i < 8*interval; i++ {
-		commit()
-	}
-	cut.Store(false)
-	waitFor(t, "the victim to install a newer checkpoint", commit, func() bool {
-		v := sys.Node(victim)
-		return v.StableCheckpoint() > interval && v.Tip() >= sys.Node(leader).Tip()-1
-	})
-
-	released.Store(true)
-	close(release)
-	waitFor(t, "a fresh vote from the victim", commit, func() bool { return votesAfterRelease.Load() > 0 })
-
-	sys.Stop()
-	v := sys.Node(victim)
-	if v.Metrics.StateTransfers == 0 {
-		t.Fatal("the victim never state-transferred: the derivation was not stale")
-	}
-	if n := staleVotes.Load(); n != 0 {
-		t.Fatalf("the victim sent %d votes for checkpoint %d after installing a newer one", n, interval)
-	}
-	if got := v.Checkpoints(); got.ChkID == interval || got.StableID <= interval {
-		t.Fatalf("victim's checkpoint slots after the stale result: %+v", got)
 	}
 }

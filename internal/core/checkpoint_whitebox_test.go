@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"transedge/internal/cryptoutil"
 	"transedge/internal/protocol"
 	"transedge/internal/store"
 	"transedge/internal/transport"
@@ -88,6 +89,24 @@ func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
 	}
 }
 
+// deliverWrite hands n the next batch as a follower would receive it: one
+// local transaction writing key. The unstarted node's consensus instance
+// never advances, so it cannot propose a batch of its own.
+func deliverWrite(n *Node, seq uint32, key string) {
+	tip := n.log.last().header
+	cd := tip.CD.Clone()
+	cd[0] = tip.ID + 1
+	n.onDeliver(protocol.CertifiedBatch{Batch: &protocol.Batch{
+		Cluster: 0, ID: tip.ID + 1, PrevDigest: tip.Digest(),
+		Timestamp: time.Now().UnixNano(), CD: cd, LCE: tip.LCE,
+		Local: []protocol.Transaction{{
+			ID:         protocol.MakeTxnID(1, seq),
+			Writes:     []protocol.WriteOp{{Key: key, Value: []byte(fmt.Sprintf("v%d", seq))}},
+			Partitions: []int32{0},
+		}},
+	}})
+}
+
 // TestVotingCheckpointClampsPruner: a derived checkpoint keeps no copy of
 // the keyspace, so while it collects votes the store must keep every
 // version visible at it: if it turns stable, the persister and any state
@@ -98,31 +117,8 @@ func TestVotingCheckpointClampsPruner(t *testing.T) {
 	n := newSpecLeader(t, 1, specKeys(8), func(cfg *NodeConfig) {
 		cfg.CheckpointInterval = interval
 	})
-	// Deliveries are hand-built, as a follower would receive them: the
-	// unstarted node's consensus instance never advances, so it cannot
-	// propose a second batch of its own.
-	deliver := func(seq uint32, key string) {
-		tip := n.log.last().header
-		cd := tip.CD.Clone()
-		cd[0] = tip.ID + 1
-		n.onDeliver(protocol.CertifiedBatch{Batch: &protocol.Batch{
-			Cluster: 0, ID: tip.ID + 1, PrevDigest: tip.Digest(),
-			Timestamp: time.Now().UnixNano(), CD: cd, LCE: tip.LCE,
-			Local: []protocol.Transaction{{
-				ID:         protocol.MakeTxnID(1, seq),
-				Writes:     []protocol.WriteOp{{Key: key, Value: []byte(fmt.Sprintf("v%d", seq))}},
-				Partitions: []int32{0},
-			}},
-		}})
-	}
 	for i := uint32(0); i < interval; i++ {
-		deliver(i, "k0")
-	}
-	select {
-	case cs := <-n.chkDerived:
-		n.onCheckpointDerived(cs)
-	case <-time.After(5 * time.Second):
-		t.Fatal("no checkpoint derived at the interval")
+		deliverWrite(n, i, "k0")
 	}
 	if n.chk == nil || n.chk.id != interval || n.chk.stable {
 		t.Fatalf("want a voting checkpoint at %d, have %+v", interval, n.chk)
@@ -131,12 +127,48 @@ func TestVotingCheckpointClampsPruner(t *testing.T) {
 
 	// Overwrite keys past the checkpoint and let the pruner finish passes.
 	for i := uint32(0); i < 3; i++ {
-		deliver(interval+i, fmt.Sprintf("k%d", i))
+		deliverWrite(n, interval+i, fmt.Sprintf("k%d", i))
 		for j := 0; j < 2*n.st.ShardCount(); j++ {
 			n.pruneStoreStep()
 		}
 	}
 	if got := n.st.ExportAsOf(interval); !reflect.DeepEqual(got, want) {
 		t.Fatalf("export at the voting checkpoint changed under pruning: %d entries, want %d", len(got), len(want))
+	}
+}
+
+// TestCheckpointsExportNothing: deriving, voting for and stabilizing
+// checkpoints reads no store export. The digest covers the delivered
+// header and the open groups only, so a replica without a DataDir that
+// nobody asks for state exports its keyspace zero times.
+func TestCheckpointsExportNothing(t *testing.T) {
+	const interval, checkpoints = 4, 3
+	inner, err := store.NewEngine("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &countingEngine{Engine: inner}
+	n := newSpecLeader(t, 1, specKeys(8), func(cfg *NodeConfig) {
+		cfg.CheckpointInterval = interval
+		cfg.Store = eng
+	})
+	for seq := uint32(0); seq < interval*checkpoints; seq++ {
+		deliverWrite(n, seq, fmt.Sprintf("k%d", seq%8))
+		if n.chk == nil || n.chk.stable {
+			continue
+		}
+		// Two peers vote for the same digest: with our own vote, 2f+1.
+		for r := int32(1); r <= 2; r++ {
+			peer := NodeID{Cluster: 0, Replica: r}
+			n.onCheckpoint(peer, &protocol.Checkpoint{Cluster: 0, BatchID: n.chk.id, StateDigest: n.chk.digest,
+				Replica: r, Sig: cryptoutil.DeriveKeyPair(peer, 99).Sign(n.chk.digest[:])})
+		}
+	}
+	if got := n.StableCheckpoint(); got != interval*checkpoints || n.Metrics.CheckpointsStable != checkpoints {
+		t.Fatalf("stable checkpoint %d after %d stabilizations, want %d after %d",
+			got, n.Metrics.CheckpointsStable, interval*checkpoints, checkpoints)
+	}
+	if got := eng.exports.Load(); got != 0 {
+		t.Fatalf("%d stable checkpoints cost %d store exports, want none", checkpoints, got)
 	}
 }

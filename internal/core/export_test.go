@@ -13,18 +13,9 @@ func (n *Node) MerkleArena() (nodes, reachable int) {
 	return nodes, merkle.Reachable(n.heldTrees())
 }
 
-// SetCheckpointHooks installs the derivation and persister hooks (either
-// may be nil). Call before Start.
-func (n *Node) SetCheckpointHooks(derived, persist func(id int64)) {
-	n.hookDerived, n.hookPersist = derived, persist
-}
-
-// SetReadExecutors replaces the node's read-executor pool with one of
-// the given size. Call before Start.
-func (n *Node) SetReadExecutors(workers int) {
-	n.readers.stop()
-	n.readers = newReadExecutor(workers, 0)
-}
+// SetPersistHook installs a hook the persister runs once a checkpoint
+// file image is encoded, before it is written. Call before Start.
+func (n *Node) SetPersistHook(persist func(id int64)) { n.hookPersist = persist }
 
 // VersionCount reports how many versions of key the node's store retains.
 func (n *Node) VersionCount(key string) int { return n.st.VersionCount(key) }

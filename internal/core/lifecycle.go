@@ -159,7 +159,7 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 	}
 
 	n.noteProgress() // a delivery is exactly what the watchdog waits for
-	n.maybeCheckpoint(b.ID)
+	n.maybeCheckpoint(entry)
 	n.serveParked()
 	if n.IsLeader() {
 		n.maybeBuildBatch(false)

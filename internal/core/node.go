@@ -190,9 +190,6 @@ type Node struct {
 	chk      *checkpointState
 	stable   *checkpointState
 	chkVotes map[int64]map[int32]*protocol.Checkpoint
-	// chkDerived hands a checkpoint derived on a read executor back to
-	// the loop, which votes for it (onCheckpointDerived).
-	chkDerived chan *checkpointState
 
 	// State-transfer client state: whether a sync is in flight, its
 	// retry deadline, the peer rotation cursor, and which distinct peers
@@ -231,11 +228,9 @@ type Node struct {
 	persisting  bool
 	persistNext *protocol.DurableCheckpoint
 	persistDone chan persistResult
-	// Test hooks, nil outside tests and set before Start: hookDerived runs
-	// on the deriving goroutine once a checkpoint digest is computed,
-	// before the loop hears of it; hookPersist runs on the persister once
-	// the file image is encoded, before it is written.
-	hookDerived func(id int64)
+	// hookPersist is a test hook, nil outside tests and set before Start:
+	// it runs on the persister once the file image is encoded, before it
+	// is written.
 	hookPersist func(id int64)
 
 	// Leader-progress watchdog (DESIGN.md §7). progressDeadline is when
@@ -360,7 +355,6 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		pendingWrites:    make(keyRefs),
 		waiters:          make(map[protocol.TxnID]chan protocol.CommitReply),
 		chkVotes:         make(map[int64]map[int32]*protocol.Checkpoint),
-		chkDerived:       make(chan *checkpointState),
 		persistDone:      make(chan persistResult, 1),
 		syncHeard:        make(map[int32]bool),
 		stop:             make(chan struct{}),
@@ -467,17 +461,12 @@ func (n *Node) run() {
 	// Drain the read executors before done closes (LIFO), so metrics and
 	// store state are quiescent once Stop returns.
 	defer n.readers.stop()
-	// However the loop ended (Stop, or the network closing the inbox),
-	// executors waiting to hand it a result must learn it is gone.
-	defer n.stopOnce.Do(func() { close(n.stop) })
 	ticker := time.NewTicker(n.cfg.BatchInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
-		case cs := <-n.chkDerived:
-			n.onCheckpointDerived(cs)
 		case r := <-n.persistDone:
 			n.onPersisted(r)
 		case env, ok := <-n.inbox:

@@ -164,7 +164,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			reply.Values = append(reply.Values, protocol.ROValue{Key: k})
 			continue
 		}
-		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: v.Value, Found: true})
+		reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: v.Value, Writer: v.Writer, Found: true})
 	}
 	if len(m.Keys) > 0 {
 		// One pruned-subtree proof covers every key — membership and

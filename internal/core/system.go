@@ -17,6 +17,7 @@ import (
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
+	"transedge/internal/store"
 	"transedge/internal/transport"
 )
 
@@ -98,11 +99,11 @@ const DefaultPipelineDepth = 4
 
 // DefaultCheckpointInterval is the checkpoint spacing when
 // SystemConfig.CheckpointInterval is unset: frequent enough to bound
-// steady-state memory to a modest window, rare enough that the per-
-// checkpoint store export stays a small share of the work. It is not
-// free: in CPU profiles of the benchmark (two Xeon cores), deriving
-// checkpoints took 5 % of rw-local's CPU, and deriving plus persisting
-// them 13 % of durable-failover's (DESIGN.md §5).
+// steady-state memory to a modest window, rare enough that each
+// checkpoint's signatures (one vote signed, 2f verified) and, with
+// a DataDir, its persisted store export stay a small share of the work.
+// Deriving one is an O(groups) digest on the loop: the Merkle root
+// already binds every key's value and writer (DESIGN.md §6).
 const DefaultCheckpointInterval = 64
 
 // batchMaxSize is the pending-transaction count at which the leader
@@ -416,11 +417,15 @@ func (s *System) Leader(cluster int32) NodeID {
 func (s *System) ReplicasPerCluster() int { return s.Cfg.replicas() }
 
 // newTreeFor builds the Merkle tree of an initial data load in one bulk
-// pass (initial loads are the largest tree builds in the system).
+// pass (initial loads are the largest tree builds in the system). Every
+// leaf binds its value to the genesis batch, the writer the store records
+// for the load.
 func newTreeFor(data map[string][]byte) *merkle.Tree {
 	ups := make([]merkle.Update, 0, len(data))
+	var leaf []byte
 	for k, v := range data {
-		ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(k)), ValHash: merkle.HashValue(v)})
+		leaf = protocol.LeafValue(leaf[:0], store.GenesisBatch, v)
+		ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(k)), ValHash: merkle.HashValue(leaf)})
 	}
 	return merkle.Build(ups)
 }

@@ -386,11 +386,14 @@ func (n *Node) justified(decision protocol.Decision, votes []protocol.PreparedVo
 // merged in one bulk pass so each touched trie node hashes exactly once.
 // The updates are listed in write order, and ApplyBulk keeps the last
 // occurrence of a key: later writes of the same key within the batch win.
+// Every leaf names b as its writer, as the store's ApplyAll records it.
 func (n *Node) applyBatchToTree(tree *merkle.Tree, b *protocol.Batch) *merkle.Tree {
 	var ups []merkle.Update
+	var leaf []byte
 	add := func(writes []protocol.WriteOp) {
 		for _, w := range writes {
-			ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(w.Key)), ValHash: merkle.HashValue(w.Value)})
+			leaf = protocol.LeafValue(leaf[:0], b.ID, w.Value)
+			ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(w.Key)), ValHash: merkle.HashValue(leaf)})
 		}
 	}
 	for i := range b.Local {

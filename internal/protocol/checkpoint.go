@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+
 	"transedge/internal/cryptoutil"
 	"transedge/internal/store"
 )
@@ -9,14 +11,14 @@ import (
 // the SMR log; DESIGN.md §6).
 //
 // Every CheckpointInterval batches each replica derives a checkpoint
-// digest from its post-delivery state — the certified batch header (which
-// commits to the Merkle root over all values), the writer batch of every
-// live key, and the open prepare groups — signs it, and broadcasts a
-// Checkpoint vote to its cluster. 2f+1 matching votes form a *stable
-// checkpoint*: proof that a quorum holds this exact state, which lets
-// every replica truncate log entries below it and lets a lagging or
-// restarted replica install the state wholesale from a single untrusted
-// peer (verifying everything against the checkpoint certificate).
+// digest from its post-delivery state — the certified batch header (whose
+// Merkle root commits to every key's value and writer batch) and the open
+// prepare groups — signs it, and broadcasts a Checkpoint vote to its
+// cluster. 2f+1 matching votes form a *stable checkpoint*: proof that a
+// quorum holds this exact state, which lets every replica truncate log
+// entries below it and lets a lagging or restarted replica install the
+// state wholesale from a single untrusted peer (verifying everything
+// against the checkpoint certificate).
 
 // Checkpoint is one replica's signed checkpoint vote, broadcast within
 // the cluster after delivering a checkpoint-interval batch. Sig is the
@@ -40,9 +42,9 @@ type StateRequest struct {
 
 // SnapshotEntry is one key's state in an exported store snapshot: the
 // value visible at the checkpoint batch and the batch that wrote it (the
-// writer feeds OCC validation after install, so it is covered by the
-// snapshot digest; the value is authenticated separately through the
-// checkpoint header's Merkle root). It is the store's export record
+// writer feeds OCC validation after install). The checkpoint header's
+// Merkle root authenticates both: each leaf binds LeafValue(Writer,
+// Value). It is the store's export record
 // itself, so a snapshot travels from ExportAsOf to the state-transfer
 // reply, the checkpoint file and ImportAsOf without being copied entry
 // by entry.
@@ -63,8 +65,9 @@ type CheckpointGroup struct {
 //   - the checkpoint batch header with its f+1 consensus certificate
 //     (authenticates the Merkle root, CD vector and LCE),
 //   - the 2f+1 checkpoint certificate over the state digest
-//     (authenticates the writers and open groups the header cannot),
-//   - the full store snapshot at the checkpoint, and
+//     (authenticates the open groups the header cannot),
+//   - the full store snapshot at the checkpoint, whose values and writers
+//     must rebuild the header's Merkle root, and
 //   - the certified batches delivered after it.
 //
 // An empty response (CheckpointID < 0) means the responder has no stable
@@ -91,23 +94,14 @@ type StateResponse struct {
 	View uint64
 }
 
-// SnapshotDigest hashes the (key, writer) pairs of a store snapshot.
-// Entries must be sorted by key (the canonical export order); values are
-// deliberately excluded — they are already committed to by the checkpoint
-// header's Merkle root, so hashing them again at every checkpoint would
-// re-hash the whole database for nothing.
-func SnapshotDigest(entries []SnapshotEntry) Digest {
-	h := cryptoutil.NewConcatHasher()
-	h.Part([]byte("snapshot"))
-	e := getEnc()
-	for i := range entries {
-		e.b = e.b[:0]
-		e.str(entries[i].Key)
-		e.i64(entries[i].Writer)
-		h.Part(e.b)
-	}
-	putEnc(e)
-	return h.Sum()
+// LeafValue appends to dst the bytes a key's Merkle leaf commits to as its
+// value: the writer batch (big-endian) followed by the value. The leaf's
+// value-hash slot is merkle.HashValue of these bytes, so a certified root
+// authenticates which batch wrote each key as well as what it holds — the
+// one structure that both a verified read and a checkpoint install check.
+func LeafValue(dst []byte, writer int64, value []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(writer))
+	return append(dst, value...)
 }
 
 // GroupsDigest hashes the open prepare groups of a checkpoint, covering
@@ -131,15 +125,15 @@ func GroupsDigest(groups []CheckpointGroup) Digest {
 }
 
 // CheckpointDigest derives the signed checkpoint state digest: the batch
-// position, the header digest (committing to the Merkle root and
-// metadata), and the digests of the snapshot writers and open groups.
-func CheckpointDigest(cluster int32, batchID int64, headerDigest, snapshotDigest, groupsDigest Digest) Digest {
-	e := enc{b: make([]byte, 0, 24+12+3*32)}
-	e.b = append(e.b, []byte("transedge-checkpoint-v1")...)
+// position, the header digest (committing to the Merkle root, and through
+// it to every key's value and writer, and to the metadata), and the
+// digest of the open groups. It costs O(groups), never O(keys).
+func CheckpointDigest(cluster int32, batchID int64, headerDigest, groupsDigest Digest) Digest {
+	e := enc{b: make([]byte, 0, 24+12+2*32)}
+	e.b = append(e.b, []byte("transedge-checkpoint-v2")...)
 	e.i32(cluster)
 	e.i64(batchID)
 	e.digest(headerDigest)
-	e.digest(snapshotDigest)
 	e.digest(groupsDigest)
 	return cryptoutil.Hash(e.b)
 }

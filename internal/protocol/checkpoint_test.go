@@ -99,28 +99,6 @@ func TestDecodeRejectsTruncatedAndTrailing(t *testing.T) {
 	}
 }
 
-// TestSnapshotDigestDependsOnWritersAndOrder checks the digest covers
-// exactly what it must: keys and writers (order-sensitive — entries are
-// canonically sorted by key), not values (those are authenticated by the
-// checkpoint header's Merkle root instead).
-func TestSnapshotDigestDependsOnWritersAndOrder(t *testing.T) {
-	a := []SnapshotEntry{{Key: "a", Value: []byte("1"), Writer: 3}, {Key: "b", Value: []byte("2"), Writer: 5}}
-	base := SnapshotDigest(a)
-
-	writerChanged := []SnapshotEntry{{Key: "a", Value: []byte("1"), Writer: 4}, {Key: "b", Value: []byte("2"), Writer: 5}}
-	if SnapshotDigest(writerChanged) == base {
-		t.Fatal("digest ignored a writer change")
-	}
-	reordered := []SnapshotEntry{a[1], a[0]}
-	if SnapshotDigest(reordered) == base {
-		t.Fatal("digest ignored entry order")
-	}
-	valueChanged := []SnapshotEntry{{Key: "a", Value: []byte("x"), Writer: 3}, {Key: "b", Value: []byte("2"), Writer: 5}}
-	if SnapshotDigest(valueChanged) != base {
-		t.Fatal("digest should not cover values (the Merkle root does)")
-	}
-}
-
 func TestGroupsDigestCoversRecordContent(t *testing.T) {
 	txn := Transaction{ID: 7, Writes: []WriteOp{{Key: "k", Value: []byte("v")}}, Partitions: []int32{0, 1}}
 	g := []CheckpointGroup{{PrepareBatch: 9, Recs: []PrepareRecord{{Txn: txn, CoordCluster: 1}}}}
@@ -144,12 +122,11 @@ func TestGroupsDigestCoversRecordContent(t *testing.T) {
 func TestCheckpointDigestBindsAllParts(t *testing.T) {
 	var h1, h2 Digest
 	h2[0] = 1
-	base := CheckpointDigest(0, 64, h1, h1, h1)
-	if CheckpointDigest(1, 64, h1, h1, h1) == base ||
-		CheckpointDigest(0, 65, h1, h1, h1) == base ||
-		CheckpointDigest(0, 64, h2, h1, h1) == base ||
-		CheckpointDigest(0, 64, h1, h2, h1) == base ||
-		CheckpointDigest(0, 64, h1, h1, h2) == base {
+	base := CheckpointDigest(0, 64, h1, h1)
+	if CheckpointDigest(1, 64, h1, h1) == base ||
+		CheckpointDigest(0, 65, h1, h1) == base ||
+		CheckpointDigest(0, 64, h2, h1) == base ||
+		CheckpointDigest(0, 64, h1, h2) == base {
 		t.Fatal("checkpoint digest failed to bind a component")
 	}
 }

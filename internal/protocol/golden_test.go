@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"transedge/internal/cryptoutil"
+	"transedge/internal/merkle"
 )
 
 // Golden vectors for every byte string a replica signs or persists, in the
 // style of the Merkle package's golden roots: the fixtures are fixed, the
 // expected bytes are literal hex recorded at commit 0f64909 (before the
-// codecs nothing called were deleted), and a change to the canonical
+// codecs nothing called were deleted) — except the checkpoint digest and
+// the leaf value binding, recorded when the Merkle leaf took over binding
+// every key's writer batch (checkpoint tag v2) — and a change to the canonical
 // encoding that moves one signed or stored byte fails here instead of in
 // a replica that can no longer verify its peers' certificates or its own
 // WAL.
@@ -57,7 +60,8 @@ func TestGoldenSignedAndStoredBytes(t *testing.T) {
 	h := b.Header()
 	hd := h.Digest()
 	chk := goldenCheckpoint()
-	snap, groups := SnapshotDigest(chk.Entries), GroupsDigest(chk.Groups)
+	groups := GroupsDigest(chk.Groups)
+	leaf := chk.Entries[0]
 
 	for _, g := range []struct {
 		name string
@@ -71,9 +75,9 @@ func TestGoldenSignedAndStoredBytes(t *testing.T) {
 		{"committed section digest", digestBytes(CommittedSectionDigest(b.Committed)), goldenCommittedDigest},
 		{"transaction digest", digestBytes(TransactionDigest(&b.Local[0])), goldenTxnDigest},
 		{"certified batch", EncodeCertifiedBatch(&CertifiedBatch{Batch: b, Cert: goldenCert()}), goldenCertifiedBatch},
-		{"snapshot digest", snap[:], goldenSnapshotDigest},
 		{"groups digest", groups[:], goldenGroupsDigest},
-		{"checkpoint digest", digestBytes(CheckpointDigest(chk.Cluster, chk.CheckpointID, chk.Header.Digest(), snap, groups)), goldenCheckpointDigest},
+		{"checkpoint digest", digestBytes(CheckpointDigest(chk.Cluster, chk.CheckpointID, chk.Header.Digest(), groups)), goldenCheckpointDigest},
+		{"leaf value binding", digestBytes(merkle.HashValue(LeafValue(nil, leaf.Writer, leaf.Value))), goldenLeafValue},
 		{"prepare-sig digest", digestBytes(PrepareSigDigest(2, 9, 41, hd)), goldenPrepareSigDigest},
 		{"view-change digest", digestBytes(ViewChangeDigest(goldenViewChange())), goldenViewChangeDigest},
 	} {
@@ -107,9 +111,9 @@ const (
 		"00050000000000000006000000030000000000000007ffffffffffffffff000000000000002900000000000000050908" +
 		"070000000000000000000000000000000000000000000000000000000000000000020000000300000002000000000000" +
 		"0002733000000002000000010000000273310000000200000003000000027333"
-	goldenSnapshotDigest   = "a0491af00d14efe5846c4512b6f92218532a6d2b98924f6588e7a6492c9bcb91"
 	goldenGroupsDigest     = "b39cab7eb8b419600a086a3bc9d7fb3ef4f57edfba7c910ffe275a85f74601a3"
-	goldenCheckpointDigest = "3b595f8a71b8b1b9e26addb870cc743085bca716663abdd6654d5d63621ab9ad"
+	goldenCheckpointDigest = "e0aa90ec7caf7889f570b4934a11960dfa729ca91b33c5fa0634b01486d3a63b"
+	goldenLeafValue        = "4237a0080439ab3639ea210540e78dac30b8b7e95905b1438178ed6bda149ef3"
 	goldenPrepareSigDigest = "762d30306c6fd6c033f451bbe0e92959f818a05acde7b61730f48ae460e7b134"
 	goldenViewChangeDigest = "84a9a181b0a4f271e10b41411f2ced790d6447801dc888239778447d136bfcbb"
 )

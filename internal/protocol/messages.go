@@ -62,13 +62,15 @@ type RORequest struct {
 	ReplyTo  chan ROReply
 }
 
-// ROValue is one key's answer in a read-only reply: the value, or
-// Found false when the key does not exist in the snapshot. The reply's
-// multi-proof proves both cases.
+// ROValue is one key's answer in a read-only reply: the value and the
+// batch that wrote it, or Found false when the key does not exist in the
+// snapshot. The reply's multi-proof proves both cases; a found key's leaf
+// binds LeafValue(Writer, Value).
 type ROValue struct {
-	Key   string
-	Value []byte
-	Found bool
+	Key    string
+	Value  []byte
+	Writer int64
+	Found  bool
 }
 
 // ROReply carries everything the client needs to verify the answer with
