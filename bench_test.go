@@ -25,7 +25,7 @@ import (
 	"transedge/internal/transport"
 )
 
-// --- Hot-path microbenchmarks: the per-slot CPU work every pipelined
+// --- Hot-path microbenchmarks: the per-slot CPU work every
 // consensus step pays. ---
 
 // benchBatch builds a batch shaped like a busy leader's: n local

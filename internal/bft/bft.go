@@ -3,12 +3,12 @@
 // BFT-SMaRt [13]; this is an equivalent PBFT-style SMR substrate).
 //
 // Each cluster of n = 3f+1 replicas orders batches in sequence-numbered
-// slots. A leader may keep up to MaxInFlight proposals outstanding
-// between Propose and delivery (MaxInFlight = 1 reproduces the paper's
-// "a leader writes a batch only if the previous batch is already
-// written"); delivery is always in strict slot order, so the application
-// observes the same one-batch-at-a-time log either way. The flow per
-// batch is:
+// slots. At the default MaxInFlight of 1 a leader proposes a slot only
+// once its predecessor is delivered, the paper's "a leader writes a batch
+// only if the previous batch is already written", and a replica validates
+// a slot only once it has delivered the predecessor itself, so every
+// Validate call sees the delivered state. Delivery is always in strict
+// slot order. The flow per batch is:
 //
 //	leader        --PrePrepare(batch)-->  all replicas
 //	each replica  --Prepare(digest)--->   all replicas   (after validating)
@@ -91,21 +91,23 @@ type Config struct {
 
 	// Rebase, when set, is invoked after a new view is installed, before
 	// the re-proposed frontier enters consensus: the enclosing node drops
-	// or re-bases its speculative pipeline onto the frontier batches and
-	// re-routes client traffic to the new leader.
+	// or keeps its proposed-but-undelivered batch to match the frontier
+	// and re-routes client traffic to the new leader.
 	Rebase func(view uint64, frontier []*protocol.Batch)
 
-	// MaxInFlight bounds how many proposals the leader may have between
-	// Propose and delivery. Values <= 1 give the classic stop-and-wait
-	// pipeline; larger values let the leader chain speculative batches
-	// while predecessors are still in consensus.
+	// MaxInFlight is both the proposal window and the validation window:
+	// the leader may propose slot s, and any replica validate it, only
+	// while s < nextDeliver+MaxInFlight. Values <= 1 give the paper's
+	// stop-and-wait pipeline, which the enclosing node always runs.
+	// Besides this package's tests, the benchmark's depth-4 consensus
+	// probe (bench/probes.go) is the only caller that sets it above 1.
 	MaxInFlight int
 
 	// Validate inspects a proposed batch before the replica votes for it.
-	// It runs exactly once per batch ID, in log order, but ahead of
-	// delivery: slot k+1 is validated as soon as slot k has been
-	// validated, so the consensus phases of pipelined slots overlap.
-	// Returning an error withholds the replica's Prepare vote.
+	// It runs exactly once per batch ID, in log order, and only inside the
+	// validation window: at MaxInFlight 1, after the predecessor has been
+	// delivered here. Returning an error withholds the replica's Prepare
+	// vote.
 	Validate func(*protocol.Batch) error
 	// Deliver receives certified batches in strict log order.
 	Deliver func(protocol.CertifiedBatch)
@@ -175,14 +177,16 @@ type Replica struct {
 	self         NodeID
 	peers        []NodeID
 	nextDeliver  int64 // next batch ID to deliver
-	nextValidate int64 // next batch ID to validate (runs ahead of delivery)
+	nextValidate int64 // next batch ID to validate (< nextDeliver+MaxInFlight)
 	nextPropose  int64 // next slot the leader may propose into
 	instances    map[int64]*instance
-	// pendingPrePrepare buffers proposals that arrived before their turn.
+	// pendingPrePrepare buffers proposals that arrived before their turn:
+	// ahead of the next slot to validate, or outside the validation
+	// window.
 	pendingPrePrepare map[int64]*PrePrepare
 	lastDigest        protocol.Digest // digest of last delivered batch
-	// lastValidated chains speculative validation: the digest of the
-	// newest validated slot, which the next slot's PrevDigest must match.
+	// lastValidated is the digest of the newest validated slot, which the
+	// next slot's PrevDigest must match.
 	lastValidated protocol.Digest
 
 	// View-change state (viewchange.go). view is the current view; while
@@ -451,14 +455,14 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 	if b.ID != r.nextPropose {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadBatchID, b.ID, r.nextPropose)
 	}
-	if b.ID >= r.nextDeliver+int64(r.cfg.MaxInFlight) {
+	if !r.inValidationWindow(b.ID) {
 		return fmt.Errorf("%w: %d in flight", ErrPipelineFull, r.InFlight())
 	}
 	r.nextPropose = b.ID + 1
 	if r.cfg.Behavior.TamperBatch != nil {
 		// Mutating a proposal must never happen behind a sealed batch's
 		// cached digest: the caller (the leader's core) may hold the
-		// original in its speculative chain. Tampering therefore works on
+		// original as its in-flight batch. Tampering therefore works on
 		// a memo-detached copy; the injected function must copy any
 		// segment slice it mutates (see DESIGN.md, "Digest memoization").
 		b = b.MutableCopy()
@@ -566,18 +570,37 @@ func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 	}
 	r.proposedDigest[b.ID] = d
 
-	if b.ID > r.nextValidate {
+	if b.ID > r.nextValidate || !r.inValidationWindow(b.ID) {
 		r.pendingPrePrepare[b.ID] = m
 		return
 	}
 	r.startInstance(m)
 }
 
+// inValidationWindow reports whether slot id may be validated now: it
+// lies within MaxInFlight of the delivery point, the same window Propose
+// enforces on the leader.
+func (r *Replica) inValidationWindow(id int64) bool {
+	return id < r.nextDeliver+int64(r.cfg.MaxInFlight)
+}
+
+// startBuffered validates the buffered proposal for the next slot once
+// the validation window admits it and the view is still active (a
+// replica that voted the leader out validates nothing new in its view).
+func (r *Replica) startBuffered() {
+	id := r.nextValidate
+	if !r.viewActive || !r.inValidationWindow(id) {
+		return
+	}
+	if pp, ok := r.pendingPrePrepare[id]; ok {
+		delete(r.pendingPrePrepare, id)
+		r.startInstance(pp)
+	}
+}
+
 // startInstance validates the proposal for the next slot of the
-// validation chain and votes. Validation runs ahead of delivery: the slot
-// must chain off the newest validated proposal, not the newest delivered
-// one, so a pipelining leader's slots all enter their Prepare phase
-// without waiting for predecessors to commit.
+// validation chain and votes. The slot must chain off the newest
+// validated proposal, which at MaxInFlight 1 is the newest delivered one.
 func (r *Replica) startInstance(m *PrePrepare) {
 	b := m.Batch
 	in := r.inst(b.ID)
@@ -586,7 +609,7 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	}
 	if b.PrevDigest != r.lastValidated {
 		r.rejected.Add(1)
-		return // does not extend our (speculative) log
+		return // does not extend our log
 	}
 	if r.cfg.Validate != nil {
 		if err := r.cfg.Validate(b); err != nil {
@@ -604,16 +627,13 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	r.replayPendingCommits(in)
 	r.maybeCommit(in)
 	r.maybeDeliver(in)
-	// A buffered proposal for the next slot can be validated right away.
-	if pp, ok := r.pendingPrePrepare[r.nextValidate]; ok {
-		delete(r.pendingPrePrepare, r.nextValidate)
-		r.startInstance(pp)
-	}
+	r.startBuffered()
 }
 
 // replayPendingCommits re-checks commit votes that arrived before this
-// replica validated the proposal. Pipelined slots make these bursts
-// common — peers race whole consensus phases ahead — so the buffered
+// replica validated the proposal. A follower that validates only after
+// its own delivery makes these bursts common — peers race whole
+// consensus phases ahead — so the buffered
 // votes' certificate signatures are verified concurrently (they are
 // independent Ed25519 checks) before the results are applied serially.
 func (r *Replica) replayPendingCommits(in *instance) {
@@ -798,8 +818,8 @@ func (r *Replica) maybeDeliver(in *instance) {
 		r.cfg.Deliver(protocol.CertifiedBatch{Batch: in.batch, Cert: cert})
 	}
 
-	// A pipelined successor may already hold its commit quorum; deliver it
-	// now that it is next in line.
+	// A successor inside a wider window may already hold its commit
+	// quorum; deliver it now that it is next in line.
 	if next, ok := r.instances[r.nextDeliver]; ok {
 		r.maybeDeliver(next)
 	}
@@ -810,4 +830,8 @@ func (r *Replica) maybeDeliver(in *instance) {
 	if nv := r.pendingNewView; nv != nil {
 		r.adoptNewView(nv)
 	}
+
+	// The delivery moved the validation window: a proposal buffered for
+	// the slot it opened can be validated now, against this delivery.
+	r.startBuffered()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -314,7 +315,7 @@ func TestContentValidationBlocksMaliciousLeader(t *testing.T) {
 	}
 	// Tamper functions receive a memo-detached shallow copy and must
 	// copy any segment slice they mutate: the original batch may sit in
-	// the leader core's speculative chain behind its cached digest.
+	// the leader core's in-flight slot behind its cached digest.
 	tamper := func(b *protocol.Batch) {
 		local := append([]protocol.Transaction(nil), b.Local...)
 		writes := append([]protocol.WriteOp(nil), local[0].Writes...)
@@ -443,6 +444,73 @@ func TestPipelinedProposalsDeliverInOrder(t *testing.T) {
 			}
 			if cb.Batch.Digest() != batches[i].Digest() {
 				t.Fatalf("replica %d: batch %d content differs from proposal", r, i+1)
+			}
+			if i > 0 && cb.Batch.PrevDigest != tc.delivered[r][i-1].Batch.Digest() {
+				t.Fatalf("replica %d: batch %d does not chain", r, i+1)
+			}
+			d := cb.Batch.Digest()
+			if err := cryptoutil.VerifyCertificate(tc.ring, cb.Cert, d[:], tc.f+1); err != nil {
+				t.Fatalf("replica %d: batch %d certificate invalid: %v", r, i+1, err)
+			}
+		}
+	}
+}
+
+// TestStopAndWaitValidatesDeliveredState runs the default MaxInFlight of
+// 1 with replica 3's links from replicas 1 and 2 slowed, so it receives
+// the leader's next proposal before it can deliver the previous batch.
+// Every replica must validate each batch against its own delivered tip,
+// and every replica delivers all batches in order, chained and
+// certified.
+func TestStopAndWaitValidatesDeliveredState(t *testing.T) {
+	const batches = 6
+	var tc *testCluster
+	var early atomic.Int64
+	tc = newTestCluster(t, 1, func(i int32, cfg *Config) {
+		cfg.Validate = func(b *protocol.Batch) error {
+			tc.mu.Lock()
+			defer tc.mu.Unlock()
+			got := tc.delivered[i]
+			if int64(len(got)) != b.ID-1 || (len(got) > 0 && got[len(got)-1].Batch.Digest() != b.PrevDigest) {
+				early.Add(1)
+			}
+			return nil
+		}
+	})
+	tc.net.SetLatency(func(from, to NodeID) time.Duration {
+		if to.Replica == 3 && (from.Replica == 1 || from.Replica == 2) {
+			return 20 * time.Millisecond
+		}
+		return time.Millisecond
+	})
+
+	prev := protocol.Digest{}
+	for i := int64(1); i <= batches; i++ {
+		b := testBatch(i, prev)
+		if err := tc.propose(b); err != nil {
+			t.Fatalf("propose %d: %v", i, err)
+		}
+		// The leader proposes the next batch once it delivered this one;
+		// waiting for the slowed follower one batch behind keeps it
+		// inside the buffering window.
+		if !tc.waitDelivered(int(i), []int32{0}, 10*time.Second) ||
+			!tc.waitDelivered(int(i-1), allReplicas(4), 10*time.Second) {
+			t.Fatalf("batch %d not delivered", i)
+		}
+		prev = b.Digest()
+	}
+	if !tc.waitDelivered(batches, allReplicas(4), 10*time.Second) {
+		t.Fatal("batches not delivered at all replicas")
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d validations ran ahead of the replica's delivered tip", n)
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for r := int32(0); r < 4; r++ {
+		for i, cb := range tc.delivered[r] {
+			if cb.Batch.ID != int64(i+1) {
+				t.Fatalf("replica %d delivered ID %d at position %d", r, cb.Batch.ID, i)
 			}
 			if i > 0 && cb.Batch.PrevDigest != tc.delivered[r][i-1].Batch.Digest() {
 				t.Fatalf("replica %d: batch %d does not chain", r, i+1)

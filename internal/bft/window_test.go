@@ -141,3 +141,48 @@ func TestResetRebasesEngine(t *testing.T) {
 		t.Fatal("post-base message rejected after Reset")
 	}
 }
+
+// TestValidationWaitsForDelivery: at MaxInFlight 1 the validation window
+// equals the proposal window. A follower handed PrePrepare(k+1) before it
+// delivers k buffers it without calling Validate; delivering k starts it,
+// and Validate then sees k as the delivered tip.
+func TestValidationWaitsForDelivery(t *testing.T) {
+	r, keys := soloReplica(t, 1)
+	defer r.cfg.Net.Stop()
+	var validated []int64
+	r.cfg.Validate = func(b *protocol.Batch) error {
+		if b.ID != r.nextDeliver || b.PrevDigest != r.lastDigest {
+			t.Errorf("batch %d validated with %d delivered, or off another digest", b.ID, r.nextDeliver-1)
+		}
+		validated = append(validated, b.ID)
+		return nil
+	}
+	leader := NodeID{Cluster: 0, Replica: 0}
+	b1 := testBatch(1, protocol.Digest{})
+	r.Handle(leader, leaderPrePrepare(keys, b1))
+	r.Handle(leader, leaderPrePrepare(keys, testBatch(2, b1.Digest())))
+	if len(validated) != 1 {
+		t.Fatalf("validated %v before delivering batch 1, want [1]", validated)
+	}
+	if _, ok := r.pendingPrePrepare[2]; !ok {
+		t.Fatal("PrePrepare(2) not buffered while batch 1 is undelivered")
+	}
+
+	// Two peers' prepares complete the prepare quorum with ours, and two
+	// peers' commits the commit quorum: batch 1 delivers.
+	in := r.instances[1]
+	r.Handle(prepareFrom(keys, 0, in))
+	r.Handle(prepareFrom(keys, 2, in))
+	for _, rep := range []int32{0, 2} {
+		r.Handle(NodeID{Cluster: 0, Replica: rep}, &Commit{ID: 1, Digest: in.digest, CertSig: keys[rep].Sign(in.digest[:])})
+	}
+	if r.nextDeliver != 2 {
+		t.Fatalf("batch 1 not delivered (nextDeliver %d)", r.nextDeliver)
+	}
+	if len(validated) != 2 || validated[1] != 2 {
+		t.Fatalf("validated %v after delivering batch 1, want [1 2]", validated)
+	}
+	if in2 := r.instances[2]; in2 == nil || !in2.validated || len(r.pendingPrePrepare) != 0 {
+		t.Fatal("buffered PrePrepare(2) not started by the delivery")
+	}
+}

@@ -14,7 +14,7 @@ import (
 // forged certificate must not decide the fate of the genuine one sent
 // after it for the same header.
 func TestHeaderCertMemoIsBounded(t *testing.T) {
-	n := newSpecLeader(t, 1, specKeys(4))
+	n := newSpecLeader(t, specKeys(4))
 	forged := cryptoutil.Certificate{Cluster: 0}
 
 	for i := 0; i < 2*certCacheLimit; i++ {

@@ -229,20 +229,20 @@ func (n *Node) truncateBelow(id int64) {
 const arenaGrowthLimit = 8
 
 // maybeCompactTrees compacts every Merkle version the loop holds — the
-// retained window, the delivered tip and the speculative chain — once the
+// retained window, the delivered tip and the in-flight slot's — once the
 // arena has grown by 1/arenaGrowthLimit. Read executors still proving
 // against an older version keep the old arena alive until they finish.
 func (n *Node) maybeCompactTrees() {
-	_, _, newest := n.specTail()
-	nodes, base := newest.Arena()
+	nodes, base := n.log.last().tree.Arena()
 	if grown := nodes - base; grown <= 0 || grown < base/arenaGrowthLimit {
 		return
 	}
 	out := merkle.Compact(n.heldTrees())
-	for i, s := range n.spec {
-		s.tree = out[1+i]
+	i := 1
+	if n.spec != nil {
+		n.spec.tree = out[i]
+		i++
 	}
-	i := 1 + len(n.spec)
 	n.log.each(func(e *logEntry) {
 		e.tree = out[i]
 		i++
@@ -250,13 +250,13 @@ func (n *Node) maybeCompactTrees() {
 }
 
 // heldTrees lists every Merkle version the loop holds: the delivered tip,
-// the speculative chain, then the retained window in batch order (which
+// the in-flight slot's, then the retained window in batch order (which
 // ends at the tip again; Compact maps both to one result).
 func (n *Node) heldTrees() []*merkle.Tree {
-	versions := make([]*merkle.Tree, 0, 1+len(n.spec)+n.log.len())
+	versions := make([]*merkle.Tree, 0, 2+n.log.len())
 	versions = append(versions, n.log.last().tree)
-	for _, s := range n.spec {
-		versions = append(versions, s.tree)
+	if n.spec != nil {
+		versions = append(versions, n.spec.tree)
 	}
 	n.log.each(func(e *logEntry) { versions = append(versions, e.tree) })
 	return versions
@@ -440,14 +440,13 @@ func (n *Node) onStateResponse(from NodeID, m *protocol.StateResponse) {
 	// The tip moved: earlier "nothing newer" answers are stale evidence
 	// for any later round, so the quorum restarts from scratch.
 	clear(n.syncHeard)
-	// Re-base consensus at the new tip and resume live operation. Any
-	// speculative slot left over (validated ahead of the old delivery
-	// point but superseded by the replay) is rolled back — revalidation
-	// after the reset rebuilds the chain from the new tip. Any remaining
-	// gap (batches delivered after the responder built the response
-	// whose messages we missed) re-triggers a sync via the lagging
-	// signal.
-	n.rollbackSpec(0)
+	// Re-base consensus at the new tip and resume live operation. An
+	// in-flight slot left over (validated at the old delivery point but
+	// superseded by the install) is rolled back — proposals after the
+	// reset validate against the new tip. Any remaining gap (batches
+	// delivered after the responder built the response whose messages we
+	// missed) re-triggers a sync via the lagging signal.
+	n.rollbackInFlight()
 	tipEntry := n.log.last()
 	n.consensus.Reset(n.log.lastID(), tipEntry.digest, tipEntry.header, tipEntry.cert)
 	// Rejoin at the view the responder runs in, not view 0: without this a
@@ -529,13 +528,13 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 		return errSync("snapshot does not reproduce the certified merkle root")
 	}
 
-	// Everything verified: install. Speculative and 2PC state derived
+	// Everything verified: install. In-flight and 2PC state derived
 	// from the abandoned prefix is discarded wholesale (a recovering
 	// replica has none; a lagging one rebuilds from the checkpoint). A
 	// persist still exporting the old state must finish first — the import
 	// below would feed it a mix of both.
 	n.drainPersister()
-	n.rollbackSpec(0)
+	n.rollbackInFlight()
 	n.st.ImportAsOf(id, entries)
 	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert, tree: tree})
 	n.tip.Store(id)

@@ -35,7 +35,7 @@ func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
 	}
 	eng := &countingEngine{Engine: inner}
 	data := specKeys(64)
-	n := newSpecLeader(t, 1, data, func(cfg *NodeConfig) { cfg.Store = eng })
+	n := newSpecLeader(t, data, func(cfg *NodeConfig) { cfg.Store = eng })
 
 	// Genesis doubles as the stable checkpoint: the store holds its
 	// content at batch 0 and the request path checks nothing else.
@@ -114,7 +114,7 @@ func deliverWrite(n *Node, seq uint32, key string) {
 // checkpoint, which is always older.
 func TestVotingCheckpointClampsPruner(t *testing.T) {
 	const interval = 4
-	n := newSpecLeader(t, 1, specKeys(8), func(cfg *NodeConfig) {
+	n := newSpecLeader(t, specKeys(8), func(cfg *NodeConfig) {
 		cfg.CheckpointInterval = interval
 	})
 	for i := uint32(0); i < interval; i++ {
@@ -148,7 +148,7 @@ func TestCheckpointsExportNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &countingEngine{Engine: inner}
-	n := newSpecLeader(t, 1, specKeys(8), func(cfg *NodeConfig) {
+	n := newSpecLeader(t, specKeys(8), func(cfg *NodeConfig) {
 		cfg.CheckpointInterval = interval
 		cfg.Store = eng
 	})

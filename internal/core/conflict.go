@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"transedge/internal/protocol"
 )
@@ -30,7 +29,6 @@ type keyRefs map[string]int
 
 func (r keyRefs) add(k string)      { r[k]++ }
 func (r keyRefs) has(k string) bool { return r[k] > 0 }
-func (r keyRefs) clone() keyRefs    { return maps.Clone(r) }
 func (r keyRefs) release(k string) {
 	if n := r[k]; n > 1 {
 		r[k] = n - 1

@@ -80,7 +80,7 @@ func (n *Node) openDurability() {
 	// peer state transfer, and at the view the checkpoint recorded (the
 	// cluster can only have moved forward from there; if it did, the
 	// recovering sync's StateResponse.View adoption closes the rest).
-	n.rollbackSpec(0)
+	n.rollbackInFlight()
 	tip := n.log.last()
 	n.consensus.Reset(n.log.lastID(), tip.digest, tip.header, tip.cert)
 	n.consensus.AdoptView(recoveredView)

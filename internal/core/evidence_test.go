@@ -34,7 +34,6 @@ func newEvidenceLeader(t *testing.T, keys map[NodeID]cryptoutil.KeyPair, ring *c
 		SystemConfig: SystemConfig{
 			Clusters: 2, F: 1,
 			BatchInterval: time.Hour,
-			PipelineDepth: 1,
 			InitialData:   data,
 		},
 		Cluster: 1, Replica: 0,

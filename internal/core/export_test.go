@@ -8,8 +8,7 @@ import "transedge/internal/merkle"
 // MerkleArena reports how many nodes a stopped node's Merkle arena holds
 // and how many distinct nodes the versions it retains reach.
 func (n *Node) MerkleArena() (nodes, reachable int) {
-	_, _, newest := n.specTail()
-	nodes, _ = newest.Arena()
+	nodes, _ = n.log.last().tree.Arena()
 	return nodes, merkle.Reachable(n.heldTrees())
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Leader failover (DESIGN.md §7): the progress watchdog that turns a
 // stalled leader into a view-change vote, and the node-level rebase that
-// runs when consensus installs a new view — re-pointing the speculative
-// chain at the re-proposed frontier, rebuilding the new leader's
+// runs when consensus installs a new view — matching the in-flight slot
+// to the re-proposed frontier, rebuilding the new leader's
 // admission state, and re-driving 2PC conversations the old leader left
 // dangling.
 
@@ -87,25 +87,26 @@ func (n *Node) maybeSuspectLeader() {
 
 // rebaseOnView is the consensus Rebase callback: a new view was
 // installed and frontier is the exact chain of re-proposed batches above
-// the delivered tip. The speculative chain must become exactly that
-// frontier — any longer prefix this node validated or proposed in the
-// old view is unprepared history the new view discarded.
+// the delivered tip. It holds at most one batch: an honest replica
+// prepares a slot only after delivering its predecessor, and nothing
+// once it has voted the leader out, so 2f+1 prepares two slots above the
+// quorum's highest tip would need an honest voter whose tip was higher.
+// The in-flight slot must become exactly that batch: one this node
+// validated or proposed in the old view that the frontier does not
+// carry is unprepared history the new view discarded.
 func (n *Node) rebaseOnView(view uint64, frontier []*protocol.Batch) {
-	// Keep the prefix that survived unchanged (same digest at the same
-	// position): its reservations, trees, and waiters are still exact.
-	j := 0
-	for j < len(n.spec) && j < len(frontier) && n.spec[j].digest == frontier[j].Digest() {
-		j++
+	var next *protocol.Batch
+	if len(frontier) > 0 {
+		next = frontier[0]
 	}
-	n.rollbackSpec(j)
-	for _, b := range frontier[j:] {
-		_, _, prevTree := n.specTail()
-		slot := &specSlot{batch: b, header: b.Header(), digest: b.Digest(),
-			tree: n.applyBatchToTree(prevTree, b)}
-		if len(b.Committed) > 0 {
-			slot.groups = 1
-		}
-		n.spec = append(n.spec, slot)
+	// A slot the frontier carries unchanged keeps its reservations, tree
+	// and waiters: they are still exact.
+	if s := n.spec; s != nil && (next == nil || s.digest != next.Digest()) {
+		n.rollbackInFlight()
+	}
+	if n.spec == nil && next != nil {
+		n.spec = &specSlot{batch: next, digest: next.Digest(),
+			tree: n.applyBatchToTree(n.log.last().tree, next)}
 	}
 
 	if n.IsLeader() {
@@ -119,10 +120,9 @@ func (n *Node) rebaseOnView(view uint64, frontier []*protocol.Batch) {
 }
 
 // rebuildReservations reconstructs the leader's pending OCC footprints
-// from scratch: everything the (possibly inherited) speculative chain
-// has in flight plus the unbatched admissions. A new leader starts with
-// empty pending sets; a retained leader's old sets may count slots the
-// frontier dropped.
+// from scratch: the (possibly inherited) in-flight batch plus the
+// unbatched admissions. A new leader starts with empty pending sets; a
+// retained leader's old sets may count a batch the frontier dropped.
 func (n *Node) rebuildReservations() {
 	n.pendingReads = make(keyRefs)
 	n.pendingWrites = make(keyRefs)
@@ -134,7 +134,7 @@ func (n *Node) rebuildReservations() {
 			n.pendingWrites.add(w.Key)
 		}
 	}
-	for _, s := range n.spec {
+	if s := n.spec; s != nil {
 		for i := range s.batch.Local {
 			t := &s.batch.Local[i]
 			reserve(t.Reads, t.Writes)
@@ -157,8 +157,8 @@ func (n *Node) rebuildReservations() {
 // dropPendingAdmissions aborts the unbatched admissions of a deposed
 // leader: their footprints were never proposed to the new view, so the
 // clients must retry (against the new leader). Waiters for transactions
-// already inside the surviving speculative chain are kept — delivery
-// answers them presence-based.
+// inside a surviving in-flight batch are kept — delivery answers them
+// presence-based.
 func (n *Node) dropPendingAdmissions() {
 	for i := range n.pendingLocal {
 		n.failWaiter(n.pendingLocal[i].ID, "leader changed")

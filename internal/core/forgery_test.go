@@ -60,12 +60,22 @@ func captureStateResponse(t *testing.T) (*protocol.StateResponse, NodeConfig) {
 		}
 		commit(i)
 	}
-	commit(i) // a suffix above the checkpoint, whose first header is the next batch's
-	for deadline := time.Now().Add(10 * time.Second); responder.Tip() <= responder.StableCheckpoint(); {
-		if time.Now().After(deadline) {
-			t.Fatal("the responder delivered nothing above its stable checkpoint")
+	// A suffix above the checkpoint, whose first header is the next
+	// batch's: commit until the responder holds the leader's tip and that
+	// tip is no checkpoint. A tip on a checkpoint becomes stable with it
+	// once the cluster goes quiet, leaving no suffix.
+	leader := sys.Node(NodeID{Cluster: 0, Replica: 0})
+	for deadline := time.Now().Add(10 * time.Second); ; i++ {
+		commit(i)
+		for responder.Tip() < leader.Tip() {
+			if time.Now().After(deadline) {
+				t.Fatal("the responder never caught up with the leader")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
+		if responder.Tip()%interval != 0 {
+			break
+		}
 	}
 
 	sys.Net.Send(probe, responder.self, &protocol.StateRequest{From: probe, HaveBatch: -1})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 )
 
@@ -331,15 +330,14 @@ func (n *Node) applyDecision(dt *distTxn, m *protocol.CommitDecision) {
 	n.maybeBuildBatch(false)
 }
 
-// frontGroupReady reports whether the oldest prepare group not already
-// committed by an in-flight batch has a decision for every member
-// (Def. 4.1: groups commit or abort strictly in order). skip is the
-// number of front groups consumed by in-flight committed segments.
-func (n *Node) frontGroupReady(skip int) *group {
-	if skip >= len(n.groups) {
+// frontGroupReady returns the oldest prepare group if every member has
+// a decision (Def. 4.1: groups commit or abort strictly in order), or
+// nil.
+func (n *Node) frontGroupReady() *group {
+	if len(n.groups) == 0 {
 		return nil
 	}
-	g := n.groups[skip]
+	g := n.groups[0]
 	for _, id := range g.ids {
 		dt := n.distTxns[id]
 		if dt == nil || dt.decision == protocol.DecisionPending {
@@ -349,49 +347,26 @@ func (n *Node) frontGroupReady(skip int) *group {
 	return g
 }
 
-// specTail returns the state the next speculative batch chains off: the
-// newest spec slot's header, header digest, and tree, or the last
-// delivered batch when the chain is empty. The digest rides along so
-// chaining PrevDigest never re-hashes a header.
-func (n *Node) specTail() (protocol.BatchHeader, protocol.Digest, *merkle.Tree) {
-	if k := len(n.spec); k > 0 {
-		s := n.spec[k-1]
-		return s.header, s.digest, s.tree
-	}
-	e := n.log.last()
-	return e.header, e.digest, e.tree
-}
-
-// specGroupsConsumed counts the open prepare groups already committed by
-// batches of the speculative chain.
-func (n *Node) specGroupsConsumed() int {
-	consumed := 0
-	for _, s := range n.spec {
-		consumed += s.groups
-	}
-	return consumed
-}
-
-// maybeBuildBatch assembles and proposes the next batch when the pipeline
-// has a free slot and either the size threshold fired, the flush interval
-// passed, or force is set. Mirrors the paper's event 6 (timer/size
-// trigger), except that up to PipelineDepth batches may be in flight at
-// once: each new batch chains PrevDigest, CD vector, LCE, and Merkle tree
-// off the newest speculative slot, so proposal never waits for delivery.
+// maybeBuildBatch assembles and proposes the next batch when none is in
+// flight and either the size threshold fired, the flush interval passed,
+// or force is set: the paper's event 6 (timer/size trigger), under its
+// rule that a leader writes a batch only if the previous batch is
+// already written. The batch chains PrevDigest, CD vector, LCE and
+// Merkle tree off the delivered tip.
 func (n *Node) maybeBuildBatch(force bool) {
 	// CanPropose also refuses mid-view-change windows: proposing into a
 	// dying view would only feed rollbacks.
 	if !n.consensus.CanPropose() {
 		return
 	}
-	if len(n.spec) >= n.cfg.PipelineDepth {
+	if n.spec != nil {
 		if len(n.pendingLocal)+len(n.pendingPrepared) > 0 {
 			n.Metrics.PipelineStalls++
 		}
 		return
 	}
-	prevHeader, prevDigest, prevTree := n.specTail()
-	ready := n.frontGroupReady(n.specGroupsConsumed())
+	tip := n.log.last()
+	ready := n.frontGroupReady()
 	pending := len(n.pendingLocal) + len(n.pendingPrepared)
 	if pending == 0 && ready == nil {
 		return
@@ -402,12 +377,12 @@ func (n *Node) maybeBuildBatch(force bool) {
 
 	b := &protocol.Batch{
 		Cluster:    n.cfg.Cluster,
-		ID:         prevHeader.ID + 1,
-		PrevDigest: prevDigest,
+		ID:         tip.header.ID + 1,
+		PrevDigest: tip.digest,
 		Timestamp:  time.Now().UnixNano(),
 		Local:      n.pendingLocal,
 		Prepared:   n.pendingPrepared,
-		LCE:        prevHeader.LCE,
+		LCE:        tip.header.LCE,
 	}
 
 	// Committed segment: the oldest fully-decided prepare group, whole
@@ -440,20 +415,15 @@ func (n *Node) maybeBuildBatch(force bool) {
 	}
 
 	// Read-only segment: CD vector via Algorithm 1, then the Merkle root
-	// over the post-batch database state — both derived from the
-	// speculative predecessor, never the (possibly older) delivered one.
-	b.CD = n.deriveCD(prevHeader.CD, b)
-	tree := n.applyBatchToTree(prevTree, b)
+	// over the post-batch database state.
+	b.CD = n.deriveCD(tip.header.CD, b)
+	tree := n.applyBatchToTree(tip.tree, b)
 	b.MerkleRoot = tree.Root()
 
 	// The batch is complete: seal it so the header and digest computed
 	// for this slot are the ones reused at leader sign, follower
 	// validation, and delivery.
 	b.Seal()
-	slot := &specSlot{batch: b, header: b.Header(), digest: b.Digest(), tree: tree}
-	if ready != nil {
-		slot.groups = 1
-	}
 
 	// Reset accumulation; reserved footprints stay until delivery.
 	n.pendingLocal = nil
@@ -466,10 +436,10 @@ func (n *Node) maybeBuildBatch(force bool) {
 		n.rollbackBatch(b)
 		return
 	}
-	n.spec = append(n.spec, slot)
+	n.spec = &specSlot{batch: b, digest: b.Digest(), tree: tree}
 }
 
-// rollbackBatch undoes the admission effects of a speculative batch that
+// rollbackBatch undoes the admission effects of a proposed batch that
 // will never reach the log: reserved OCC footprints are released, waiting
 // clients receive aborts, and coordinator state for prepares that never
 // became durable is dropped. Committed-segment decisions are left intact
@@ -494,15 +464,12 @@ func (n *Node) rollbackBatch(b *protocol.Batch) {
 	n.Metrics.PipelineRollbacks++
 }
 
-// rollbackSpec rolls back every speculative slot from index from onward
-// (newest first): once a predecessor fails to reach the log, every
-// successor chained off it is invalid too.
-func (n *Node) rollbackSpec(from int) {
-	for i := len(n.spec) - 1; i >= from; i-- {
-		n.rollbackBatch(n.spec[i].batch)
-		n.spec[i] = nil
+// rollbackInFlight rolls back and clears the in-flight slot, if any.
+func (n *Node) rollbackInFlight() {
+	if n.spec != nil {
+		n.rollbackBatch(n.spec.batch)
+		n.spec = nil
 	}
-	n.spec = n.spec[:from]
 }
 
 // failWaiter aborts a waiting client, if any.
@@ -514,8 +481,7 @@ func (n *Node) failWaiter(id protocol.TxnID, reason string) {
 }
 
 // deriveCD implements Algorithm 1: fold the predecessor batch's CD vector
-// (speculative for in-flight predecessors, delivered otherwise) with
-// every reported CD vector of the committed segment, then pin the self
+// with every reported CD vector of the committed segment, then pin the self
 // entry to the new batch ID.
 func (n *Node) deriveCD(base protocol.CDVector, b *protocol.Batch) protocol.CDVector {
 	cd := base.Clone()

@@ -20,22 +20,19 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 	// what consensus already computed instead of re-hashing the segments.
 	entry := &logEntry{batch: b, header: b.Header(), digest: b.Digest(), cert: cb.Cert}
 
-	// Retire the delivered batch from the speculative chain (the leader's
-	// proposal ring / a follower's validated-ahead slots). If the log
-	// diverged from the leader's chain (a slot delivered content it did
-	// not propose — impossible with a healthy single leader, possible
-	// across leadership changes), every speculative successor chained off
-	// the divergent slot is invalid: roll the whole chain back so
-	// reserved footprints are freed and clients abort instead of hanging.
-	var specTree *merkle.Tree
-	if len(n.spec) > 0 {
-		head := n.spec[0]
-		if head.batch.ID == b.ID && head.digest == entry.digest {
-			specTree = head.tree
-			n.spec[0] = nil
-			n.spec = n.spec[1:]
-		} else if n.IsLeader() {
-			n.rollbackSpec(0)
+	// Retire the in-flight slot (the leader's proposal or a follower's
+	// validated batch). If it holds other content than the delivered
+	// batch — impossible with a healthy single leader, possible across
+	// leadership changes — it never reaches the log: roll it back so its
+	// reserved footprints are freed and its clients abort instead of
+	// hanging.
+	var slotTree *merkle.Tree
+	if s := n.spec; s != nil {
+		n.spec = nil
+		if s.batch.ID == b.ID && s.digest == entry.digest {
+			slotTree = s.tree
+		} else {
+			n.rollbackBatch(s.batch)
 		}
 	}
 
@@ -61,10 +58,10 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 	// guaranteed torn-free.
 	n.st.ApplyAll(b.ID, writes)
 
-	// Install the Merkle version computed speculatively at proposal
-	// (leader) or validation (followers) time.
-	entry.tree = specTree
-	if specTree == nil {
+	// Install the Merkle version computed at proposal (leader) or
+	// validation (followers) time.
+	entry.tree = slotTree
+	if slotTree == nil {
 		entry.tree = n.applyBatchToTree(n.log.last().tree, b)
 	}
 	n.log.append(entry)
@@ -72,11 +69,11 @@ func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
 	n.Metrics.BatchesCommitted++
 
 	// Local transactions are committed now (Sec. 3.2). Releases and
-	// replies are NOT leader-gated: a leader deposed mid-pipeline still
-	// holds the reply channels for batches it proposed (release is a
-	// no-op on followers, whose pending sets are empty), and a new leader
-	// that inherited the batch through a view change rebuilt the
-	// reservations this delivery must drop.
+	// replies are NOT leader-gated: a leader deposed with a batch in
+	// flight still holds the reply channels for the batch it proposed
+	// (release is a no-op on followers, whose pending sets are empty),
+	// and a new leader that inherited the batch through a view change
+	// rebuilt the reservations this delivery must drop.
 	for i := range b.Local {
 		t := &b.Local[i]
 		n.Metrics.LocalCommitted++

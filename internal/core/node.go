@@ -93,23 +93,17 @@ type group struct {
 	ids          []protocol.TxnID
 }
 
-// specSlot is one batch of the speculative chain ahead of SMR delivery.
-// On the leader these are proposals in flight between Propose and
-// delivery; on followers they are proposals validated ahead of delivery
-// (consensus validates slot k+1 as soon as slot k validated, so the
-// phases of pipelined slots overlap). The slot keeps everything its
-// successor chains off — the header (PrevDigest, CD vector, LCE) and the
-// post-batch Merkle version — plus what rollback needs to undo if the
-// slot never reaches the log.
+// specSlot is the one batch proposed but not yet delivered: on the
+// leader its proposal between Propose and delivery, on a follower the
+// batch it validated and voted for. Consensus validates a slot only
+// after delivering its predecessor, so the slot always chains off the
+// delivered tip. It keeps the post-batch Merkle version, which delivery
+// installs instead of re-deriving it, and the batch, which rollback
+// undoes if the slot never reaches the log.
 type specSlot struct {
 	batch  *protocol.Batch
-	header protocol.BatchHeader
-	digest protocol.Digest // memoized header digest, for chaining and delivery matching
+	digest protocol.Digest // memoized header digest, for delivery matching
 	tree   *merkle.Tree
-	// groups is how many open prepare groups this batch's committed
-	// segment consumes (0 or 1); successors skip that many when picking
-	// their own committed segment.
-	groups int
 }
 
 // parkedRO is a second-round read-only request waiting for a dependency
@@ -164,17 +158,16 @@ type Node struct {
 	pendingLocal    []protocol.Transaction
 	pendingPrepared []protocol.PrepareRecord
 	pendingEvidence map[protocol.TxnID]*protocol.PrepareProof
-	pendingReads    keyRefs // reads reserved by in-progress/in-flight batches
-	pendingWrites   keyRefs // writes reserved by in-progress/in-flight batches
+	pendingReads    keyRefs // reads reserved by the in-progress and in-flight batches
+	pendingWrites   keyRefs // writes reserved by the in-progress and in-flight batches
 	waiters         map[protocol.TxnID]chan protocol.CommitReply
 	lastFlush       time.Time
 
-	// spec is the speculative chain, oldest first: on the leader up to
-	// PipelineDepth proposals between Propose and delivery, on followers
-	// the batches validated ahead of delivery. Slot i+1 chains off slot
-	// i's speculative header and Merkle tree, so batch construction and
-	// validation never wait for consensus. Delivery pops the front.
-	spec []*specSlot
+	// spec is the one batch in flight, nil when there is none. The
+	// leader builds no batch while it is set: the paper's leader "writes
+	// a batch only if the previous batch is already written". Delivery
+	// retires it; a new view's frontier keeps or rolls it back.
+	spec *specSlot
 
 	parked []parkedRO
 
@@ -279,12 +272,12 @@ type Metrics struct {
 	ROSecondRound      int64
 	ROParkedExpired    int64
 	DecisionsValidated int64
-	// PipelineStalls counts batch-build attempts refused because
-	// PipelineDepth proposals were already in flight.
+	// PipelineStalls counts batch-build attempts, with work pending,
+	// refused because the one batch was still in flight.
 	PipelineStalls int64
-	// PipelineRollbacks counts speculative batches rolled back because a
-	// predecessor never reached the log (Propose failure or log
-	// divergence).
+	// PipelineRollbacks counts in-flight batches rolled back because
+	// they never reached the log (Propose failure, log divergence, or a
+	// new view's frontier that dropped them).
 	PipelineRollbacks int64
 	// CheckpointsStable counts stable checkpoints established (2f+1
 	// checkpoint quorums observed).
@@ -392,7 +385,6 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		GenesisDigest: genesisDigest,
 		GenesisHeader: cfg.GenesisHeader,
 		GenesisCert:   cfg.GenesisCert,
-		MaxInFlight:   cfg.PipelineDepth,
 		Validate:      n.validateBatch,
 		Deliver:       n.onDeliver,
 		Rebase:        n.rebaseOnView,

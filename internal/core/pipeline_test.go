@@ -1,8 +1,9 @@
 package core
 
-// White-box tests of the leader's speculative batch pipeline: chaining,
-// the depth cap, delivery retirement, and rollback of reserved OCC
-// footprints. The node is never started, so every internal method runs
+// White-box tests of the leader's one in-flight batch: the slot a build
+// fills, the builds refused while it is busy, delivery retirement, and
+// rollback of reserved OCC footprints when the slot never reaches the
+// log. The node is never started, so every internal method runs
 // synchronously on the test goroutine.
 
 import (
@@ -20,7 +21,7 @@ import (
 // and vanish; delivery is simulated by calling onDeliver directly. Only
 // forced builds propose: the flush interval never elapses, so an
 // admission's unforced build cannot race the test's own.
-func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func(*NodeConfig)) *Node {
+func newSpecLeader(t *testing.T, data map[string][]byte, opts ...func(*NodeConfig)) *Node {
 	t.Helper()
 	const replicas = 4
 	keys := make(map[NodeID]cryptoutil.KeyPair)
@@ -36,7 +37,6 @@ func newSpecLeader(t *testing.T, depth int, data map[string][]byte, opts ...func
 		SystemConfig: SystemConfig{
 			Clusters: 1, F: 1,
 			BatchInterval: time.Hour,
-			PipelineDepth: depth,
 			InitialData:   data,
 		},
 		Cluster: 0, Replica: 0,
@@ -77,87 +77,90 @@ func submitLocal(n *Node, seq uint32, key string) chan protocol.CommitReply {
 	return ch
 }
 
-func TestPipelineChainsSpeculativeBatches(t *testing.T) {
-	n := newSpecLeader(t, 3, specKeys(8))
+// foreignBatch is a batch 1 the leader never proposed: empty, chained
+// off genesis.
+func foreignBatch(n *Node) *protocol.Batch {
+	genesisHeader := n.log.get(0).header
+	cd := genesisHeader.CD.Clone()
+	cd[0] = 1
+	return (&protocol.Batch{
+		Cluster:    0,
+		ID:         1,
+		PrevDigest: genesisHeader.Digest(),
+		Timestamp:  time.Now().UnixNano(),
+		CD:         cd,
+		LCE:        genesisHeader.LCE,
+		MerkleRoot: genesisHeader.MerkleRoot,
+	}).Seal()
+}
 
-	for i := 0; i < 5; i++ {
-		submitLocal(n, uint32(i), fmt.Sprintf("k%d", i))
-		n.maybeBuildBatch(true)
-	}
-
-	if len(n.spec) != 3 {
-		t.Fatalf("spec chain has %d slots, want PipelineDepth=3", len(n.spec))
-	}
-	if n.Metrics.PipelineStalls == 0 {
-		t.Fatal("no pipeline stall recorded with a full ring and pending work")
-	}
-	if len(n.pendingLocal) != 2 {
-		t.Fatalf("%d transactions pending, want the 2 that missed the ring", len(n.pendingLocal))
-	}
-
-	// Slots carry consecutive IDs and chain PrevDigest off the
-	// predecessor's speculative header (slot 0 off the delivered log).
-	if got := n.spec[0].batch.PrevDigest; got != n.log.get(0).header.Digest() {
-		t.Fatal("first slot does not chain off the delivered log")
-	}
-	for i, s := range n.spec {
-		if s.batch.ID != int64(i+1) {
-			t.Fatalf("slot %d has batch ID %d", i, s.batch.ID)
-		}
-		if i > 0 && s.batch.PrevDigest != n.spec[i-1].header.Digest() {
-			t.Fatalf("slot %d does not chain off slot %d's speculative header", i, i-1)
-		}
-	}
-
-	// Every admitted write is still reserved (in-flight and pending).
-	for i := 0; i < 5; i++ {
-		if !n.pendingWrites.has(fmt.Sprintf("k%d", i)) {
-			t.Fatalf("k%d not reserved", i)
-		}
-	}
-
-	// A conflicting admission must abort immediately.
-	ch := submitLocal(n, 99, "k0")
+// wantReply checks that ch holds a reply with the given status.
+func wantReply(t *testing.T, ch chan protocol.CommitReply, status protocol.TxnStatus, what string) {
+	t.Helper()
 	select {
 	case r := <-ch:
-		if r.Status != protocol.StatusAborted {
-			t.Fatalf("conflicting txn got %v, want aborted", r.Status)
+		if r.Status != status {
+			t.Fatalf("%s: reply %+v, want status %v", what, r, status)
 		}
 	default:
-		t.Fatal("conflicting txn got no immediate abort")
+		t.Fatalf("%s: no reply, want status %v", what, status)
 	}
 }
 
-func TestPipelineDepthOneIsStopAndWait(t *testing.T) {
-	n := newSpecLeader(t, 1, specKeys(4))
+// wantNoReply checks that ch holds no reply yet.
+func wantNoReply(t *testing.T, ch chan protocol.CommitReply, what string) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		t.Fatalf("%s: unexpected reply %+v", what, r)
+	default:
+	}
+}
+
+func TestPipelineBusySlotStalls(t *testing.T) {
+	n := newSpecLeader(t, specKeys(4))
 
 	submitLocal(n, 0, "k0")
 	n.maybeBuildBatch(true)
-	submitLocal(n, 1, "k1")
-	n.maybeBuildBatch(true)
+	if n.spec == nil || n.spec.batch.ID != 1 {
+		t.Fatalf("first build did not fill the slot with batch 1: %+v", n.spec)
+	}
+	if got := n.spec.batch.PrevDigest; got != n.log.get(0).digest {
+		t.Fatal("in-flight batch does not chain off the delivered tip")
+	}
+	slot := n.spec
 
-	if len(n.spec) != 1 {
-		t.Fatalf("depth 1 has %d slots in flight, want 1", len(n.spec))
+	submitLocal(n, 1, "k1") // its own unforced build stalls too
+	stalls := n.Metrics.PipelineStalls
+	n.maybeBuildBatch(true)
+	if n.spec != slot {
+		t.Fatal("a build while the slot was busy replaced it")
+	}
+	if got := n.Metrics.PipelineStalls; stalls == 0 || got != stalls+1 {
+		t.Fatalf("PipelineStalls = %d after the admission, %d after the forced build", stalls, got)
 	}
 	if len(n.pendingLocal) != 1 {
 		t.Fatalf("second txn should wait for delivery; pending=%d", len(n.pendingLocal))
 	}
+	// Both footprints stay reserved: a conflicting admission aborts.
+	wantReply(t, submitLocal(n, 99, "k0"), protocol.StatusAborted, "conflict with the in-flight batch")
+	wantReply(t, submitLocal(n, 98, "k1"), protocol.StatusAborted, "conflict with the pending admission")
 }
 
 func TestPipelineDeliveryRetiresSlot(t *testing.T) {
-	n := newSpecLeader(t, 4, specKeys(4))
+	n := newSpecLeader(t, specKeys(4))
 
 	ch := submitLocal(n, 0, "k0")
 	n.maybeBuildBatch(true)
-	if len(n.spec) != 1 {
-		t.Fatalf("spec chain has %d slots, want 1", len(n.spec))
+	if n.spec == nil {
+		t.Fatal("build left the slot empty")
 	}
 
-	specTree := n.spec[0].tree
-	n.onDeliver(protocol.CertifiedBatch{Batch: n.spec[0].batch})
+	slotTree := n.spec.tree
+	n.onDeliver(protocol.CertifiedBatch{Batch: n.spec.batch})
 
-	if len(n.spec) != 0 {
-		t.Fatal("delivered slot not retired from the chain")
+	if n.spec != nil {
+		t.Fatal("delivered slot not retired")
 	}
 	select {
 	case r := <-ch:
@@ -173,100 +176,120 @@ func TestPipelineDeliveryRetiresSlot(t *testing.T) {
 	if got := n.st.LastWriter("k0"); got != 1 {
 		t.Fatalf("store writer = %d, want 1", got)
 	}
-	if n.log.get(1).tree != specTree {
-		t.Fatal("speculative tree not installed as the delivered version")
+	if n.log.get(1).tree != slotTree {
+		t.Fatal("slot's tree not installed as the delivered version")
+	}
+	if n.Metrics.PipelineRollbacks != 0 {
+		t.Fatalf("PipelineRollbacks = %d after a matching delivery", n.Metrics.PipelineRollbacks)
 	}
 }
 
 func TestPipelineRollbackReleasesReservations(t *testing.T) {
-	n := newSpecLeader(t, 4, specKeys(8))
+	n := newSpecLeader(t, specKeys(8))
 
-	var chans []chan protocol.CommitReply
-	for i := 0; i < 3; i++ {
-		chans = append(chans, submitLocal(n, uint32(i), fmt.Sprintf("k%d", i)))
-		n.maybeBuildBatch(true)
-	}
-	if len(n.spec) != 3 {
-		t.Fatalf("spec chain has %d slots, want 3", len(n.spec))
+	ch := submitLocal(n, 0, "k0")
+	n.maybeBuildBatch(true)
+	if n.spec == nil {
+		t.Fatal("build left the slot empty")
 	}
 
-	n.rollbackSpec(0)
+	n.rollbackInFlight()
 
-	if len(n.spec) != 0 {
-		t.Fatal("rollback left slots in the chain")
+	if n.spec != nil {
+		t.Fatal("rollback left the slot filled")
 	}
 	if len(n.pendingWrites) != 0 || len(n.pendingReads) != 0 {
 		t.Fatalf("rollback leaked reservations: %d writes, %d reads",
 			len(n.pendingWrites), len(n.pendingReads))
 	}
-	if n.Metrics.PipelineRollbacks != 3 {
-		t.Fatalf("PipelineRollbacks = %d, want 3", n.Metrics.PipelineRollbacks)
+	if n.Metrics.PipelineRollbacks != 1 {
+		t.Fatalf("PipelineRollbacks = %d, want 1", n.Metrics.PipelineRollbacks)
 	}
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if r.Status != protocol.StatusAborted {
-				t.Fatalf("txn %d got %v, want aborted", i, r.Status)
-			}
-		default:
-			t.Fatalf("txn %d got no abort on rollback", i)
-		}
-	}
+	wantReply(t, ch, protocol.StatusAborted, "rolled-back txn")
 
-	// The keys are free again: a new transaction admits cleanly.
-	ch := submitLocal(n, 50, "k0")
-	select {
-	case r := <-ch:
-		t.Fatalf("re-admission after rollback aborted: %+v", r)
-	default:
-	}
+	// The key is free again: a new transaction admits cleanly.
+	wantNoReply(t, submitLocal(n, 50, "k0"), "re-admission after rollback")
 	if len(n.pendingLocal) != 1 {
 		t.Fatal("re-admitted transaction not pending")
 	}
 }
 
 // TestPipelineDivergentDeliveryRollsBack delivers a batch the leader
-// never proposed for an occupied slot: the whole speculative chain must
-// roll back (the leadership-change / foreign-proposal defense).
+// never proposed for its occupied slot: the slot must roll back (the
+// leadership-change / foreign-proposal defense).
 func TestPipelineDivergentDeliveryRollsBack(t *testing.T) {
-	n := newSpecLeader(t, 4, specKeys(8))
+	n := newSpecLeader(t, specKeys(8))
 
-	var chans []chan protocol.CommitReply
-	for i := 0; i < 2; i++ {
-		chans = append(chans, submitLocal(n, uint32(i), fmt.Sprintf("k%d", i)))
-		n.maybeBuildBatch(true)
-	}
+	ch := submitLocal(n, 0, "k0")
+	n.maybeBuildBatch(true)
+	n.onDeliver(protocol.CertifiedBatch{Batch: foreignBatch(n)})
 
-	genesisHeader := n.log.get(0).header
-	cd := genesisHeader.CD.Clone()
-	cd[0] = 1
-	foreign := &protocol.Batch{
-		Cluster:    0,
-		ID:         1,
-		PrevDigest: genesisHeader.Digest(),
-		Timestamp:  time.Now().UnixNano(),
-		CD:         cd,
-		LCE:        genesisHeader.LCE,
+	if n.spec != nil {
+		t.Fatal("divergent delivery left the slot filled")
 	}
-	n.onDeliver(protocol.CertifiedBatch{Batch: foreign})
-
-	if len(n.spec) != 0 {
-		t.Fatalf("divergent delivery left %d speculative slots", len(n.spec))
+	if n.Metrics.PipelineRollbacks != 1 {
+		t.Fatalf("PipelineRollbacks = %d, want 1", n.Metrics.PipelineRollbacks)
 	}
-	if n.Metrics.PipelineRollbacks != 2 {
-		t.Fatalf("PipelineRollbacks = %d, want 2", n.Metrics.PipelineRollbacks)
-	}
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if r.Status != protocol.StatusAborted {
-				t.Fatalf("txn %d got %v, want aborted", i, r.Status)
-			}
-		default:
-			t.Fatalf("txn %d not aborted on divergence", i)
-		}
-	}
+	wantReply(t, ch, protocol.StatusAborted, "txn of the divergent slot")
 	if len(n.pendingWrites) != 0 {
 		t.Fatal("divergence rollback leaked write reservations")
+	}
+	if got := n.st.LastWriter("k0"); got != 0 {
+		t.Fatalf("store writer of k0 = %d, want genesis", got)
+	}
+}
+
+// TestPipelineNewViewFrontier deposes the leader with its batch in
+// flight. A frontier that drops the batch, or carries another in its
+// place, rolls it back; one that carries it keeps the slot and the
+// client's waiter, and delivery answers the client. Either way the
+// deposed leader's unbatched admission is aborted.
+func TestPipelineNewViewFrontier(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		carry bool
+	}{{"dropped", false}, {"replaced", false}, {"carried", true}} {
+		t.Run(tt.name, func(t *testing.T) {
+			n := newSpecLeader(t, specKeys(8))
+			inFlight := submitLocal(n, 0, "k0")
+			n.maybeBuildBatch(true)
+			slot := n.spec
+			unbatched := submitLocal(n, 1, "k1")
+
+			var frontier []*protocol.Batch
+			switch tt.name {
+			case "replaced":
+				frontier = []*protocol.Batch{foreignBatch(n)}
+			case "carried":
+				frontier = []*protocol.Batch{slot.batch}
+			}
+			n.consensus.AdoptView(1) // replica 1 leads view 1
+			n.rebaseOnView(1, frontier)
+
+			if n.IsLeader() {
+				t.Fatal("replica 0 still leads view 1")
+			}
+			wantReply(t, unbatched, protocol.StatusAborted, "unbatched admission")
+			if !tt.carry {
+				wantReply(t, inFlight, protocol.StatusAborted, "txn of the dropped batch")
+				if n.Metrics.PipelineRollbacks != 1 {
+					t.Fatalf("PipelineRollbacks = %d, want 1", n.Metrics.PipelineRollbacks)
+				}
+				if len(frontier) == 0 && n.spec != nil {
+					t.Fatal("empty frontier left the slot filled")
+				}
+				if len(frontier) == 1 && (n.spec == nil || n.spec.batch != frontier[0] ||
+					n.spec.tree.Root() != frontier[0].MerkleRoot) {
+					t.Fatal("slot does not hold the frontier's batch and its tree")
+				}
+				return
+			}
+			if n.spec != slot || n.Metrics.PipelineRollbacks != 0 {
+				t.Fatalf("carried batch's slot not kept (rollbacks %d)", n.Metrics.PipelineRollbacks)
+			}
+			wantNoReply(t, inFlight, "txn of the carried batch")
+			n.onDeliver(protocol.CertifiedBatch{Batch: slot.batch})
+			wantReply(t, inFlight, protocol.StatusCommitted, "txn of the carried batch after delivery")
+		})
 	}
 }

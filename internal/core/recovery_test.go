@@ -71,7 +71,7 @@ func TestLogTruncationBoundsMemoryUnderLoad(t *testing.T) {
 // stable checkpoint like the log's does. However often one key is
 // overwritten, every replica keeps only its version visible at the stable
 // checkpoint and the ones written since — at most an interval plus the
-// pipeline's reach — never one version per commit.
+// one batch in flight — never one version per commit.
 func TestCheckpointBoundsStoreVersions(t *testing.T) {
 	const interval, commits = 4, 60
 	sys := testSystem(t, 1, 1, 100, func(cfg *core.SystemConfig) {
@@ -83,7 +83,7 @@ func TestCheckpointBoundsStoreVersions(t *testing.T) {
 
 	// The pruner trails the newest stable checkpoint by a few ticks: give it
 	// time to catch up before stopping, not a bound it has to meet mid-pass.
-	const limit = interval + core.DefaultPipelineDepth + 1
+	const limit = interval + 2 // the checkpoint's version, an interval, one batch in flight
 	var nodes []*core.Node
 	for r := int32(0); r < 4; r++ {
 		nodes = append(nodes, sys.Node(core.NodeID{Cluster: 0, Replica: r}))

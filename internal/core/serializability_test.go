@@ -166,12 +166,13 @@ func TestExecutionHistoryIsSerializable(t *testing.T) {
 	t.Logf("serializability verified over %d write txns and %d snapshot reads", writes, roCount.Load())
 }
 
-// TestPipelineDepthsSerializableAndEquivalent is the pipelining
-// regression property: under a mixed local/distributed workload, the
-// histories produced at PipelineDepth 1, 2, and 4 must all be
-// serializable, and a fixed-seed deterministic workload must leave
-// exactly the same final state at every depth (speculative chaining must
-// never change what commits, only when it commits).
+// TestPipelineDepthsSerializableAndEquivalent checks that the depth of
+// the client pipeline feeding the leaders never changes what commits.
+// The leader holds one batch in flight; transactions that arrive meanwhile
+// queue for the next batch, so more concurrent client streams make fuller
+// batches, never longer chains. At depths 1, 2 and 4 a mixed
+// local/distributed history must be serializable, and fixed-seed
+// deterministic workloads must reach exactly their precomputed final state.
 func TestPipelineDepthsSerializableAndEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -181,103 +182,130 @@ func TestPipelineDepthsSerializableAndEquivalent(t *testing.T) {
 			runDepthHistory(t, depth)
 		})
 	}
+	for _, depth := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("depth=%d/final-state", depth), func(t *testing.T) {
+			runDeterministicWorkload(t, depth)
+		})
+	}
+}
 
-	// Deterministic phase: one sequential client replays the same seeded
-	// transaction sequence at every depth. Values are a function of the
-	// transaction index only, so the expected final state is computable
-	// up front and must be reached at every depth.
+// runDeterministicWorkload has depth sequential clients each replay their
+// own fixed-seed transaction sequence, concurrently, over disjoint keys.
+// Values are a function of the stream and transaction index only, so the
+// expected final state is computable up front.
+func runDeterministicWorkload(t *testing.T, depth int) {
 	const txns = 60
 	const keyCount = 8
-	keys := make([]string, keyCount)
+	keys := make([][]string, depth)
 	data := make(map[string][]byte)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("det-%d", i)
-		data[keys[i]] = []byte("seed")
-	}
 	expected := make(map[string]string)
-	for _, k := range keys {
-		expected[k] = "seed"
-	}
-	plan := make([][2]int, txns) // key indices written by txn j
-	rng := newRand(1234)
-	for j := range plan {
-		a := rng.Intn(keyCount)
-		b := rng.Intn(keyCount)
-		plan[j] = [2]int{a, b}
-		expected[keys[a]] = fmt.Sprintf("txn-%d-a", j)
-		expected[keys[b]] = fmt.Sprintf("txn-%d-b", j)
-		if a == b { // single write set entry wins with the b value
-			expected[keys[a]] = fmt.Sprintf("txn-%d-b", j)
+	plans := make([][][2]int, depth) // plans[s][j]: key indices written by stream s's txn j
+	for s := range keys {
+		keys[s] = make([]string, keyCount)
+		for i := range keys[s] {
+			k := fmt.Sprintf("det-%d-%d", s, i)
+			keys[s][i] = k
+			data[k] = []byte("seed")
+			expected[k] = "seed"
+		}
+		plans[s] = make([][2]int, txns)
+		rng := newRand(1234 + int64(s))
+		for j := range plans[s] {
+			a := rng.Intn(keyCount)
+			b := rng.Intn(keyCount)
+			plans[s][j] = [2]int{a, b}
+			expected[keys[s][a]] = fmt.Sprintf("txn-%d-a", j)
+			expected[keys[s][b]] = fmt.Sprintf("txn-%d-b", j)
+			if a == b { // single write set entry wins with the b value
+				expected[keys[s][a]] = fmt.Sprintf("txn-%d-b", j)
+			}
 		}
 	}
 
-	for _, depth := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("depth=%d/final-state", depth), func(t *testing.T) {
-			sys := core.NewSystem(core.SystemConfig{
-				Clusters: 3, F: 1, Seed: 11,
-				BatchInterval: time.Millisecond,
-				PipelineDepth: depth,
-				InitialData:   data,
-			})
-			sys.Start()
-			t.Cleanup(sys.Stop)
-			c := testClient(sys, 1)
+	sys := core.NewSystem(core.SystemConfig{
+		Clusters: 3, F: 1, Seed: 11,
+		BatchInterval: time.Millisecond,
+		InitialData:   data,
+	})
+	sys.Start()
+	t.Cleanup(sys.Stop)
 
-			for j, p := range plan {
+	var wg sync.WaitGroup
+	for s := 0; s < depth; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			c := testClient(sys, uint32(1+s))
+			ks := keys[s]
+			for j, p := range plans[s] {
 				// Retry on abort (a prior distributed commit may not have
 				// reached every participant yet): the write values depend
 				// only on j, so retries cannot change the final state.
 				for {
 					txn := c.Begin()
-					if _, err := txn.Read(keys[p[0]]); err != nil {
-						t.Fatalf("txn %d read: %v", j, err)
+					if _, err := txn.Read(ks[p[0]]); err != nil {
+						t.Errorf("stream %d txn %d read: %v", s, j, err)
+						return
 					}
-					if _, err := txn.Read(keys[p[1]]); err != nil {
-						t.Fatalf("txn %d read: %v", j, err)
+					if _, err := txn.Read(ks[p[1]]); err != nil {
+						t.Errorf("stream %d txn %d read: %v", s, j, err)
+						return
 					}
-					txn.Write(keys[p[0]], []byte(fmt.Sprintf("txn-%d-a", j)))
-					txn.Write(keys[p[1]], []byte(fmt.Sprintf("txn-%d-b", j)))
+					txn.Write(ks[p[0]], []byte(fmt.Sprintf("txn-%d-a", j)))
+					txn.Write(ks[p[1]], []byte(fmt.Sprintf("txn-%d-b", j)))
 					err := txn.Commit()
 					if err == nil {
 						break
 					}
 					if !errors.Is(err, client.ErrAborted) {
-						t.Fatalf("txn %d commit: %v", j, err)
+						t.Errorf("stream %d txn %d commit: %v", s, j, err)
+						return
 					}
 				}
 			}
+		}(s)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
-			// The snapshot served may trail the last commit briefly; poll
-			// until it matches the precomputed expectation.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				res, err := c.ReadOnly(keys)
-				if err != nil {
-					t.Fatalf("final read-only: %v", err)
-				}
-				diff := ""
-				for _, k := range keys {
-					if got := string(res.Values[k]); got != expected[k] {
-						diff = fmt.Sprintf("%s = %q, want %q", k, got, expected[k])
-						break
-					}
-				}
-				if diff == "" {
-					return
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("final state at depth %d never converged: %s", depth, diff)
-				}
-				time.Sleep(5 * time.Millisecond)
+	// The snapshot served may trail the last commit briefly; poll
+	// until it matches the precomputed expectation.
+	var all []string
+	for _, ks := range keys {
+		all = append(all, ks...)
+	}
+	c := testClient(sys, 100)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := c.ReadOnly(all)
+		if err != nil {
+			t.Fatalf("final read-only: %v", err)
+		}
+		diff := ""
+		for _, k := range all {
+			if got := string(res.Values[k]); got != expected[k] {
+				diff = fmt.Sprintf("%s = %q, want %q", k, got, expected[k])
+				break
 			}
-		})
+		}
+		if diff == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("final state at depth %d never converged: %s", depth, diff)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// runDepthHistory drives the concurrent mixed workload at one pipeline
-// depth and checks the committed history is serializable.
+// runDepthHistory drives a concurrent mixed workload from 2+depth writer
+// streams plus one snapshot reader and checks the committed history is
+// serializable. Each writer owns its keys, so per-key version orders are
+// ground truth.
 func runDepthHistory(t *testing.T, depth int) {
-	const writers = 3
+	writers := 2 + depth
 	const keysPerWriter = 3
 	data := make(map[string][]byte)
 	owned := make([][]string, writers)
@@ -296,7 +324,6 @@ func runDepthHistory(t *testing.T, depth int) {
 	sys := core.NewSystem(core.SystemConfig{
 		Clusters: 3, F: 1, Seed: 11,
 		BatchInterval: time.Millisecond,
-		PipelineDepth: depth,
 		InitialData:   data,
 	})
 	sys.Start()

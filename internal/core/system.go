@@ -37,13 +37,6 @@ type SystemConfig struct {
 	// 1ms). A batch also goes out at once when 2000 transactions are
 	// pending.
 	BatchInterval time.Duration
-	// PipelineDepth is how many proposed batches the leader may keep in
-	// flight between proposal and SMR delivery (default
-	// DefaultPipelineDepth; 1 restores the stop-and-wait pipeline where
-	// consensus latency caps commit throughput). Each in-flight batch
-	// chains PrevDigest off its predecessor's speculative header, so
-	// admission and Merkle derivation never block on delivery.
-	PipelineDepth int
 	IntraLatency  time.Duration // replica-to-replica within a cluster
 	InterLatency  time.Duration // cluster-to-cluster and client links
 	// FreshnessWindow bounds how far a proposed batch timestamp may
@@ -93,10 +86,6 @@ type SystemConfig struct {
 	Byzantine map[NodeID]bft.Behavior
 }
 
-// DefaultPipelineDepth is how many batches a leader keeps in flight when
-// SystemConfig.PipelineDepth is unset.
-const DefaultPipelineDepth = 4
-
 // DefaultCheckpointInterval is the checkpoint spacing when
 // SystemConfig.CheckpointInterval is unset: frequent enough to bound
 // steady-state memory to a modest window, rare enough that each
@@ -122,9 +111,6 @@ func (c *SystemConfig) withDefaults() SystemConfig {
 	}
 	if out.BatchInterval <= 0 {
 		out.BatchInterval = time.Millisecond
-	}
-	if out.PipelineDepth <= 0 {
-		out.PipelineDepth = DefaultPipelineDepth
 	}
 	if out.ROParkTimeout <= 0 {
 		out.ROParkTimeout = 5 * time.Second

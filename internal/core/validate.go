@@ -23,29 +23,21 @@ var (
 // "other replicas ... ensure that the local transactions are in fact
 // allowed to commit using the rules above").
 func (n *Node) validateBatch(b *protocol.Batch) error {
-	// Leader fast path: this is our own speculative proposal, already
-	// derived from the very state we would re-check against. Matching the
-	// full header digest — not just the Merkle root — guarantees the
-	// proposal is bit-for-bit the batch we built. Both digests are
-	// memoized (the slot stored its own, and b is the sealed batch we
-	// proposed), so the comparison costs nothing.
-	if n.IsLeader() {
-		for _, slot := range n.spec {
-			if slot.batch.ID != b.ID {
-				continue
-			}
-			if slot.digest == b.Digest() {
-				return nil
-			}
-			break
-		}
+	// Leader fast path: this is our own proposal, already derived from
+	// the very state we would re-check against. Matching the full header
+	// digest — not just the Merkle root — guarantees the proposal is
+	// bit-for-bit the batch we built. Both digests are memoized (the slot
+	// stored its own, and b is the sealed batch we proposed), so the
+	// comparison costs nothing.
+	if s := n.spec; s != nil && n.IsLeader() && s.batch.ID == b.ID && s.digest == b.Digest() {
+		return nil
 	}
 
-	// Validation runs ahead of delivery: the batch is checked against the
-	// state at the end of the speculative chain, not the delivered state,
-	// so pipelined slots validate (and vote) without waiting for their
-	// predecessors to commit.
-	prev, _, prevTree := n.specTail()
+	// Consensus validates a slot only once its predecessor is delivered
+	// here (bft's validation window of one), so the batch is checked
+	// against the delivered state.
+	tip := n.log.last()
+	prev := &tip.header
 
 	if b.Cluster != n.cfg.Cluster {
 		return fmt.Errorf("%w: foreign cluster %d", ErrBadBatch, b.Cluster)
@@ -70,11 +62,10 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 
 	// --- Committed segment: ordering constraint + decision evidence ---
 	if len(b.Committed) > 0 {
-		groups := n.specGroupView()
-		if len(groups) == 0 {
+		if len(n.groups) == 0 {
 			return fmt.Errorf("%w: committed segment without an open prepare group", ErrBadBatch)
 		}
-		g := &groups[0]
+		g := n.groups[0]
 		if len(b.Committed) != len(g.ids) {
 			return fmt.Errorf("%w: committed segment has %d records, oldest group has %d",
 				ErrBadBatch, len(b.Committed), len(g.ids))
@@ -88,15 +79,11 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 				return fmt.Errorf("%w: committed record %d is %v, group expects %v (Def. 4.1 order)",
 					ErrBadBatch, i, rec.Txn.ID, g.ids[i])
 			}
-			var prepared *protocol.Transaction
-			if g.recs != nil {
-				prepared = &g.recs[i].Txn
-			} else if dt := n.distTxns[rec.Txn.ID]; dt != nil {
-				prepared = &dt.rec.Txn
-			} else {
+			dt := n.distTxns[rec.Txn.ID]
+			if dt == nil {
 				return fmt.Errorf("%w: committed record for unknown %v", ErrBadBatch, rec.Txn.ID)
 			}
-			if protocol.TransactionDigest(&rec.Txn) != protocol.TransactionDigest(prepared) {
+			if protocol.TransactionDigest(&rec.Txn) != protocol.TransactionDigest(&dt.rec.Txn) {
 				return fmt.Errorf("%w: committed record content differs from prepared %v", ErrBadBatch, rec.Txn.ID)
 			}
 			if err := n.validateCommitRecord(rec, b.CommitEvidence[rec.Txn.ID]); err != nil {
@@ -108,7 +95,13 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 	}
 
 	// --- Local and prepared segments: conflict detection (Def. 3.1) ---
-	env := n.specConflictEnv(n.prefetchWriters(b))
+	env := &conflictEnv{
+		lastWriter:     n.prefetchWriters(b),
+		pendingReads:   make(keyRefs),
+		pendingWrites:  make(keyRefs),
+		preparedReads:  n.preparedReads,
+		preparedWrites: n.preparedWrites,
+	}
 	part := n.cfg.partitioner()
 	for i := range b.Local {
 		t := &b.Local[i]
@@ -166,57 +159,19 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 			return fmt.Errorf("%w: CD vector %v, want %v", ErrBadSegment, b.CD, wantCD)
 		}
 	}
-	tree := n.applyBatchToTree(prevTree, b)
+	tree := n.applyBatchToTree(tip.tree, b)
 	if tree.Root() != b.MerkleRoot {
 		return fmt.Errorf("%w: merkle root mismatch", ErrBadSegment)
 	}
 
-	// Extend the speculative chain so the next pipelined slot validates
-	// against this batch's post-state. The leader's chain is extended at
-	// proposal time instead (its fast path returned above; reaching here
-	// as leader means the log diverged from our ring, handled at
-	// delivery).
+	// A follower holds the validated batch until delivery installs its
+	// tree. The leader's slot is its own proposal (its fast path returned
+	// above; reaching here as leader means the log diverged from it,
+	// which delivery reconciles).
 	if !n.IsLeader() {
-		slot := &specSlot{batch: b, header: b.Header(), digest: b.Digest(), tree: tree}
-		if len(b.Committed) > 0 {
-			slot.groups = 1
-		}
-		n.spec = append(n.spec, slot)
+		n.spec = &specSlot{batch: b, digest: b.Digest(), tree: tree}
 	}
 	return nil
-}
-
-// specGroup is one entry of the prepare-group queue as of the end of the
-// speculative chain: either a delivered group (recs nil; prepared
-// content lives in distTxns) or a group opened by a speculative prepared
-// segment (recs holds the prepare records themselves).
-type specGroup struct {
-	prepareBatch int64
-	ids          []protocol.TxnID
-	recs         []protocol.PrepareRecord
-}
-
-// specGroupView builds the effective prepare-group queue at the end of
-// the speculative chain: delivered groups minus those consumed by
-// speculative committed segments, plus groups opened by speculative
-// prepared segments (Def. 4.1 order is preserved — groups still commit
-// strictly in prepare-batch order).
-func (n *Node) specGroupView() []specGroup {
-	all := make([]specGroup, 0, len(n.groups)+len(n.spec))
-	for _, g := range n.groups {
-		all = append(all, specGroup{prepareBatch: g.prepareBatch, ids: g.ids})
-	}
-	for _, s := range n.spec {
-		if len(s.batch.Prepared) == 0 {
-			continue
-		}
-		sg := specGroup{prepareBatch: s.batch.ID, recs: s.batch.Prepared}
-		for i := range s.batch.Prepared {
-			sg.ids = append(sg.ids, s.batch.Prepared[i].Txn.ID)
-		}
-		all = append(all, sg)
-	}
-	return all[min(n.specGroupsConsumed(), len(all)):]
 }
 
 // prefetchWriters resolves the last-writer batch of every read key the
@@ -249,67 +204,6 @@ func (n *Node) prefetchWriters(b *protocol.Batch) func(string) int64 {
 		}
 		return n.st.LastWriter(key)
 	}
-}
-
-// specConflictEnv builds the conflict environment as of the end of the
-// speculative chain: the delivered store (read through storeWriter,
-// typically a prefetched batch of last-writer lookups) overlaid with
-// speculative writes, and the prepared footprints adjusted by speculative
-// prepared and committed segments. With an empty chain this is exactly
-// the delivered state.
-func (n *Node) specConflictEnv(storeWriter func(string) int64) *conflictEnv {
-	if storeWriter == nil {
-		storeWriter = n.st.LastWriter
-	}
-	env := &conflictEnv{
-		lastWriter:     storeWriter,
-		pendingReads:   make(keyRefs),
-		pendingWrites:  make(keyRefs),
-		preparedReads:  n.preparedReads,
-		preparedWrites: n.preparedWrites,
-	}
-	if len(n.spec) == 0 {
-		return env
-	}
-	writer := make(map[string]int64)
-	prepReads, prepWrites := n.preparedReads.clone(), n.preparedWrites.clone()
-	for _, s := range n.spec {
-		sb := s.batch
-		for i := range sb.Local {
-			for _, w := range sb.Local[i].Writes {
-				writer[w.Key] = sb.ID
-			}
-		}
-		for i := range sb.Committed {
-			rec := &sb.Committed[i]
-			for _, r := range n.localReads(&rec.Txn) {
-				prepReads.release(r.Key)
-			}
-			for _, w := range n.localWrites(&rec.Txn) {
-				prepWrites.release(w.Key)
-				if rec.Decision == protocol.DecisionCommit {
-					writer[w.Key] = sb.ID
-				}
-			}
-		}
-		for i := range sb.Prepared {
-			t := &sb.Prepared[i].Txn
-			for _, r := range n.localReads(t) {
-				prepReads.add(r.Key)
-			}
-			for _, w := range n.localWrites(t) {
-				prepWrites.add(w.Key)
-			}
-		}
-	}
-	env.lastWriter = func(key string) int64 {
-		if v, ok := writer[key]; ok {
-			return v
-		}
-		return storeWriter(key)
-	}
-	env.preparedReads, env.preparedWrites = prepReads, prepWrites
-	return env
 }
 
 // validateCommitRecord checks one committed-segment record against its

@@ -11,7 +11,7 @@ import "sort"
 //
 // Invariants: entries[i] holds batch base+i; the window is never empty
 // after init (it always holds at least the newest batch, which the
-// speculative chain and read path anchor on).
+// next batch and read path anchor on).
 type windowedLog struct {
 	base    int64
 	entries []*logEntry
