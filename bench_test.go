@@ -1,9 +1,10 @@
 // Microbenchmarks of the per-operation costs that every layer's hot
-// path pays: batch digests, certificate verification, Merkle apply,
-// build and compaction, multi-proof construction and verification,
-// sharded-store apply, snapshot reads and export, replica boot and bytes
-// per key, and simulated-network delivery. Each
-// reports its own cost metrics via b.ReportMetric. End-to-end numbers
+// path pays: batch digests, certificate verification, one consensus
+// batch's signature ledger, Merkle apply, build and compaction,
+// multi-proof construction and verification, sharded-store apply,
+// snapshot reads and export, replica boot and bytes per key, and
+// simulated-network delivery. Each reports its own cost metrics via
+// b.ReportMetric. End-to-end numbers
 // (latency, throughput, heap per workload) come from the benchmark in
 // bench/ (`bash bench/run.sh`), not from here.
 package bench_test
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"transedge/internal/bft"
 	"transedge/internal/core"
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
@@ -353,6 +355,85 @@ func BenchmarkMerkleBuild(b *testing.B) {
 			b.Fatal("build lost keys")
 		}
 	}
+}
+
+// BenchmarkConsensusBatch — one batch through the normal case of a
+// 4-replica cluster (f = 1) on a zero-delay network, each proposed once
+// the previous one has delivered at every replica. Reports the per-batch
+// signature ledger, counted exactly: signs and verifies
+// (cryptoutil.SignOps/VerifyOps), envelopes sent (msgs/batch), and the
+// wall time from proposal to delivery at all four replicas (us/batch).
+func BenchmarkConsensusBatch(b *testing.B) {
+	const n, f = 4, 1
+	net := transport.NewNetwork()
+	ring := cryptoutil.NewKeyRing()
+	keys := make([]cryptoutil.KeyPair, n)
+	for i := range keys {
+		id := cryptoutil.NodeID{Cluster: 0, Replica: int32(i)}
+		keys[i] = cryptoutil.DeriveKeyPair(id, 1)
+		ring.Add(id, keys[i].Public)
+	}
+	// A Replica is single-threaded: each runs on its own loop, and the
+	// leader takes its proposals there.
+	propose := make(chan *protocol.Batch)
+	delivered := make(chan struct{}, n)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		rep := bft.New(bft.Config{
+			Cluster: 0, Replica: int32(i), N: n, F: f, Keys: keys[i], Ring: ring, Net: net,
+			Deliver: func(protocol.CertifiedBatch) { delivered <- struct{}{} },
+		})
+		inbox := net.Register(cryptoutil.NodeID{Cluster: 0, Replica: int32(i)})
+		var proposals chan *protocol.Batch
+		if int32(i) == bft.LeaderReplica {
+			proposals = propose
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case env := <-inbox:
+					rep.Handle(env.From, env.Payload)
+				case batch := <-proposals:
+					if err := rep.Propose(batch); err != nil {
+						panic(err)
+					}
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+		net.Stop()
+	}()
+
+	batches := make([]*protocol.Batch, b.N)
+	prev := protocol.Digest{}
+	for i := range batches {
+		batch := benchBatch(10)
+		batch.ID, batch.PrevDigest, batch.Timestamp = int64(i+1), prev, int64(i+1)
+		batches[i] = batch.Seal()
+		prev = batches[i].Digest()
+	}
+	signs, verifies, sent := cryptoutil.SignOps(), cryptoutil.VerifyOps(), net.Stats.Sent.Load()
+	b.ResetTimer()
+	for _, batch := range batches {
+		propose <- batch
+		for r := 0; r < n; r++ {
+			<-delivered
+		}
+	}
+	b.StopTimer()
+	per := func(total uint64) float64 { return float64(total) / float64(b.N) }
+	b.ReportMetric(per(cryptoutil.SignOps()-signs), "signs/batch")
+	b.ReportMetric(per(cryptoutil.VerifyOps()-verifies), "verifies/batch")
+	b.ReportMetric(per(uint64(net.Stats.Sent.Load()-sent)), "msgs/batch")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/batch")
 }
 
 // BenchmarkSystemBoot — time to ready of the benchmark's deployment

@@ -10,18 +10,24 @@
 // Validate call sees the delivered state. Delivery is always in strict
 // slot order. The flow per batch is:
 //
-//	leader        --PrePrepare(batch)-->  all replicas
-//	each replica  --Prepare(digest)--->   all replicas   (after validating)
-//	each replica  --Commit(digest,sig)->  all replicas   (after 2f+1 Prepares)
-//	deliver when 2f+1 valid Commits are held
+//	leader        --PrePrepare(batch,sig)-->  the other replicas   (sig is its prepare)
+//	each follower --Prepare(digest,sig)--->   the other replicas   (after validating)
+//	each replica  --Commit(digest,sig)---->   the other replicas   (after 2f+1 prepares)
+//	deliver when 2f+1 commits are held and f+1 of their signatures verify
 //
-// The Commit message carries the replica's signature over the batch-header
-// digest; any 2f+1 commit quorum therefore contains at least f+1 honest
-// signatures, which the deliverer assembles into the batch certificate
-// that read-only clients later verify. Replicas validate batch *content*
-// (conflict rules, Merkle root recomputation) through an application
-// callback before voting, so a malicious leader cannot get an inconsistent
-// batch certified — the safety property the paper relies on in Sec. 3.2.
+// PBFT's signature ledger: the leader signs its PrePrepare over the same
+// PrepareSigDigest a Prepare carries, so the proposal is the leader's
+// prepare vote and it sends no separate one. A prepare signature is
+// verified when the replica counts it toward its 2f+1 quorum, because a
+// view-change vote relays the counted ones. Commit votes are counted on
+// their authenticated sender once their digest matches; their signatures
+// over the batch-header digest are checked only to fill the f+1
+// certificate that the deliverer hands to read-only clients. No replica
+// sends a message to itself or checks a signature it made. Replicas
+// validate batch *content* (conflict rules, Merkle root recomputation)
+// through an application callback before voting, so a malicious leader
+// cannot get an inconsistent batch certified — the safety property the
+// paper relies on in Sec. 3.2. DESIGN.md §7 has the per-batch ledger.
 //
 // Leader replacement follows PBFT's view-change protocol (the paper
 // inherits this behavior from BFT-SMaRt): views number the leadership
@@ -43,7 +49,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"transedge/internal/cryptoutil"
@@ -97,16 +103,18 @@ type Config struct {
 
 	// MaxInFlight is both the proposal window and the validation window:
 	// the leader may propose slot s, and any replica validate it, only
-	// while s < nextDeliver+MaxInFlight. Values <= 1 give the paper's
-	// stop-and-wait pipeline, which the enclosing node always runs.
-	// Besides this package's tests, the benchmark's depth-4 consensus
-	// probe (bench/probes.go) is the only caller that sets it above 1.
+	// while s < nextDeliver+MaxInFlight. The leader validates its own
+	// proposal inside Propose, so it never trails its own window. Values
+	// <= 1 give the paper's stop-and-wait pipeline, which the enclosing
+	// node always runs; this package's tests and the benchmark's depth-4
+	// consensus probe (bench/probes.go) set it above 1.
 	MaxInFlight int
 
 	// Validate inspects a proposed batch before the replica votes for it.
 	// It runs exactly once per batch ID, in log order, and only inside the
 	// validation window: at MaxInFlight 1, after the predecessor has been
-	// delivered here. Returning an error withholds the replica's Prepare
+	// delivered here. On the leader it runs inside Propose, on the batch
+	// just proposed. Returning an error withholds the replica's prepare
 	// vote.
 	Validate func(*protocol.Batch) error
 	// Deliver receives certified batches in strict log order.
@@ -116,16 +124,21 @@ type Config struct {
 // Message types exchanged within a cluster.
 
 // PrePrepare is the leader's proposal of the next batch in its view.
+// LeaderSig signs protocol.PrepareSigDigest(cluster, View, Batch.ID,
+// Batch.Digest()), exactly what the leader's Prepare would sign: the
+// proposal is the leader's prepare vote (PBFT's rule), and followers
+// count and relay LeaderSig as such.
 type PrePrepare struct {
 	View      uint64
 	Batch     *protocol.Batch
-	LeaderSig []byte // leader's signature over the batch digest
+	LeaderSig []byte
 }
 
-// Prepare is a replica's vote that it accepts the proposal. Sig signs
-// protocol.PrepareSigDigest(cluster, View, ID, Digest) and is verified on
-// receipt, so any 2f+1 counted prepares are a transferable prepare
-// certificate — the evidence view-change votes carry.
+// Prepare is a follower's vote that it accepts the proposal (and a
+// re-proposing replica's after a NewView). Sig signs
+// protocol.PrepareSigDigest(cluster, View, ID, Digest) and is verified
+// before it is counted, so any 2f+1 counted prepares are a transferable
+// prepare certificate — the evidence view-change votes carry.
 type Prepare struct {
 	View   uint64
 	ID     int64
@@ -133,11 +146,13 @@ type Prepare struct {
 	Sig    []byte
 }
 
-// Commit is a replica's second-phase vote; CertSig is its certificate
-// signature over the batch-header digest. CertSig deliberately does NOT
-// cover View: a slot re-proposed with identical content after a view
-// change assembles its delivery certificate from commit votes cast in
-// any view, which is what lets delivery straddle a failover.
+// Commit is a replica's second-phase vote, counted on its authenticated
+// sender; CertSig is its certificate signature over the batch-header
+// digest, verified only if the deliverer's f+1 certificate needs it.
+// CertSig deliberately does NOT cover View: a slot re-proposed with
+// identical content after a view change assembles its delivery
+// certificate from commit votes cast in any view, which is what lets
+// delivery straddle a failover.
 type Commit struct {
 	View    uint64 // informational: the sender's view when it committed
 	ID      int64
@@ -145,13 +160,14 @@ type Commit struct {
 	CertSig []byte
 }
 
-// prepVote is one replica's verified prepare for a slot: the digest it
-// voted for, the view it voted in, and its signature over
-// PrepareSigDigest — kept so a view-change vote can relay it.
+// prepVote is one replica's prepare for a slot: the digest it voted for,
+// the view it voted in, and its signature over PrepareSigDigest — kept so
+// a view-change vote can relay it once verified.
 type prepVote struct {
-	view   uint64
-	digest protocol.Digest
-	sig    []byte
+	view     uint64
+	digest   protocol.Digest
+	sig      []byte
+	verified bool // sig checked, or signed here
 }
 
 // instance tracks one batch's consensus progress.
@@ -163,8 +179,11 @@ type instance struct {
 	validated bool // Validate ran and passed; Prepare sent
 	committed bool // Commit sent
 	delivered bool
-	prepares  map[int32]prepVote // replica -> newest-view verified prepare
-	commits   map[int32][]byte   // replica -> valid cert sig (digest-matched)
+	prepares  map[int32]prepVote // replica -> newest-view prepare
+	// commits holds the digest-matched commit votes by sender. A peer's
+	// certificate signature is verified only when the certificate reaches
+	// for it; one that failed is kept as nil: still a vote, never certified.
+	commits map[int32][]byte
 	// pendingCommits buffers commit votes that arrived before this
 	// replica validated the proposal (message interleaving makes this
 	// common: peers only need 2f+1 prepares, not ours).
@@ -175,10 +194,10 @@ type instance struct {
 type Replica struct {
 	cfg          Config
 	self         NodeID
-	peers        []NodeID
-	nextDeliver  int64 // next batch ID to deliver
-	nextValidate int64 // next batch ID to validate (< nextDeliver+MaxInFlight)
-	nextPropose  int64 // next slot the leader may propose into
+	peers        []NodeID // the other replicas; nothing is sent to self
+	nextDeliver  int64    // next batch ID to deliver
+	nextValidate int64    // next batch ID to validate (< nextDeliver+MaxInFlight)
+	nextPropose  int64    // next slot the leader may propose into
 	instances    map[int64]*instance
 	// pendingPrePrepare buffers proposals that arrived before their turn:
 	// ahead of the next slot to validate, or outside the validation
@@ -213,8 +232,9 @@ type Replica struct {
 	currentView atomic.Uint64
 	viewChanges atomic.Int64
 
-	// verify checks a peer's proposal or vote signature (cryptoutil.Verify;
-	// a field so a test can count which signers a replica spends it on).
+	// verify checks a peer's proposal, prepare or certificate signature
+	// (cryptoutil.Verify; a field so a test can count which signers a
+	// replica spends it on).
 	verify func(pub ed25519.PublicKey, msg, sig []byte) bool
 
 	// Equivocation evidence: leader proposals seen per ID.
@@ -255,7 +275,9 @@ func New(cfg Config) *Replica {
 		lastCert:          cfg.GenesisCert,
 	}
 	for i := 0; i < cfg.N; i++ {
-		r.peers = append(r.peers, NodeID{Cluster: cfg.Cluster, Replica: int32(i)})
+		if int32(i) != cfg.Replica {
+			r.peers = append(r.peers, NodeID{Cluster: cfg.Cluster, Replica: int32(i)})
+		}
 	}
 	return r
 }
@@ -444,7 +466,9 @@ var (
 // Propose starts consensus on the next free slot. Only the current
 // view's leader calls this; up to MaxInFlight proposals may be
 // outstanding at once, and the batch must carry the next sequence number
-// (NextID).
+// (NextID). The leader's own copy of the proposal is handled in line:
+// Propose validates the batch (calling Config.Validate) and records the
+// pre-prepare signature as the leader's prepare before it returns.
 func (r *Replica) Propose(b *protocol.Batch) error {
 	if !r.IsLeader() {
 		return ErrNotLeader
@@ -469,13 +493,18 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 		r.cfg.Behavior.TamperBatch(b)
 	}
 	if r.cfg.Behavior.Equivocate {
-		// Byzantine leader: different content per replica.
-		for i, peer := range r.peers {
+		// Byzantine leader: different content per replica, its own
+		// included.
+		for i := 0; i < r.cfg.N; i++ {
 			forged := b.MutableCopy()
 			forged.Timestamp = b.Timestamp + int64(i)
 			forged.Seal()
-			d := forged.Digest()
-			r.send(peer, &PrePrepare{View: r.view, Batch: forged, LeaderSig: r.cfg.Keys.Sign(d[:])})
+			pp := r.signPrePrepare(forged)
+			if to := (NodeID{Cluster: r.cfg.Cluster, Replica: int32(i)}); to != r.self {
+				r.send(to, pp)
+			} else {
+				r.onPrePrepare(r.self, pp)
+			}
 		}
 		return nil
 	}
@@ -483,10 +512,17 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 	// signature is the one every replica (and the leader's own validation
 	// and delivery steps) will reuse.
 	b.Seal()
-	d := b.Digest()
-	pp := &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(d[:])}
+	pp := r.signPrePrepare(b)
 	r.broadcast(pp)
+	r.onPrePrepare(r.self, pp)
 	return nil
+}
+
+// signPrePrepare signs b as the current view's proposal. The signature
+// covers PrepareSigDigest, so it is the leader's prepare vote as well.
+func (r *Replica) signPrePrepare(b *protocol.Batch) *PrePrepare {
+	psd := protocol.PrepareSigDigest(r.cfg.Cluster, r.view, b.ID, b.Digest())
+	return &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(psd[:])}
 }
 
 func (r *Replica) send(to NodeID, msg any) {
@@ -540,6 +576,8 @@ func (r *Replica) inst(id int64) *instance {
 	return in
 }
 
+// onPrePrepare accepts the view leader's proposal. Propose hands it the
+// leader's own proposal (from == self), which it signed a moment ago.
 func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 	if from.Cluster != r.cfg.Cluster || from.Replica != r.leaderAt(m.View) {
 		return // only the view's leader proposes
@@ -558,10 +596,13 @@ func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 		return // beyond the buffering window; state transfer catches us up
 	}
 	d := b.Digest()
-	// The leader's own proposal loops back through the broadcast; it signed
-	// that one itself, a moment ago.
-	if from != r.self && !r.verify(r.cfg.Ring.PublicKey(from), d[:], m.LeaderSig) {
-		return // forged proposal
+	// The signature is checked once, here, against the prepare digest:
+	// it counts as the leader's prepare when the slot starts, and a
+	// signature over anything else (the bare batch digest included) is a
+	// forged proposal.
+	psd := protocol.PrepareSigDigest(r.cfg.Cluster, m.View, b.ID, d)
+	if from != r.self && !r.verify(r.cfg.Ring.PublicKey(from), psd[:], m.LeaderSig) {
+		return
 	}
 	if prev, ok := r.proposedDigest[b.ID]; ok && prev != d {
 		// Leader equivocation: conflicting proposals for the same slot.
@@ -601,6 +642,9 @@ func (r *Replica) startBuffered() {
 // startInstance validates the proposal for the next slot of the
 // validation chain and votes. The slot must chain off the newest
 // validated proposal, which at MaxInFlight 1 is the newest delivered one.
+// The pre-prepare's signature, verified on receipt, counts as the
+// leader's prepare; a follower adds its own Prepare, the leader sends
+// none.
 func (r *Replica) startInstance(m *PrePrepare) {
 	b := m.Batch
 	in := r.inst(b.ID)
@@ -623,118 +667,83 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	in.validated = true
 	r.lastValidated = in.digest
 	r.nextValidate = b.ID + 1
-	r.broadcastPrepare(in)
+	lead := r.leaderAt(m.View)
+	if lead != r.cfg.Replica || !r.cfg.Behavior.Silent {
+		// Checked on receipt, or made here and sent (a silent leader's
+		// counts for nothing, as in broadcastPrepare).
+		r.notePrepare(in, lead, prepVote{view: m.View, digest: in.digest, sig: m.LeaderSig, verified: true})
+	}
+	if lead != r.cfg.Replica {
+		r.broadcastPrepare(in)
+	}
 	r.replayPendingCommits(in)
 	r.maybeCommit(in)
 	r.maybeDeliver(in)
 	r.startBuffered()
 }
 
+// notePrepare records rep's prepare unless it already holds one from the
+// same or a later view: each replica's newest-view prepare only.
+func (r *Replica) notePrepare(in *instance, rep int32, pv prepVote) bool {
+	if prev, ok := in.prepares[rep]; ok && prev.view >= pv.view {
+		return false
+	}
+	in.prepares[rep] = pv
+	return true
+}
+
 // replayPendingCommits re-checks commit votes that arrived before this
 // replica validated the proposal. A follower that validates only after
 // its own delivery makes these bursts common — peers race whole
-// consensus phases ahead — so the buffered
-// votes' certificate signatures are verified concurrently (they are
-// independent Ed25519 checks) before the results are applied serially.
+// consensus phases ahead.
 func (r *Replica) replayPendingCommits(in *instance) {
-	if len(in.pendingCommits) == 0 {
-		return
-	}
-	reps := make([]int32, 0, len(in.pendingCommits))
-	checks := make([]cryptoutil.SigCheck, 0, len(in.pendingCommits))
 	for rep, c := range in.pendingCommits {
 		delete(in.pendingCommits, rep)
-		pub, ok := r.vetCommit(in, NodeID{Cluster: r.cfg.Cluster, Replica: rep}, c)
-		if !ok {
-			continue
-		}
-		reps = append(reps, rep)
-		checks = append(checks, cryptoutil.SigCheck{Pub: pub, Msg: c.Digest[:], Sig: c.CertSig})
+		r.acceptCommit(in, NodeID{Cluster: r.cfg.Cluster, Replica: rep}, c)
 	}
-	for i, ok := range cryptoutil.VerifyEach(checks) {
-		if ok {
-			in.commits[reps[i]] = checks[i].Sig
-		}
-	}
-}
-
-// vetCommit runs the cheap acceptance checks shared by the direct and
-// buffered-replay commit paths — digest match and signer lookup —
-// returning the key for the (expensive) signature verification each path
-// schedules its own way.
-func (r *Replica) vetCommit(in *instance, from NodeID, m *Commit) (ed25519.PublicKey, bool) {
-	if m.Digest != in.digest {
-		return nil, false
-	}
-	pub := r.cfg.Ring.PublicKey(from)
-	if pub == nil {
-		return nil, false
-	}
-	return pub, true
 }
 
 // broadcastPrepare signs and sends this replica's prepare for the
-// instance in its adopted view, and counts it here: the copy the
-// broadcast loops back is then a duplicate, dropped before its signature
-// is verified. A silent replica counts nothing it did not send.
+// instance in its adopted view, and counts it here. A silent replica
+// counts nothing it did not send.
 func (r *Replica) broadcastPrepare(in *instance) {
 	psd := protocol.PrepareSigDigest(r.cfg.Cluster, in.view, in.id, in.digest)
 	sig := r.cfg.Keys.Sign(psd[:])
 	if !r.cfg.Behavior.Silent {
-		in.prepares[r.cfg.Replica] = prepVote{view: in.view, digest: in.digest, sig: sig}
+		in.prepares[r.cfg.Replica] = prepVote{view: in.view, digest: in.digest, sig: sig, verified: true}
 	}
 	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: sig})
 }
 
+// onPrepare records a peer's prepare, unverified: maybeCommit checks its
+// signature if and when it is counted.
 func (r *Replica) onPrepare(from NodeID, m *Prepare) {
 	if from.Cluster != r.cfg.Cluster || m.ID < r.nextDeliver {
 		return
 	}
-	if !r.observe(m.ID) {
+	if !r.observe(m.ID) || r.cfg.Ring.PublicKey(from) == nil {
 		return
 	}
 	in := r.inst(m.ID)
-	if prev, ok := in.prepares[from.Replica]; ok && prev.view >= m.View {
-		return // keep each replica's newest-view prepare only
-	}
 	if in.committed && m.View <= in.view {
 		// Our commit for this view is out: it took 2f+1 verified prepares
 		// for (in.view, in.digest), which is all a view-change vote relays,
 		// and one more — or one from an older view — decides nothing.
 		return
 	}
-	// Verify eagerly against the prepare's own claimed (view, id, digest):
-	// commit quorums are counted from these votes, and the safety of the
-	// view-change frontier (DESIGN §7) rests on every counted prepare
-	// being a relayable signature. A byzantine replica that attached
-	// garbage here must not count toward prepared-ness.
-	psd := protocol.PrepareSigDigest(r.cfg.Cluster, m.View, m.ID, m.Digest)
-	pub := r.cfg.Ring.PublicKey(from)
-	if pub == nil || !r.verify(pub, psd[:], m.Sig) {
-		return
+	if r.notePrepare(in, from.Replica, prepVote{view: m.View, digest: m.Digest, sig: m.Sig}) {
+		r.maybeCommit(in)
+		r.maybeDeliver(in) // our own commit vote may be the one that completes the quorum
 	}
-	in.prepares[from.Replica] = prepVote{view: m.View, digest: m.Digest, sig: m.Sig}
-	r.maybeCommit(in)
-	r.maybeDeliver(in) // our own commit vote may be the one that completes the quorum
 }
 
-// maybeCommit sends the Commit vote once 2f+1 matching Prepares are held
+// maybeCommit sends the Commit vote once 2f+1 matching prepares are held
 // for the digest this replica validated, in the view it validated it.
 // The per-view match is what makes "prepared" transferable: any replica
 // holding a commit quorum member's evidence holds 2f+1 signatures over
 // one (view, id, digest) triple.
 func (r *Replica) maybeCommit(in *instance) {
-	if !in.validated || in.committed {
-		return
-	}
-	quorum := 2*r.cfg.F + 1
-	matching := 0
-	for _, pv := range in.prepares {
-		if pv.digest == in.digest && pv.view == in.view {
-			matching++
-		}
-	}
-	if matching < quorum {
+	if !in.validated || in.committed || !r.prepared(in) {
 		return
 	}
 	in.committed = true
@@ -745,6 +754,47 @@ func (r *Replica) maybeCommit(in *instance) {
 		in.commits[r.cfg.Replica] = sig // counted here, as in broadcastPrepare
 	}
 	r.broadcast(&Commit{View: in.view, ID: in.id, Digest: in.digest, CertSig: sig})
+}
+
+// prepared reports whether 2f+1 verified prepares match the slot's
+// (view, digest). Peers' prepares are verified here, once enough match
+// to make a quorum, in ascending replica order and only until the quorum
+// is reached: the safety of the view-change frontier (DESIGN §7) rests
+// on every counted prepare being a relayable signature, so a byzantine
+// replica's garbage is dropped instead of counted.
+func (r *Replica) prepared(in *instance) bool {
+	quorum := 2*r.cfg.F + 1
+	verified := 0
+	var unverified []int32
+	for rep, pv := range in.prepares {
+		if pv.digest != in.digest || pv.view != in.view {
+			continue
+		}
+		if pv.verified {
+			verified++
+		} else {
+			unverified = append(unverified, rep)
+		}
+	}
+	if verified+len(unverified) < quorum {
+		return false
+	}
+	slices.Sort(unverified)
+	psd := protocol.PrepareSigDigest(r.cfg.Cluster, in.view, in.id, in.digest)
+	for _, rep := range unverified {
+		if verified >= quorum {
+			break
+		}
+		pv := in.prepares[rep]
+		if !r.verify(r.cfg.Ring.PublicKey(NodeID{Cluster: r.cfg.Cluster, Replica: rep}), psd[:], pv.sig) {
+			delete(in.prepares, rep)
+			continue
+		}
+		pv.verified = true
+		in.prepares[rep] = pv
+		verified++
+	}
+	return verified >= quorum
 }
 
 func (r *Replica) onCommit(from NodeID, m *Commit) {
@@ -769,43 +819,32 @@ func (r *Replica) onCommit(from NodeID, m *Commit) {
 	r.maybeDeliver(in)
 }
 
-// acceptCommit records a commit vote after digest and signature checks.
-// Only votes whose certificate signature actually verifies are counted —
-// corrupt signatures must never reach the assembled certificate.
+// acceptCommit counts a commit vote from a replica of the cluster whose
+// digest matches the validated one. The sender is authenticated by the
+// transport, so the vote counts without its signature being checked;
+// certify checks the signature if the certificate needs it.
 func (r *Replica) acceptCommit(in *instance, from NodeID, m *Commit) {
-	pub, ok := r.vetCommit(in, from, m)
-	if !ok || !r.verify(pub, m.Digest[:], m.CertSig) {
+	if m.Digest != in.digest || r.cfg.Ring.PublicKey(from) == nil {
 		return
 	}
 	in.commits[from.Replica] = m.CertSig
 }
 
-// maybeDeliver delivers the instance once it holds a 2f+1 commit quorum,
-// assembling the f+1-signature certificate from the verified commit
-// signatures. Delivery is strictly in ID order.
+// maybeDeliver delivers the instance once it holds a 2f+1 commit quorum
+// and an f+1 certificate of verified signatures. Delivery is strictly in
+// ID order.
 func (r *Replica) maybeDeliver(in *instance) {
 	if in.delivered || !in.validated || in.id != r.nextDeliver {
 		return
 	}
-	quorum := 2*r.cfg.F + 1
-	if len(in.commits) < quorum {
+	if len(in.commits) < 2*r.cfg.F+1 {
 		return
 	}
+	cert, ok := r.certify(in)
+	if !ok {
+		return // a later commit vote may bring a signature that verifies
+	}
 	in.delivered = true
-
-	// Deterministic certificate: lowest replica indices first.
-	replicas := make([]int32, 0, len(in.commits))
-	for rep := range in.commits {
-		replicas = append(replicas, rep)
-	}
-	sort.Slice(replicas, func(i, j int) bool { return replicas[i] < replicas[j] })
-	cert := cryptoutil.Certificate{Cluster: r.cfg.Cluster}
-	for _, rep := range replicas[:r.cfg.F+1] {
-		cert.Signatures = append(cert.Signatures, cryptoutil.Signature{
-			Signer: NodeID{Cluster: r.cfg.Cluster, Replica: rep},
-			Sig:    in.commits[rep],
-		})
-	}
 
 	r.lastDigest = in.digest
 	r.lastHeader = in.batch.Header()
@@ -834,4 +873,40 @@ func (r *Replica) maybeDeliver(in *instance) {
 	// The delivery moved the validation window: a proposal buffered for
 	// the slot it opened can be validated now, against this delivery.
 	r.startBuffered()
+}
+
+// certify assembles the slot's f+1 certificate from its commit votes:
+// this replica's own signature first, then peers' in ascending replica
+// order, each verified only when the certificate reaches for it. A
+// signature that fails is set to nil, so it is neither retried nor
+// certified. It reports false while fewer than f+1 signatures verify.
+func (r *Replica) certify(in *instance) (cryptoutil.Certificate, bool) {
+	cert := cryptoutil.Certificate{Cluster: r.cfg.Cluster}
+	add := func(rep int32) {
+		cert.Signatures = append(cert.Signatures, cryptoutil.Signature{
+			Signer: NodeID{Cluster: r.cfg.Cluster, Replica: rep},
+			Sig:    in.commits[rep],
+		})
+	}
+	if _, ok := in.commits[r.cfg.Replica]; ok {
+		add(r.cfg.Replica)
+	}
+	peers := make([]int32, 0, len(in.commits))
+	for rep, sig := range in.commits {
+		if rep != r.cfg.Replica && sig != nil {
+			peers = append(peers, rep)
+		}
+	}
+	slices.Sort(peers)
+	for _, rep := range peers {
+		if len(cert.Signatures) > r.cfg.F {
+			break
+		}
+		if !r.verify(r.cfg.Ring.PublicKey(NodeID{Cluster: r.cfg.Cluster, Replica: rep}), in.digest[:], in.commits[rep]) {
+			in.commits[rep] = nil
+			continue
+		}
+		add(rep)
+	}
+	return cert, len(cert.Signatures) > r.cfg.F
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // testCluster runs n replica engines, each on its own event-loop
-// goroutine, and records deliveries per replica.
+// goroutine, and records deliveries per replica. A Replica is
+// single-threaded, so the test reaches one only through its loop (on).
 type testCluster struct {
 	t        *testing.T
 	net      *transport.Network
@@ -25,6 +26,7 @@ type testCluster struct {
 	mu        sync.Mutex
 	delivered map[int32][]protocol.CertifiedBatch
 	notify    chan struct{}
+	calls     []chan func()
 	stop      []chan struct{}
 	wg        sync.WaitGroup
 }
@@ -83,10 +85,11 @@ func newTestCluster(t *testing.T, f int, opts ...clusterOpt) *testCluster {
 		tc.replicas = append(tc.replicas, r)
 
 		inbox := tc.net.Register(NodeID{Cluster: 0, Replica: i})
-		stop := make(chan struct{})
+		calls, stop := make(chan func()), make(chan struct{})
+		tc.calls = append(tc.calls, calls)
 		tc.stop = append(tc.stop, stop)
 		tc.wg.Add(1)
-		go func(r *Replica, inbox <-chan transport.Envelope, stop chan struct{}) {
+		go func(r *Replica, inbox <-chan transport.Envelope) {
 			defer tc.wg.Done()
 			for {
 				select {
@@ -95,11 +98,13 @@ func newTestCluster(t *testing.T, f int, opts ...clusterOpt) *testCluster {
 						return
 					}
 					r.Handle(env.From, env.Payload)
+				case f := <-calls:
+					f()
 				case <-stop:
 					return
 				}
 			}
-		}(r, inbox, stop)
+		}(r, inbox)
 	}
 	t.Cleanup(func() {
 		for _, s := range tc.stop {
@@ -163,12 +168,23 @@ func allReplicas(n int) []int32 {
 	return out
 }
 
-// propose runs the leader's Propose on the leader's event-loop context.
-// The test harness is the only writer to replica 0 before the proposal, so
-// direct invocation is race-free here; real nodes call Propose from their
-// own event loop.
+// on runs f on replica i's event loop and waits for it to return.
+func (tc *testCluster) on(i int32, f func(r *Replica)) {
+	done := make(chan struct{})
+	tc.calls[i] <- func() {
+		f(tc.replicas[i])
+		close(done)
+	}
+	<-done
+}
+
+// propose runs the leader's Propose on the leader's event loop, as a
+// node does: Propose validates and votes for the leader's own copy in
+// line, touching the state its loop owns.
 func (tc *testCluster) propose(b *protocol.Batch) error {
-	return tc.replicas[0].Propose(b)
+	var err error
+	tc.on(LeaderReplica, func(r *Replica) { err = r.Propose(b) })
+	return err
 }
 
 func TestConsensusCommitsOneBatch(t *testing.T) {

@@ -55,7 +55,9 @@ func (r *Replica) voteViewChange(v uint64) {
 
 // buildViewChange assembles and signs this replica's vote for view v:
 // the certified tip plus every validated undelivered slot with the
-// prepare signatures verified for (slot view, digest).
+// prepare signatures verified for (slot view, digest) — the leader's
+// pre-prepare signature among them. A prepare held but never counted is
+// unverified and stays out.
 func (r *Replica) buildViewChange(v uint64) *protocol.ViewChange {
 	vc := &protocol.ViewChange{
 		Cluster:   r.cfg.Cluster,
@@ -75,7 +77,7 @@ func (r *Replica) buildViewChange(v uint64) *protocol.ViewChange {
 		in := r.instances[id]
 		e := protocol.PreparedEntry{ID: id, View: in.view, Digest: in.digest, Batch: in.batch}
 		for rep, pv := range in.prepares {
-			if pv.digest == in.digest && pv.view == in.view {
+			if pv.verified && pv.digest == in.digest && pv.view == in.view {
 				e.Prepares = append(e.Prepares, protocol.PrepareSig{Replica: rep, Sig: pv.sig})
 			}
 		}
@@ -330,8 +332,8 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 		e := &entries[i]
 		in := r.inst(e.ID)
 		if prevIn, ok := old[e.ID]; ok {
-			// Carry verified prepares (per-replica newest view), commit
-			// votes — valid only if cast for the same digest — and
+			// Carry prepares (per-replica newest view, verified or not),
+			// commit votes — valid only if cast for the same digest — and
 			// commits buffered before validation.
 			for rep, pv := range prevIn.prepares {
 				in.prepares[rep] = pv

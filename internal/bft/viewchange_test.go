@@ -1,6 +1,8 @@
 package bft
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -386,5 +388,125 @@ func TestJoinRuleConverges(t *testing.T) {
 	})
 	if !c.reps[1].IsLeader() || c.reps[0].IsLeader() {
 		t.Fatal("view 1 must be led by replica 1")
+	}
+}
+
+// TestViewChangeRelaysPrePrepareAsLeaderPrepare: the leader's pre-prepare
+// signature is its prepare vote, so a slot whose followers prepared it
+// survives a view change even though the leader sent no Prepare. The
+// view-0 leader proposes slot 1, every follower prepares and commits it,
+// and every commit vote is lost; the leader then goes dark. The
+// survivors' view-change votes carry the old leader's pre-prepare
+// signature among the slot's prepares, the frontier recomputed from the
+// NewView keeps the slot, and view 1 delivers it with the same content.
+func TestViewChangeRelaysPrePrepareAsLeaderPrepare(t *testing.T) {
+	c := newVCCluster(t)
+	// The filter runs on the sending goroutine, which is this one: the
+	// test pumps every replica itself.
+	var (
+		pp          *PrePrepare
+		nv          *protocol.NewView
+		dropCommits = true
+	)
+	c.net.SetFilter(func(e transport.Envelope) bool {
+		switch m := e.Payload.(type) {
+		case *PrePrepare:
+			if pp == nil {
+				pp = m
+			}
+		case *Commit:
+			return !dropCommits
+		case *protocol.NewView:
+			nv = m
+		}
+		return true
+	})
+	b := &protocol.Batch{Cluster: 0, ID: 1, PrevDigest: c.reps[0].LastDigest(),
+		Timestamp: 1, CD: protocol.NewCDVector(1), LCE: -1}
+	if err := c.reps[0].Propose(b); err != nil {
+		t.Fatalf("propose: %v", err)
+	}
+	all, live := []int{0, 1, 2, 3}, []int{1, 2, 3}
+	c.pump(all, func() bool {
+		for _, i := range live {
+			if in := c.reps[i].instances[1]; in == nil || !in.committed {
+				return false
+			}
+		}
+		return true
+	})
+	for _, i := range live {
+		if in := c.reps[i].instances[1]; !bytes.Equal(in.prepares[0].sig, pp.LeaderSig) {
+			t.Fatalf("replica %d counted no pre-prepare signature as the leader's prepare", i)
+		}
+	}
+
+	// The leader goes dark; the survivors vote it out.
+	dropCommits = false
+	for _, i := range live {
+		c.reps[i].SuspectLeader()
+	}
+	c.pump(live, func() bool {
+		for _, i := range live {
+			if c.reps[i].CurrentView() != 1 || len(c.delivered[i]) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	if nv == nil {
+		t.Fatal("no NewView was broadcast")
+	}
+	for _, v := range nv.Votes {
+		if len(v.Entries) != 1 || v.Entries[0].ID != 1 {
+			t.Fatalf("replica %d's vote carries entries %+v, want slot 1 only", v.Replica, v.Entries)
+		}
+		leaderSig := false
+		for _, p := range v.Entries[0].Prepares {
+			leaderSig = leaderSig || (p.Replica == 0 && bytes.Equal(p.Sig, pp.LeaderSig))
+		}
+		if !leaderSig {
+			t.Fatalf("replica %d's vote relays no pre-prepare signature of the old leader", v.Replica)
+		}
+	}
+	fr := computeFrontier(c.f.ring, 0, 1, nv.Votes)
+	if len(fr) != 1 || fr[0].ID != 1 || fr[0].Digest != b.Digest() {
+		t.Fatalf("frontier %+v, want slot 1 with the proposed digest", fr)
+	}
+	for _, i := range live {
+		if !slices.Equal(c.delivered[i], []int64{1}) || c.reps[i].LastDigest() != b.Digest() {
+			t.Fatalf("replica %d delivered %v (last digest %x), want slot 1 as proposed", i, c.delivered[i], c.reps[i].LastDigest())
+		}
+	}
+}
+
+// TestBareDigestPrePrepareIsNoPrepare: a pre-prepare signed over the bare
+// batch digest is not a prepare vote. A follower drops it as forged,
+// validating nothing and counting nothing; and in a view-change vote the
+// same signature, relayed as the leader's prepare, does not count toward
+// the 2f+1 the frontier needs.
+func TestBareDigestPrePrepareIsNoPrepare(t *testing.T) {
+	r, keys := soloReplica(t, 1)
+	defer r.cfg.Net.Stop()
+	b := testBatch(1, protocol.Digest{}).Seal()
+	d := b.Digest()
+	bare := keys[0].Sign(d[:])
+	r.Handle(NodeID{Cluster: 0, Replica: 0}, &PrePrepare{Batch: b, LeaderSig: bare})
+	if len(r.instances) != 0 || len(r.pendingPrePrepare) != 0 {
+		t.Fatal("a bare-digest pre-prepare was accepted as a proposal")
+	}
+
+	f := newVCFixture(t)
+	b1 := f.batches[0]
+	d1 := b1.Digest()
+	d1sig := f.keys[0].Sign(d1[:])
+	prepares := append([]protocol.PrepareSig{{Replica: 0, Sig: d1sig}}, f.preps(0, 1, d1, 1, 2)...)
+	votes := []*protocol.ViewChange{
+		vcVote(1, f.header, vcEntry(0, b1, prepares)),
+		vcVote(2, f.header, vcEntry(0, b1, prepares)),
+		vcVote(3, f.header),
+	}
+	if fr := computeFrontier(f.ring, 0, 1, votes); len(fr) != 0 {
+		t.Fatalf("frontier %+v, want empty: a bare-digest signature is no prepare", fr)
 	}
 }

@@ -27,10 +27,12 @@ func soloReplica(t *testing.T, maxInFlight int) (*Replica, []cryptoutil.KeyPair)
 	return r, keys
 }
 
+// leaderPrePrepare builds replica 0's view-0 proposal of b, signed over
+// the prepare digest as the leader's prepare vote.
 func leaderPrePrepare(keys []cryptoutil.KeyPair, b *protocol.Batch) *PrePrepare {
 	b.Seal()
-	d := b.Digest()
-	return &PrePrepare{Batch: b, LeaderSig: keys[0].Sign(d[:])}
+	psd := protocol.PrepareSigDigest(0, 0, b.ID, b.Digest())
+	return &PrePrepare{Batch: b, LeaderSig: keys[0].Sign(psd[:])}
 }
 
 // TestOutOfWindowMessagesDropped: consensus messages for sequence
@@ -168,10 +170,10 @@ func TestValidationWaitsForDelivery(t *testing.T) {
 		t.Fatal("PrePrepare(2) not buffered while batch 1 is undelivered")
 	}
 
-	// Two peers' prepares complete the prepare quorum with ours, and two
-	// peers' commits the commit quorum: batch 1 delivers.
+	// The leader's pre-prepare and one peer's prepare complete the prepare
+	// quorum with ours, and two peers' commits the commit quorum: batch 1
+	// delivers.
 	in := r.instances[1]
-	r.Handle(prepareFrom(keys, 0, in))
 	r.Handle(prepareFrom(keys, 2, in))
 	for _, rep := range []int32{0, 2} {
 		r.Handle(NodeID{Cluster: 0, Replica: rep}, &Commit{ID: 1, Digest: in.digest, CertSig: keys[rep].Sign(in.digest[:])})

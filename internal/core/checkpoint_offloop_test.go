@@ -318,6 +318,75 @@ func TestRestartDuringCheckpointPersist(t *testing.T) {
 	}
 }
 
+// TestStopPersistsQueuedCheckpoint: a stable checkpoint that queues
+// behind a running persist is written when the replica stops, not
+// dropped. The victim's first persist is held while the cluster moves
+// three checkpoint intervals on, so newer stable checkpoints queue behind
+// it; the replica is stopped during the hold. Once Stop returns, the file
+// on disk is the newest stable checkpoint, not the held one.
+func TestStopPersistsQueuedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 100)
+	sys := core.NewSystem(cfg)
+	victim := core.NodeID{Cluster: 0, Replica: 3}
+
+	var first atomic.Int64
+	first.Store(-1)
+	held, release := make(chan struct{}), make(chan struct{})
+	sys.Node(victim).SetPersistHook(func(id int64) {
+		if first.CompareAndSwap(-1, id) {
+			close(held)
+			<-release
+		}
+	})
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	// Runs before sys.Stop: a test that fails mid-hold must not leave Stop
+	// waiting on the held persist.
+	t.Cleanup(func() {
+		if !closed(release) {
+			close(release)
+		}
+	})
+
+	c := testClient(sys, 1)
+	keys := keysOn(sys, 0, 8)
+	next := 0
+	commit := func() { commitN(t, c, keys, next, 1); next++ }
+	waitFor(t, "the victim's first checkpoint persist", commit, func() bool { return closed(held) })
+	at := first.Load()
+	waitFor(t, "three more checkpoint intervals at the victim", commit, func() bool {
+		return sys.Node(victim).Tip() >= at+3*int64(cfg.CheckpointInterval)
+	})
+	settleTips(t, sys)
+
+	stopped := make(chan struct{})
+	go func() {
+		sys.StopReplica(victim)
+		close(stopped)
+	}()
+	// Let the loop exit while the first persist is still held, so the
+	// queued checkpoint is left to the shutdown path.
+	select {
+	case <-stopped:
+		t.Fatal("StopReplica returned while the replica's persister was still mid-write")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("StopReplica never returned after the persister finished")
+	}
+	stable := sys.Node(victim).Checkpoints().StableID
+	if stable <= at {
+		t.Fatalf("stable checkpoint %d, not above the held persist %d: nothing queued behind it", stable, at)
+	}
+	if got := loadCheckpointFile(t, dir, victim).CheckpointID; got != stable {
+		t.Fatalf("checkpoint file holds %d after Stop, want the newest stable checkpoint %d (held persist: %d)", got, stable, at)
+	}
+}
+
 // TestInstalledCheckpointIsDurableBeforeItsSuffix: a replica that installs
 // a checkpoint from a peer appends what follows it — the response's suffix,
 // then live batches — to its WAL only once the checkpoint file is durable

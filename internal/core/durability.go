@@ -184,15 +184,22 @@ func (n *Node) onPersisted(r persistResult) {
 }
 
 // drainPersister (loop) waits out a running persist and forgets a queued
-// one. Called around a checkpoint install — before it replaces the store
-// the persister exports from, and after it, so the installed checkpoint
-// is durable before anything behind it reaches the WAL — and when the
-// loop exits, so that once Stop returns nothing of this node still writes
-// under its DataDir, and a restart on the same directory is the only
-// writer of the temp file.
+// one. Called around a checkpoint install: before it replaces the store
+// the persister exports from (a queued checkpoint belongs to the state
+// being replaced), and after it, so the installed checkpoint is durable
+// before anything behind it reaches the WAL.
 func (n *Node) drainPersister() {
 	n.persistNext = nil
-	if n.persisting {
+	n.flushPersister()
+}
+
+// flushPersister (loop) waits out a running persist and then writes the
+// queued one, if any, so the file on disk is the newest stable
+// checkpoint. Called when the loop exits: once Stop returns nothing of
+// this node still writes under its DataDir, and a restart on the same
+// directory is the only writer of the temp file.
+func (n *Node) flushPersister() {
+	for n.persisting {
 		n.onPersisted(<-n.persistDone)
 	}
 }

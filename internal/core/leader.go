@@ -430,13 +430,16 @@ func (n *Node) maybeBuildBatch(force bool) {
 	n.pendingPrepared = nil
 	n.lastFlush = time.Now()
 
+	// The slot is filled before Propose: consensus validates the leader's
+	// own proposal in line, and validateBatch's leader fast path matches
+	// it against this slot.
+	n.spec = &specSlot{batch: b, digest: b.Digest(), tree: tree}
 	if err := n.consensus.Propose(b); err != nil {
 		// Cannot happen in a healthy pipeline; abort the batch's
 		// transactions cleanly rather than leak their reservations.
+		n.spec = nil
 		n.rollbackBatch(b)
-		return
 	}
-	n.spec = &specSlot{batch: b, digest: b.Digest(), tree: tree}
 }
 
 // rollbackBatch undoes the admission effects of a proposed batch that

@@ -446,10 +446,11 @@ func (n *Node) run() {
 	// delivered before Stop durable (a graceful shutdown; crashes are
 	// simulated with the wal crash hooks, which drop the unsynced tail).
 	defer n.closeWAL()
-	// Wait out a running checkpoint persist before the WAL and the engine
-	// it reads go away, and before done closes: a RestartReplica on the
-	// same DataDir must find no writer of the old incarnation left.
-	defer n.drainPersister()
+	// Finish checkpoint persists, the running one and the one queued
+	// behind it, before the WAL and the engine they read go away, and
+	// before done closes: a RestartReplica on the same DataDir must find
+	// no writer of the old incarnation left.
+	defer n.flushPersister()
 	// Drain the read executors before done closes (LIFO), so metrics and
 	// store state are quiescent once Stop returns.
 	defer n.readers.stop()

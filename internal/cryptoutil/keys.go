@@ -55,8 +55,22 @@ func DeriveKeyPair(id NodeID, systemSeed uint64) KeyPair {
 	return NewKeyPairFromSeed(sha256.Sum256(buf[:]))
 }
 
+// signOps and verifyOps count Ed25519 signatures made and checked — an
+// observability hook for the consensus signature ledger (signs and
+// verifies per batch), as merkle.HashOps is for node hashes.
+var signOps, verifyOps atomic.Uint64
+
+// SignOps returns the total Ed25519 signatures made since process start.
+func SignOps() uint64 { return signOps.Load() }
+
+// VerifyOps returns the total Ed25519 verifications run since process
+// start; malformed keys or signatures rejected before any curve work do
+// not count.
+func VerifyOps() uint64 { return verifyOps.Load() }
+
 // Sign signs msg with the node's private key.
 func (k KeyPair) Sign(msg []byte) []byte {
+	signOps.Add(1)
 	return ed25519.Sign(k.private, msg)
 }
 
@@ -65,6 +79,7 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
 	}
+	verifyOps.Add(1)
 	return ed25519.Verify(pub, msg, sig)
 }
 

@@ -184,3 +184,23 @@ func TestHashConcatProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpCounters: SignOps and VerifyOps count each Ed25519 signature made
+// and each verification run, valid or not; a malformed input rejected
+// before any curve work is not a verification.
+func TestOpCounters(t *testing.T) {
+	id := NodeID{Cluster: 0, Replica: 0}
+	kp := DeriveKeyPair(id, 1)
+	msg := []byte("ledger")
+	signs, verifies := SignOps(), VerifyOps()
+	sig := kp.Sign(msg)
+	Verify(kp.Public, msg, sig)
+	Verify(kp.Public, []byte("other"), sig)
+	Verify(kp.Public, msg, sig[:10])
+	if got := SignOps() - signs; got != 1 {
+		t.Fatalf("SignOps advanced by %d, want 1", got)
+	}
+	if got := VerifyOps() - verifies; got != 2 {
+		t.Fatalf("VerifyOps advanced by %d, want 2", got)
+	}
+}
