@@ -60,32 +60,15 @@ import (
 // NodeID aliases the system-wide node identity.
 type NodeID = cryptoutil.NodeID
 
-// Behavior configures fault injection for byzantine testing.
-type Behavior struct {
-	// Silent drops all outbound consensus messages (crash/byzantine-mute).
-	Silent bool
-	// Equivocate makes a byzantine leader send a different batch to every
-	// replica.
-	Equivocate bool
-	// CorruptCertSig makes the replica emit garbage certificate
-	// signatures in its Commit messages.
-	CorruptCertSig bool
-	// TamperBatch makes a byzantine leader flip a committed decision in
-	// the proposed batch after computing honest segments elsewhere; used
-	// to show content validation rejects it.
-	TamperBatch func(*protocol.Batch)
-}
-
 // Config assembles a replica of one cluster's SMR service.
 type Config struct {
-	Cluster  int32
-	Replica  int32
-	N        int // cluster size, 3f+1
-	F        int // tolerated byzantine faults
-	Keys     cryptoutil.KeyPair
-	Ring     *cryptoutil.KeyRing
-	Net      *transport.Network
-	Behavior Behavior
+	Cluster int32
+	Replica int32
+	N       int // cluster size, 3f+1
+	F       int // tolerated byzantine faults
+	Keys    cryptoutil.KeyPair
+	Ring    *cryptoutil.KeyRing
+	Net     *transport.Network
 	// GenesisDigest chains the first proposed batch to the trusted
 	// genesis batch (the initial data load).
 	GenesisDigest protocol.Digest
@@ -483,59 +466,19 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 		return fmt.Errorf("%w: %d in flight", ErrPipelineFull, r.InFlight())
 	}
 	r.nextPropose = b.ID + 1
-	if r.cfg.Behavior.TamperBatch != nil {
-		// Mutating a proposal must never happen behind a sealed batch's
-		// cached digest: the caller (the leader's core) may hold the
-		// original as its in-flight batch. Tampering therefore works on
-		// a memo-detached copy; the injected function must copy any
-		// segment slice it mutates (see DESIGN.md, "Digest memoization").
-		b = b.MutableCopy()
-		r.cfg.Behavior.TamperBatch(b)
-	}
-	if r.cfg.Behavior.Equivocate {
-		// Byzantine leader: different content per replica, its own
-		// included.
-		for i := 0; i < r.cfg.N; i++ {
-			forged := b.MutableCopy()
-			forged.Timestamp = b.Timestamp + int64(i)
-			forged.Seal()
-			pp := r.signPrePrepare(forged)
-			if to := (NodeID{Cluster: r.cfg.Cluster, Replica: int32(i)}); to != r.self {
-				r.send(to, pp)
-			} else {
-				r.onPrePrepare(r.self, pp)
-			}
-		}
-		return nil
-	}
 	// Seal before broadcast: the digest computed here for the leader's
 	// signature is the one every replica (and the leader's own validation
-	// and delivery steps) will reuse.
+	// and delivery steps) will reuse. The signature covers
+	// PrepareSigDigest, so it is the leader's prepare vote as well.
 	b.Seal()
-	pp := r.signPrePrepare(b)
+	psd := protocol.PrepareSigDigest(r.cfg.Cluster, r.view, b.ID, b.Digest())
+	pp := &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(psd[:])}
 	r.broadcast(pp)
 	r.onPrePrepare(r.self, pp)
 	return nil
 }
 
-// signPrePrepare signs b as the current view's proposal. The signature
-// covers PrepareSigDigest, so it is the leader's prepare vote as well.
-func (r *Replica) signPrePrepare(b *protocol.Batch) *PrePrepare {
-	psd := protocol.PrepareSigDigest(r.cfg.Cluster, r.view, b.ID, b.Digest())
-	return &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(psd[:])}
-}
-
-func (r *Replica) send(to NodeID, msg any) {
-	if r.cfg.Behavior.Silent {
-		return
-	}
-	r.cfg.Net.Send(r.self, to, msg)
-}
-
 func (r *Replica) broadcast(msg any) {
-	if r.cfg.Behavior.Silent {
-		return
-	}
 	// One envelope build and one network-lock acquisition for the whole
 	// fan-out, instead of per peer.
 	r.cfg.Net.Broadcast(r.self, r.peers, msg)
@@ -668,11 +611,8 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	r.lastValidated = in.digest
 	r.nextValidate = b.ID + 1
 	lead := r.leaderAt(m.View)
-	if lead != r.cfg.Replica || !r.cfg.Behavior.Silent {
-		// Checked on receipt, or made here and sent (a silent leader's
-		// counts for nothing, as in broadcastPrepare).
-		r.notePrepare(in, lead, prepVote{view: m.View, digest: in.digest, sig: m.LeaderSig, verified: true})
-	}
+	// Checked on receipt, or made here by Propose.
+	r.notePrepare(in, lead, prepVote{view: m.View, digest: in.digest, sig: m.LeaderSig, verified: true})
 	if lead != r.cfg.Replica {
 		r.broadcastPrepare(in)
 	}
@@ -704,14 +644,11 @@ func (r *Replica) replayPendingCommits(in *instance) {
 }
 
 // broadcastPrepare signs and sends this replica's prepare for the
-// instance in its adopted view, and counts it here. A silent replica
-// counts nothing it did not send.
+// instance in its adopted view, and counts it here.
 func (r *Replica) broadcastPrepare(in *instance) {
 	psd := protocol.PrepareSigDigest(r.cfg.Cluster, in.view, in.id, in.digest)
 	sig := r.cfg.Keys.Sign(psd[:])
-	if !r.cfg.Behavior.Silent {
-		in.prepares[r.cfg.Replica] = prepVote{view: in.view, digest: in.digest, sig: sig, verified: true}
-	}
+	in.prepares[r.cfg.Replica] = prepVote{view: in.view, digest: in.digest, sig: sig, verified: true}
 	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: sig})
 }
 
@@ -748,11 +685,7 @@ func (r *Replica) maybeCommit(in *instance) {
 	}
 	in.committed = true
 	sig := r.cfg.Keys.Sign(in.digest[:])
-	if r.cfg.Behavior.CorruptCertSig {
-		sig = make([]byte, len(sig)) // zeroed garbage, kept out of our own certificates too
-	} else if !r.cfg.Behavior.Silent {
-		in.commits[r.cfg.Replica] = sig // counted here, as in broadcastPrepare
-	}
+	in.commits[r.cfg.Replica] = sig // counted here, as in broadcastPrepare
 	r.broadcast(&Commit{View: in.view, ID: in.id, Digest: in.digest, CertSig: sig})
 }
 

@@ -20,6 +20,7 @@ type testCluster struct {
 	t        *testing.T
 	net      *transport.Network
 	ring     *cryptoutil.KeyRing
+	keys     []cryptoutil.KeyPair
 	replicas []*Replica
 	n, f     int
 
@@ -32,14 +33,6 @@ type testCluster struct {
 }
 
 type clusterOpt func(i int32, cfg *Config)
-
-func withBehavior(replica int32, b Behavior) clusterOpt {
-	return func(i int32, cfg *Config) {
-		if i == replica {
-			cfg.Behavior = b
-		}
-	}
-}
 
 func withValidate(f func(*protocol.Batch) error) clusterOpt {
 	return func(i int32, cfg *Config) { cfg.Validate = f }
@@ -57,17 +50,17 @@ func newTestCluster(t *testing.T, f int, opts ...clusterOpt) *testCluster {
 		delivered: make(map[int32][]protocol.CertifiedBatch),
 		notify:    make(chan struct{}, 1024),
 	}
-	keys := make([]cryptoutil.KeyPair, n)
+	tc.keys = make([]cryptoutil.KeyPair, n)
 	for i := 0; i < n; i++ {
 		id := NodeID{Cluster: 0, Replica: int32(i)}
-		keys[i] = cryptoutil.DeriveKeyPair(id, 77)
-		tc.ring.Add(id, keys[i].Public)
+		tc.keys[i] = cryptoutil.DeriveKeyPair(id, 77)
+		tc.ring.Add(id, tc.keys[i].Public)
 	}
 	for i := 0; i < n; i++ {
 		i := int32(i)
 		cfg := Config{
 			Cluster: 0, Replica: i, N: n, F: f,
-			Keys: keys[i], Ring: tc.ring, Net: tc.net,
+			Keys: tc.keys[i], Ring: tc.ring, Net: tc.net,
 			Deliver: func(cb protocol.CertifiedBatch) {
 				tc.mu.Lock()
 				tc.delivered[i] = append(tc.delivered[i], cb)
@@ -187,6 +180,96 @@ func (tc *testCluster) propose(b *protocol.Batch) error {
 	return err
 }
 
+// attack is a faulty replica's wire behaviour: given a message it sends
+// and the destination, it returns what goes out in its place — msg
+// itself, a forgery under the replica's identity, or nil for nothing.
+type attack func(to NodeID, msg any) any
+
+// stage puts faulty replicas in the network, where honest replicas meet
+// them: a filter passes every message a listed replica sends through its
+// attack, drops the original and sends any forgery instead.
+// The filter knows its own forgeries by pointer and lets them through.
+func (tc *testCluster) stage(faulty map[int32]attack) {
+	var mu sync.Mutex
+	forged := make(map[any]bool)
+	tc.net.SetFilter(func(e transport.Envelope) bool {
+		a := faulty[e.From.Replica]
+		if a == nil {
+			return true
+		}
+		mu.Lock()
+		own := forged[e.Payload]
+		delete(forged, e.Payload)
+		mu.Unlock()
+		if own {
+			return true
+		}
+		msg := a(e.To, e.Payload)
+		if msg == e.Payload {
+			return true
+		}
+		if msg != nil {
+			mu.Lock()
+			forged[msg] = true
+			mu.Unlock()
+			tc.net.Send(e.From, e.To, msg)
+		}
+		return false
+	})
+}
+
+// silent sends nothing.
+func silent(NodeID, any) any { return nil }
+
+// corruptCertSig re-sends each Commit with a zeroed certificate
+// signature, on a copy: Broadcast hands one payload to every destination.
+func corruptCertSig(_ NodeID, msg any) any {
+	c, ok := msg.(*Commit)
+	if !ok {
+		return msg
+	}
+	forged := *c
+	forged.CertSig = make([]byte, len(c.CertSig))
+	return &forged
+}
+
+// repropose is a leader that sends each destination its own variant of
+// every proposal: edit changes a copy of the batch, which is re-signed
+// with key as the leader's prepare. The forger never mutates the
+// PrePrepare or its batch: Broadcast hands one payload to every
+// destination, and the batch sits sealed behind its cached digest in the
+// leader's own instance. It edits a MutableCopy, and edit must copy any
+// segment slice it changes.
+func repropose(key cryptoutil.KeyPair, edit func(to NodeID, b *protocol.Batch)) attack {
+	return func(to NodeID, msg any) any {
+		pp, ok := msg.(*PrePrepare)
+		if !ok {
+			return msg
+		}
+		b := pp.Batch.MutableCopy()
+		edit(to, b)
+		b.Seal()
+		psd := protocol.PrepareSigDigest(b.Cluster, pp.View, b.ID, b.Digest())
+		return &PrePrepare{View: pp.View, Batch: b, LeaderSig: key.Sign(psd[:])}
+	}
+}
+
+// eventually polls cond every millisecond until it holds, or reports
+// false once timeout has passed.
+func eventually(timeout time.Duration, cond func() bool) bool {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(timeout)
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			return false
+		}
+	}
+	return true
+}
+
 func TestConsensusCommitsOneBatch(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
@@ -256,7 +339,8 @@ func TestNonLeaderCannotPropose(t *testing.T) {
 }
 
 func TestToleratesSilentFollower(t *testing.T) {
-	tc := newTestCluster(t, 1, withBehavior(3, Behavior{Silent: true}))
+	tc := newTestCluster(t, 1)
+	tc.stage(map[int32]attack{3: silent})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +351,8 @@ func TestToleratesSilentFollower(t *testing.T) {
 }
 
 func TestToleratesFSilentFollowersAtF2(t *testing.T) {
-	tc := newTestCluster(t, 2,
-		withBehavior(5, Behavior{Silent: true}),
-		withBehavior(6, Behavior{Silent: true}))
+	tc := newTestCluster(t, 2)
+	tc.stage(map[int32]attack{5: silent, 6: silent})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +362,31 @@ func TestToleratesFSilentFollowersAtF2(t *testing.T) {
 }
 
 func TestEquivocatingLeaderCannotCommit(t *testing.T) {
-	tc := newTestCluster(t, 1, withBehavior(0, Behavior{Equivocate: true}))
+	tc := newTestCluster(t, 1)
+	tc.stage(map[int32]attack{0: repropose(tc.keys[0], func(to NodeID, b *protocol.Batch) {
+		b.Timestamp += int64(to.Replica)
+	})})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
-	// No replica can gather 2f+1 matching prepares for any digest, so no
+	// Once every follower has validated slot 1 under a digest of its own,
+	// no replica can gather 2f+1 matching prepares for any digest, so no
 	// batch is ever delivered: safety holds, liveness stalls (view change
 	// would recover in a full deployment).
-	time.Sleep(300 * time.Millisecond)
+	split := eventually(5*time.Second, func() bool {
+		digests := make(map[protocol.Digest]bool)
+		for i := int32(1); i < 4; i++ {
+			tc.on(i, func(r *Replica) {
+				if in := r.instances[1]; in != nil && in.validated {
+					digests[in.digest] = true
+				}
+			})
+		}
+		return len(digests) == 3
+	})
+	if !split {
+		t.Fatal("followers did not each validate their own proposal")
+	}
 	for r := int32(0); r < 4; r++ {
 		if tc.deliveredCount(r) != 0 {
 			t.Fatalf("replica %d delivered under equivocation", r)
@@ -295,7 +395,8 @@ func TestEquivocatingLeaderCannotCommit(t *testing.T) {
 }
 
 func TestCorruptCertSigExcludedFromCertificate(t *testing.T) {
-	tc := newTestCluster(t, 1, withBehavior(2, Behavior{CorruptCertSig: true}))
+	tc := newTestCluster(t, 1)
+	tc.stage(map[int32]attack{2: corruptCertSig})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -329,33 +430,34 @@ func TestContentValidationBlocksMaliciousLeader(t *testing.T) {
 		}
 		return nil
 	}
-	// Tamper functions receive a memo-detached shallow copy and must
-	// copy any segment slice they mutate: the original batch may sit in
-	// the leader core's in-flight slot behind its cached digest.
-	tamper := func(b *protocol.Batch) {
+	tc := newTestCluster(t, 1, withValidate(reject))
+	tc.stage(map[int32]attack{0: repropose(tc.keys[0], func(_ NodeID, b *protocol.Batch) {
 		local := append([]protocol.Transaction(nil), b.Local...)
 		writes := append([]protocol.WriteOp(nil), local[0].Writes...)
 		writes[0].Value = []byte("evil")
 		local[0].Writes = writes
 		b.Local = local
-	}
-	tc := newTestCluster(t, 1, withValidate(reject), withBehavior(0, Behavior{TamperBatch: tamper}))
+	})})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
+	// Once every follower has rejected the tampered proposal, only the
+	// leader's prepare backs it, and nothing can be delivered.
+	rejected := eventually(5*time.Second, func() bool {
+		for _, r := range tc.replicas[1:] {
+			if r.Rejected() < 1 {
+				return false
+			}
+		}
+		return true
+	})
+	if !rejected {
+		t.Fatal("not every follower recorded a validation rejection")
+	}
 	for r := int32(0); r < 4; r++ {
 		if tc.deliveredCount(r) != 0 {
 			t.Fatalf("replica %d committed a batch that fails validation", r)
 		}
-	}
-	// Followers must have recorded the rejection.
-	total := 0
-	for _, r := range tc.replicas[1:] {
-		total += r.Rejected()
-	}
-	if total == 0 {
-		t.Fatal("no replica recorded a validation rejection")
 	}
 }
 

@@ -219,53 +219,37 @@ func prepareFrom(keys []cryptoutil.KeyPair, rep int32, in *instance) (NodeID, *P
 // that delivers nothing to it: its prepare counts from the moment it
 // validates, with the signature a view-change vote would relay, and so
 // does its commit once the leader's proposal and one peer's prepare
-// complete the quorum. A silent replica counts nothing, since it sent
-// nothing, and a replica that corrupts its certificate signatures keeps
-// its own out of its quorum.
+// complete the quorum.
 func TestOwnVoteCountedBeforeDelivery(t *testing.T) {
-	for _, tt := range []struct {
-		name                string
-		behavior            Behavior
-		wantPrepare, wantOK bool
-	}{
-		{"honest", Behavior{}, true, true},
-		{"silent", Behavior{Silent: true}, false, false},
-		{"corrupt cert sig", Behavior{CorruptCertSig: true}, true, false},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			r, keys := soloReplica(t, 1)
-			defer r.cfg.Net.Stop()
-			r.cfg.Behavior = tt.behavior
-			r.Handle(NodeID{Cluster: 0, Replica: 0}, leaderPrePrepare(keys, testBatch(1, protocol.Digest{})))
-			in := r.instances[1]
-			if in == nil || !in.validated {
-				t.Fatal("proposal not validated")
-			}
-			pv, ok := in.prepares[1]
-			if ok != tt.wantPrepare {
-				t.Fatalf("own prepare counted: %v, want %v", ok, tt.wantPrepare)
-			}
-			psd := protocol.PrepareSigDigest(0, in.view, in.id, in.digest)
-			if ok && !cryptoutil.Verify(keys[1].Public, psd[:], pv.sig) {
-				t.Fatal("own prepare recorded without a relayable signature")
-			}
-			if in.committed {
-				t.Fatal("committed on the proposal and its own prepare")
-			}
-			r.Handle(prepareFrom(keys, 2, in))
-			if !tt.wantPrepare {
-				r.Handle(prepareFrom(keys, 3, in)) // the silent replica needs three peers
-			}
-			if !in.committed {
-				t.Fatal("not committed on a prepare quorum")
-			}
-			sig, ok := in.commits[1]
-			if ok != tt.wantOK {
-				t.Fatalf("own commit counted: %v, want %v", ok, tt.wantOK)
-			}
-			if ok && !cryptoutil.Verify(keys[1].Public, in.digest[:], sig) {
-				t.Fatal("own commit recorded with an invalid certificate signature")
-			}
-		})
-	}
+	t.Run("honest", func(t *testing.T) {
+		r, keys := soloReplica(t, 1)
+		defer r.cfg.Net.Stop()
+		r.Handle(NodeID{Cluster: 0, Replica: 0}, leaderPrePrepare(keys, testBatch(1, protocol.Digest{})))
+		in := r.instances[1]
+		if in == nil || !in.validated {
+			t.Fatal("proposal not validated")
+		}
+		pv, ok := in.prepares[1]
+		if !ok {
+			t.Fatal("own prepare not counted")
+		}
+		psd := protocol.PrepareSigDigest(0, in.view, in.id, in.digest)
+		if !cryptoutil.Verify(keys[1].Public, psd[:], pv.sig) {
+			t.Fatal("own prepare recorded without a relayable signature")
+		}
+		if in.committed {
+			t.Fatal("committed on the proposal and its own prepare")
+		}
+		r.Handle(prepareFrom(keys, 2, in))
+		if !in.committed {
+			t.Fatal("not committed on a prepare quorum")
+		}
+		sig, ok := in.commits[1]
+		if !ok {
+			t.Fatal("own commit not counted")
+		}
+		if !cryptoutil.Verify(keys[1].Public, in.digest[:], sig) {
+			t.Fatal("own commit recorded with an invalid certificate signature")
+		}
+	})
 }

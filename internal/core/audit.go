@@ -8,48 +8,18 @@ import (
 	"transedge/internal/protocol"
 )
 
-// External log auditing: any party holding the system's key ring can ask
-// a single (untrusted) replica for its certified log and verify offline
-// that it is a well-formed TransEdge history — every batch certified by
-// f+1 replicas, hash-chained to its predecessor, with monotone CD vectors
-// and LCE numbers. This generalizes the paper's trust argument from
-// single reads to whole histories and gives operators a cheap audit tool
-// (cf. BlockchainDB's verification discussion, Sec. 6.3).
+// Log verification: VerifyLog checks offline that a sequence of certified
+// batch headers is a well-formed TransEdge history — every batch
+// certified by f+1 replicas, hash-chained to its predecessor, with
+// monotone CD vectors and LCE numbers. It trusts nothing but the key
+// ring, so records from any (untrusted) source can be checked. This
+// generalizes the paper's trust argument from single reads to whole
+// histories (cf. BlockchainDB's verification discussion, Sec. 6.3).
 
 // LogRecord is one exported log entry: the certified batch header.
 type LogRecord struct {
 	Header protocol.BatchHeader
 	Cert   cryptoutil.Certificate
-}
-
-// AuditRequest asks a replica for its certified log.
-type AuditRequest struct {
-	// FromBatch trims the response to entries with ID >= FromBatch.
-	FromBatch int64
-	ReplyTo   chan AuditReply
-}
-
-// AuditReply carries the exported log records in batch order.
-type AuditReply struct {
-	Cluster int32
-	Records []LogRecord
-}
-
-// onAuditRequest exports the replica's retained log window (event-loop
-// context). After checkpoint truncation the export — and therefore the
-// audit — anchors at the window base instead of genesis; VerifyLog
-// checks the chain from whichever record comes first.
-func (n *Node) onAuditRequest(m *AuditRequest) {
-	reply := AuditReply{Cluster: n.cfg.Cluster}
-	n.log.each(func(e *logEntry) {
-		if e.header.ID >= m.FromBatch {
-			reply.Records = append(reply.Records, LogRecord{Header: e.header, Cert: e.cert})
-		}
-	})
-	select {
-	case m.ReplyTo <- reply:
-	default:
-	}
 }
 
 // Audit verification errors.

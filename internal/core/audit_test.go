@@ -8,20 +8,11 @@ import (
 	"transedge/internal/core"
 )
 
-// auditLog asks one replica for its certified log.
-func auditLog(t *testing.T, sys *core.System, node core.NodeID) []core.LogRecord {
-	t.Helper()
-	replyTo := make(chan core.AuditReply, 1)
-	client := core.NodeID{Cluster: -1, Replica: 999}
-	sys.Net.Register(client)
-	sys.Net.Send(client, node, &core.AuditRequest{ReplyTo: replyTo})
-	select {
-	case r := <-replyTo:
-		return r.Records
-	case <-time.After(5 * time.Second):
-		t.Fatal("audit request timed out")
-		return nil
-	}
+// stoppedLog stops the deployment, if it still runs, and returns one
+// replica's retained certified log.
+func stoppedLog(sys *core.System, node core.NodeID) []core.LogRecord {
+	sys.Stop()
+	return sys.Node(node).LogRecords()
 }
 
 // runTraffic commits a handful of local and distributed transactions.
@@ -60,7 +51,7 @@ func TestAuditAcceptsHonestLog(t *testing.T) {
 	runTraffic(t, sys)
 
 	for _, node := range []core.NodeID{{Cluster: 0, Replica: 0}, {Cluster: 1, Replica: 2}} {
-		rec := auditLog(t, sys, node)
+		rec := stoppedLog(sys, node)
 		if len(rec) < 3 {
 			t.Fatalf("node %v exported only %d records", node, len(rec))
 		}
@@ -73,7 +64,7 @@ func TestAuditAcceptsHonestLog(t *testing.T) {
 func TestAuditDetectsTampering(t *testing.T) {
 	sys := testSystem(t, 2, 1, 100)
 	runTraffic(t, sys)
-	rec := auditLog(t, sys, core.NodeID{Cluster: 0, Replica: 0})
+	rec := stoppedLog(sys, core.NodeID{Cluster: 0, Replica: 0})
 	if len(rec) < 3 {
 		t.Fatalf("only %d records", len(rec))
 	}
@@ -115,7 +106,7 @@ func TestAuditEmptyAndPartial(t *testing.T) {
 		t.Fatalf("empty log: %v", err)
 	}
 	runTraffic(t, sys)
-	rec := auditLog(t, sys, core.NodeID{Cluster: 0, Replica: 0})
+	rec := stoppedLog(sys, core.NodeID{Cluster: 0, Replica: 0})
 	// A suffix of the log (anchored at a later batch) must also verify:
 	// auditors can do incremental audits.
 	if len(rec) < 3 {
@@ -162,7 +153,7 @@ func TestSnapshotRetentionBoundsStateAndKeepsServing(t *testing.T) {
 	// The retained window still audits: it is anchored at a stable
 	// checkpoint past genesis and spans about one interval, not the whole
 	// history.
-	rec := auditLog(t, sys, core.NodeID{Cluster: 0, Replica: 0})
+	rec := stoppedLog(sys, core.NodeID{Cluster: 0, Replica: 0})
 	if err := core.VerifyLog(sys.Ring, sys.Cfg.Clusters, rec); err != nil {
 		t.Fatalf("audit after pruning: %v", err)
 	}

@@ -137,7 +137,7 @@ func TestPrepareGroupsCommitInOrder(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 
 	for cl := int32(0); cl < 3; cl++ {
-		rec := auditLog(t, sys, core.NodeID{Cluster: cl, Replica: 0})
+		rec := stoppedLog(sys, core.NodeID{Cluster: cl, Replica: 0})
 		lastLCE := int64(-1)
 		for i := range rec {
 			h := rec[i].Header

@@ -12,7 +12,10 @@ import (
 )
 
 // testSystem builds and starts a deployment with numbered keys
-// ("key-000".."key-NNN") preloaded with "init-<i>" values.
+// ("key-000".."key-NNN") preloaded with "init-<i>" values. When the test
+// ends it stops the deployment and checks every replica's retained log
+// with VerifyLog: whatever the test staged, each replica holds a
+// certified, hash-chained history.
 func testSystem(t testing.TB, clusters, f, keys int, opts ...func(*core.SystemConfig)) *core.System {
 	t.Helper()
 	data := make(map[string][]byte, keys)
@@ -30,7 +33,17 @@ func testSystem(t testing.TB, clusters, f, keys int, opts ...func(*core.SystemCo
 	}
 	sys := core.NewSystem(cfg)
 	sys.Start()
-	t.Cleanup(sys.Stop)
+	t.Cleanup(func() {
+		sys.Stop()
+		for c := range int32(sys.Cfg.Clusters) {
+			for r := range int32(sys.ReplicasPerCluster()) {
+				id := core.NodeID{Cluster: c, Replica: r}
+				if err := core.VerifyLog(sys.Ring, sys.Cfg.Clusters, sys.Node(id).LogRecords()); err != nil {
+					t.Errorf("replica %v log: %v", id, err)
+				}
+			}
+		}
+	})
 	return sys
 }
 

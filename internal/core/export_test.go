@@ -16,6 +16,16 @@ func (n *Node) MerkleArena() (nodes, reachable int) {
 // file image is encoded, before it is written. Call before Start.
 func (n *Node) SetPersistHook(persist func(id int64)) { n.hookPersist = persist }
 
+// LogRecords exports the node's retained log window in batch order.
+// After checkpoint truncation it starts at the window base, not at
+// genesis; VerifyLog anchors at whichever record comes first. Call after
+// Stop.
+func (n *Node) LogRecords() []LogRecord {
+	var rec []LogRecord
+	n.log.each(func(e *logEntry) { rec = append(rec, LogRecord{Header: e.header, Cert: e.cert}) })
+	return rec
+}
+
 // VersionCount reports how many versions of key the node's store retains.
 func (n *Node) VersionCount(key string) int { return n.st.VersionCount(key) }
 

@@ -11,6 +11,7 @@ import (
 	"transedge/internal/bft"
 	"transedge/internal/client"
 	"transedge/internal/core"
+	"transedge/internal/cryptoutil"
 	"transedge/internal/protocol"
 	"transedge/internal/transport"
 )
@@ -104,6 +105,89 @@ func rewriteROReplies(t *testing.T, sys *core.System, rewrite func(protocol.RORe
 		}()
 		return true
 	})
+}
+
+// attack is a faulty replica's consensus behaviour on the wire: given a
+// consensus message it sends and the destination, it returns what goes
+// out in its place — msg itself, a forgery under the replica's identity,
+// or nil for nothing.
+type attack func(to core.NodeID, msg any) any
+
+// stageAttacks puts faulty replicas in the network, where honest replicas
+// meet them: a filter passes every consensus message a listed replica
+// sends (the five types bft.Replica.Handle consumes) through its attack,
+// drops the original and sends any forgery instead. Everything else the
+// replica sends passes unchanged. The filter knows its own forgeries by
+// pointer and lets them through.
+func stageAttacks(sys *core.System, faulty map[core.NodeID]attack) {
+	var mu sync.Mutex
+	forged := make(map[any]bool)
+	sys.Net.SetFilter(func(e transport.Envelope) bool {
+		a := faulty[e.From]
+		if a == nil {
+			return true
+		}
+		switch e.Payload.(type) {
+		case *bft.PrePrepare, *bft.Prepare, *bft.Commit, *protocol.ViewChange, *protocol.NewView:
+		default:
+			return true
+		}
+		mu.Lock()
+		own := forged[e.Payload]
+		delete(forged, e.Payload)
+		mu.Unlock()
+		if own {
+			return true
+		}
+		msg := a(e.To, e.Payload)
+		if msg == e.Payload {
+			return true
+		}
+		if msg != nil {
+			mu.Lock()
+			forged[msg] = true
+			mu.Unlock()
+			sys.Net.Send(e.From, e.To, msg)
+		}
+		return false
+	})
+}
+
+// mute withholds every consensus message.
+func mute(core.NodeID, any) any { return nil }
+
+// corruptCertSig re-sends each Commit with a zeroed certificate
+// signature, on a copy: Broadcast hands one payload to every destination.
+func corruptCertSig(_ core.NodeID, msg any) any {
+	c, ok := msg.(*bft.Commit)
+	if !ok {
+		return msg
+	}
+	forged := *c
+	forged.CertSig = make([]byte, len(c.CertSig))
+	return &forged
+}
+
+// repropose is a leader that sends each destination its own variant of
+// every proposal: edit changes a copy of the batch, which is re-signed
+// with the leader's key, derived as NewSystem derives it. The forger
+// never mutates the PrePrepare or its batch: Broadcast hands one payload
+// to every destination, and the batch sits sealed behind its cached
+// digest in the leader's own core. It edits a MutableCopy, and edit must
+// copy any segment slice it changes.
+func repropose(sys *core.System, leader core.NodeID, edit func(to core.NodeID, b *protocol.Batch)) attack {
+	key := cryptoutil.DeriveKeyPair(leader, sys.Cfg.Seed)
+	return func(to core.NodeID, msg any) any {
+		pp, ok := msg.(*bft.PrePrepare)
+		if !ok {
+			return msg
+		}
+		b := pp.Batch.MutableCopy()
+		edit(to, b)
+		b.Seal()
+		psd := protocol.PrepareSigDigest(b.Cluster, pp.View, b.ID, b.Digest())
+		return &bft.PrePrepare{View: pp.View, Batch: b, LeaderSig: key.Sign(psd[:])}
+	}
 }
 
 // readPathAttack is a row in which evil rewrites every read-only reply
@@ -267,9 +351,10 @@ func asymmetricPartition(t *testing.T, dataDir string) {
 // every follower can never gather a prepare quorum, so the cluster stalls
 // until the progress timers depose it.
 func equivocatingLeader(t *testing.T, dataDir string) {
-	sys, c, keys := failoverSystem(t, dataDir, func(cfg *core.SystemConfig) {
-		cfg.Byzantine = map[core.NodeID]bft.Behavior{evil: {Equivocate: true}}
-	})
+	sys, c, keys := failoverSystem(t, dataDir)
+	stageAttacks(sys, map[core.NodeID]attack{evil: repropose(sys, evil, func(to core.NodeID, b *protocol.Batch) {
+		b.Timestamp += int64(to.Replica)
+	})})
 	pokeUntilCommit(t, c, keys, 20*time.Second)
 
 	// With all four replicas live, the commit that just returned proves a
@@ -313,8 +398,8 @@ func muteFollower(t *testing.T, dataDir string) {
 		// The row asserts that no failover happens, so the watchdog gets
 		// headroom against race-detector scheduling stalls.
 		cfg.ViewTimeout = 500 * time.Millisecond
-		cfg.Byzantine = map[core.NodeID]bft.Behavior{{Cluster: 0, Replica: 3}: {Silent: true}}
 	})
+	stageAttacks(sys, map[core.NodeID]attack{{Cluster: 0, Replica: 3}: mute})
 	commitN(t, c, keys, 0, 20)
 	for r := int32(0); r < 3; r++ {
 		if v := sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView(); v != 0 {

@@ -32,8 +32,7 @@ type NodeID = cryptoutil.NodeID
 // NodeConfig assembles one replica: the system's configuration narrowed
 // to it, plus what only this replica has. The embedded DataDir is the
 // replica's own subdirectory and InitialData its cluster's share, which
-// the replica drops once it has loaded it; its consensus fault behavior
-// is Byzantine[self].
+// the replica drops once it has loaded it.
 type NodeConfig struct {
 	SystemConfig
 
@@ -381,7 +380,6 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		Keys:          cfg.Keys,
 		Ring:          cfg.Ring,
 		Net:           cfg.Net,
-		Behavior:      cfg.Byzantine[n.self],
 		GenesisDigest: genesisDigest,
 		GenesisHeader: cfg.GenesisHeader,
 		GenesisCert:   cfg.GenesisCert,
@@ -496,8 +494,6 @@ func (n *Node) dispatch(env transport.Envelope) {
 		n.onStateRequest(m)
 	case *protocol.StateResponse:
 		n.onStateResponse(env.From, m)
-	case *AuditRequest:
-		n.onAuditRequest(m)
 	}
 }
 

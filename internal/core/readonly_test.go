@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"transedge/internal/bft"
 	"transedge/internal/client"
 	"transedge/internal/core"
 	"transedge/internal/merkle"
@@ -145,11 +144,10 @@ func TestCDVectorsTrackDependencies(t *testing.T) {
 }
 
 func TestClusterSurvivesByzantineFollowers(t *testing.T) {
-	sys := testSystem(t, 2, 1, 100, func(cfg *core.SystemConfig) {
-		cfg.Byzantine = map[core.NodeID]bft.Behavior{
-			{Cluster: 0, Replica: 3}: {Silent: true},
-			{Cluster: 1, Replica: 2}: {CorruptCertSig: true},
-		}
+	sys := testSystem(t, 2, 1, 100)
+	stageAttacks(sys, map[core.NodeID]attack{
+		{Cluster: 0, Replica: 3}: mute,
+		{Cluster: 1, Replica: 2}: corruptCertSig,
 	})
 	c := testClient(sys, 1)
 	k0 := keysOn(sys, 0, 1)[0]
@@ -180,12 +178,11 @@ func TestClusterSurvivesByzantineFollowers(t *testing.T) {
 func TestByzantineLeaderTimestampRejected(t *testing.T) {
 	sys := testSystem(t, 1, 1, 50, func(cfg *core.SystemConfig) {
 		cfg.FreshnessWindow = time.Minute
-		cfg.Byzantine = map[core.NodeID]bft.Behavior{
-			{Cluster: 0, Replica: 0}: {TamperBatch: func(b *protocol.Batch) {
-				b.Timestamp -= (10 * time.Minute).Nanoseconds()
-			}},
-		}
 	})
+	leader := core.NodeID{Cluster: 0, Replica: 0}
+	stageAttacks(sys, map[core.NodeID]attack{leader: repropose(sys, leader, func(_ core.NodeID, b *protocol.Batch) {
+		b.Timestamp -= (10 * time.Minute).Nanoseconds()
+	})})
 	c := client.New(client.Config{
 		ID: 1, Net: sys.Net, Ring: sys.Ring, Part: sys.Part,
 		Clusters: sys.Cfg.Clusters, Timeout: 500 * time.Millisecond,

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"transedge/internal/bft"
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
@@ -81,9 +80,6 @@ type SystemConfig struct {
 	// must not be mutated after NewSystem (a changed share no longer
 	// matches the certified genesis root).
 	InitialData map[string][]byte
-
-	// Byzantine assigns consensus-level fault behaviors to nodes.
-	Byzantine map[NodeID]bft.Behavior
 }
 
 // DefaultCheckpointInterval is the checkpoint spacing when

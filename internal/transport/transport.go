@@ -5,8 +5,9 @@
 // 0–500 ms of additional inter-cluster latency (Figs. 8, 12, 13). This
 // package reproduces that environment in-process: every node owns an
 // unbounded mailbox, and a pluggable latency function delays delivery
-// between nodes. A drop filter supports byzantine fault injection
-// (silent nodes, partitioned links).
+// between nodes. A filter stages byzantine faults: it drops envelopes
+// (silent nodes, partitioned links) and can send forged ones in their
+// place.
 //
 // Delayed envelopes wait in one deadline-ordered queue per Network, and
 // one goroutine delivers them when they fall due (DESIGN.md §12): links
@@ -45,9 +46,12 @@ type Envelope struct {
 type LatencyFunc func(from, to NodeID) time.Duration
 
 // FilterFunc inspects an envelope before delivery; returning false drops
-// it. Used to simulate silent byzantine nodes and network partitions. It
-// runs inside Send and Broadcast, on the sender's goroutine, before the
-// envelope is queued.
+// it. Used to simulate silent byzantine nodes and network partitions, and
+// to stage forged messages: a filter drops a node's envelope and Sends a
+// forged payload under the same sender, which passes through the filter
+// again. It runs inside Send and Broadcast, on the sender's goroutine,
+// before the envelope is queued. Every destination of a Broadcast shares
+// its payload, so a filter must not mutate a broadcast payload.
 type FilterFunc func(Envelope) bool
 
 // ClusterLatency builds the latency model used throughout the evaluation:
@@ -370,7 +374,7 @@ func (n *Network) SetLatency(f LatencyFunc) {
 	n.latency = f
 }
 
-// SetFilter installs a drop filter. Pass nil to clear.
+// SetFilter installs a drop-and-forge filter. Pass nil to clear.
 func (n *Network) SetFilter(f FilterFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
