@@ -13,17 +13,21 @@
 //	leader        --PrePrepare(batch,sig)-->  the other replicas   (sig is its prepare)
 //	each follower --Prepare(digest,sig)--->   the other replicas   (after validating)
 //	each replica  --Commit(digest,sig)---->   the other replicas   (after 2f+1 prepares)
-//	deliver when 2f+1 commits are held and f+1 of their signatures verify
+//	deliver when 2f+1 commits are held
 //
 // PBFT's signature ledger: the leader signs its PrePrepare over the same
 // PrepareSigDigest a Prepare carries, so the proposal is the leader's
 // prepare vote and it sends no separate one. A prepare signature is
 // verified when the replica counts it toward its 2f+1 quorum, because a
 // view-change vote relays the counted ones. Commit votes are counted on
-// their authenticated sender once their digest matches; their signatures
-// over the batch-header digest are checked only to fill the f+1
-// certificate that the deliverer hands to read-only clients. No replica
-// sends a message to itself or checks a signature it made. Replicas
+// their authenticated sender once their digest matches, and delivery
+// hands on their signatures over the batch-header digest unverified: the
+// f+1 certificate is a proof for third parties (read-only clients,
+// another cluster's 2PC leader, a state-transfer receiver), each of which
+// checks it again, so it is assembled and verified only where it leaves
+// the replica (cryptoutil.AssembleCertificate). No replica acts on its
+// own certificate. No replica sends a message to itself or checks a
+// signature it made. Replicas
 // validate batch *content* (conflict rules, Merkle root recomputation)
 // through an application callback before voting, so a malicious leader
 // cannot get an inconsistent batch certified — the safety property the
@@ -100,7 +104,11 @@ type Config struct {
 	// just proposed. Returning an error withholds the replica's prepare
 	// vote.
 	Validate func(*protocol.Batch) error
-	// Deliver receives certified batches in strict log order.
+	// Deliver receives committed batches in strict log order. The
+	// certificate lists every commit signature the replica counted, its
+	// own first, then its peers' in ascending replica order, none of them
+	// verified; cryptoutil.AssembleCertificate picks the f+1 that verify,
+	// which with at most f faults always succeeds.
 	Deliver func(protocol.CertifiedBatch)
 }
 
@@ -131,7 +139,8 @@ type Prepare struct {
 
 // Commit is a replica's second-phase vote, counted on its authenticated
 // sender; CertSig is its certificate signature over the batch-header
-// digest, verified only if the deliverer's f+1 certificate needs it.
+// digest, delivered unverified and checked only when a certificate
+// consumer assembles the f+1 certificate from it.
 // CertSig deliberately does NOT cover View: a slot re-proposed with
 // identical content after a view change assembles its delivery
 // certificate from commit votes cast in any view, which is what lets
@@ -163,9 +172,8 @@ type instance struct {
 	committed bool // Commit sent
 	delivered bool
 	prepares  map[int32]prepVote // replica -> newest-view prepare
-	// commits holds the digest-matched commit votes by sender. A peer's
-	// certificate signature is verified only when the certificate reaches
-	// for it; one that failed is kept as nil: still a vote, never certified.
+	// commits holds the digest-matched commit votes by sender, with their
+	// certificate signatures, unverified.
 	commits map[int32][]byte
 	// pendingCommits buffers commit votes that arrived before this
 	// replica validated the proposal (message interleaving makes this
@@ -203,8 +211,10 @@ type Replica struct {
 	// newest), keyed by target view then voter.
 	vcVotes map[uint64]map[int32]*protocol.ViewChange
 	// lastHeader/lastCert are the certified tip carried in view-change
-	// votes: the newest delivered batch header and an f+1 certificate
-	// over its digest (genesis until the first delivery).
+	// votes: the newest delivered batch header and the candidate
+	// signatures over its digest that delivery listed (genesis until the
+	// first delivery), from which buildViewChange assembles the f+1
+	// certificate.
 	lastHeader protocol.BatchHeader
 	lastCert   cryptoutil.Certificate
 	// pendingNewView is a verified NewView this replica cannot install
@@ -215,7 +225,7 @@ type Replica struct {
 	currentView atomic.Uint64
 	viewChanges atomic.Int64
 
-	// verify checks a peer's proposal, prepare or certificate signature
+	// verify checks a peer's proposal or prepare signature
 	// (cryptoutil.Verify; a field so a test can count which signers a
 	// replica spends it on).
 	verify func(pub ed25519.PublicKey, msg, sig []byte) bool
@@ -391,7 +401,8 @@ func (r *Replica) Lagging() bool {
 // is installed out of band, so consensus resumes at base+1 with all
 // per-slot state below (and any stale buffered state) discarded. The
 // enclosing node guarantees base is a certified log position; header and
-// cert become the certified tip carried in view-change votes.
+// cert (its f+1 certificate) become the certified tip carried in
+// view-change votes.
 func (r *Replica) Reset(base int64, digest protocol.Digest, header protocol.BatchHeader, cert cryptoutil.Certificate) {
 	r.nextDeliver = base + 1
 	r.nextValidate = base + 1
@@ -754,8 +765,7 @@ func (r *Replica) onCommit(from NodeID, m *Commit) {
 
 // acceptCommit counts a commit vote from a replica of the cluster whose
 // digest matches the validated one. The sender is authenticated by the
-// transport, so the vote counts without its signature being checked;
-// certify checks the signature if the certificate needs it.
+// transport, so the vote counts without its signature being checked.
 func (r *Replica) acceptCommit(in *instance, from NodeID, m *Commit) {
 	if m.Digest != in.digest || r.cfg.Ring.PublicKey(from) == nil {
 		return
@@ -763,9 +773,8 @@ func (r *Replica) acceptCommit(in *instance, from NodeID, m *Commit) {
 	in.commits[from.Replica] = m.CertSig
 }
 
-// maybeDeliver delivers the instance once it holds a 2f+1 commit quorum
-// and an f+1 certificate of verified signatures. Delivery is strictly in
-// ID order.
+// maybeDeliver delivers the instance once it holds a 2f+1 commit quorum.
+// Delivery is strictly in ID order.
 func (r *Replica) maybeDeliver(in *instance) {
 	if in.delivered || !in.validated || in.id != r.nextDeliver {
 		return
@@ -773,10 +782,7 @@ func (r *Replica) maybeDeliver(in *instance) {
 	if len(in.commits) < 2*r.cfg.F+1 {
 		return
 	}
-	cert, ok := r.certify(in)
-	if !ok {
-		return // a later commit vote may bring a signature that verifies
-	}
+	cert := r.certify(in)
 	in.delivered = true
 
 	r.lastDigest = in.digest
@@ -808,13 +814,14 @@ func (r *Replica) maybeDeliver(in *instance) {
 	r.startBuffered()
 }
 
-// certify assembles the slot's f+1 certificate from its commit votes:
-// this replica's own signature first, then peers' in ascending replica
-// order, each verified only when the certificate reaches for it. A
-// signature that fails is set to nil, so it is neither retried nor
-// certified. It reports false while fewer than f+1 signatures verify.
-func (r *Replica) certify(in *instance) (cryptoutil.Certificate, bool) {
-	cert := cryptoutil.Certificate{Cluster: r.cfg.Cluster}
+// certify lists the slot's commit signatures as certificate candidates:
+// this replica's own first, then its peers' in ascending replica order,
+// none of them verified. Among 2f+1 distinct commit senders at least f+1
+// are honest, and each honest signature over the matched digest
+// verifies, so with at most f faults an f+1 certificate can always be
+// assembled from the list.
+func (r *Replica) certify(in *instance) cryptoutil.Certificate {
+	cert := cryptoutil.Certificate{Cluster: r.cfg.Cluster, Signatures: make([]cryptoutil.Signature, 0, len(in.commits))}
 	add := func(rep int32) {
 		cert.Signatures = append(cert.Signatures, cryptoutil.Signature{
 			Signer: NodeID{Cluster: r.cfg.Cluster, Replica: rep},
@@ -825,21 +832,14 @@ func (r *Replica) certify(in *instance) (cryptoutil.Certificate, bool) {
 		add(r.cfg.Replica)
 	}
 	peers := make([]int32, 0, len(in.commits))
-	for rep, sig := range in.commits {
-		if rep != r.cfg.Replica && sig != nil {
+	for rep := range in.commits {
+		if rep != r.cfg.Replica {
 			peers = append(peers, rep)
 		}
 	}
 	slices.Sort(peers)
 	for _, rep := range peers {
-		if len(cert.Signatures) > r.cfg.F {
-			break
-		}
-		if !r.verify(r.cfg.Ring.PublicKey(NodeID{Cluster: r.cfg.Cluster, Replica: rep}), in.digest[:], in.commits[rep]) {
-			in.commits[rep] = nil
-			continue
-		}
 		add(rep)
 	}
-	return cert, len(cert.Signatures) > r.cfg.F
+	return cert
 }

@@ -171,6 +171,14 @@ func (tc *testCluster) on(i int32, f func(r *Replica)) {
 	<-done
 }
 
+// handOut is the certificate replica r hands out for a batch it
+// delivered: the f+1 assembled from the candidates delivery listed.
+func (tc *testCluster) handOut(r int32, cb protocol.CertifiedBatch) cryptoutil.Certificate {
+	d := cb.Batch.Digest()
+	cert, _ := cryptoutil.AssembleCertificate(tc.ring, cb.Cert, d[:], tc.f+1, NodeID{Cluster: 0, Replica: r})
+	return cert
+}
+
 // propose runs the leader's Propose on the leader's event loop, as a
 // node does: Propose validates and votes for the leader's own copy in
 // line, touching the state its loop owns.
@@ -408,10 +416,11 @@ func TestCorruptCertSigExcludedFromCertificate(t *testing.T) {
 	for _, r := range []int32{0, 1, 3} {
 		cb := tc.delivered[r][0]
 		d := cb.Batch.Digest()
-		if err := cryptoutil.VerifyCertificate(tc.ring, cb.Cert, d[:], tc.f+1); err != nil {
+		cert := tc.handOut(r, cb)
+		if err := cryptoutil.VerifyCertificate(tc.ring, cert, d[:], tc.f+1); err != nil {
 			t.Fatalf("replica %d assembled an invalid certificate: %v", r, err)
 		}
-		for _, s := range cb.Cert.Signatures {
+		for _, s := range cert.Signatures {
 			if s.Signer.Replica == 2 {
 				t.Fatal("corrupt signature included in certificate")
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,11 +17,11 @@ import (
 // TestNoReplicaVerifiesItsOwnVotes: no replica addresses a message to
 // itself or checks a signature it made. With a verifier that counts per
 // signer, four honest replicas agreeing on a pipeline of batches spend
-// exactly three verifications per batch each, none on their own
-// signatures: the leader checks two followers' prepares and one commit
-// signature for the certificate; a follower checks the leader's
-// proposal (which is also its prepare), one peer's prepare and one
-// commit signature.
+// exactly two verifications per batch each, none on their own
+// signatures: the leader checks two followers' prepares; a follower
+// checks the leader's proposal (which is also its prepare) and one
+// peer's prepare. Commit votes count on their authenticated sender, and
+// delivery verifies no certificate signature.
 func TestNoReplicaVerifiesItsOwnVotes(t *testing.T) {
 	const batches = 4
 	var own, total [4]atomic.Int64
@@ -53,7 +54,7 @@ func TestNoReplicaVerifiesItsOwnVotes(t *testing.T) {
 		if n := own[i].Load(); n != 0 {
 			t.Errorf("replica %d verified %d of its own signatures", i, n)
 		}
-		if n, want := total[i].Load(), int64(3*batches); n != want {
+		if n, want := total[i].Load(), int64(2*batches); n != want {
 			t.Errorf("replica %d verified %d signatures over %d batches, want %d", i, n, batches, want)
 		}
 	}
@@ -61,59 +62,83 @@ func TestNoReplicaVerifiesItsOwnVotes(t *testing.T) {
 
 // TestSignatureLedger pins the per-batch crypto and message cost of the
 // normal case at N = 4 over sequential batches: 8 signs (the leader's
-// pre-prepare, three follower prepares, four commits), 12 verifies (the
+// pre-prepare, three follower prepares, four commits), 8 verifies (the
 // three followers check the pre-prepare; prepares are checked only as
-// they are counted, two at the leader and one at each follower; each
-// replica checks one peer's commit signature to fill its f+1
-// certificate) and 24 envelopes (3 pre-prepares, 9 prepares, 12
-// commits). Every delivered certificate verifies at f+1.
+// they are counted, two at the leader and one at each follower) and 24
+// envelopes (3 pre-prepares, 9 prepares, 12 commits). Delivery verifies
+// no commit signature: a replica that hands the batch's certificate on
+// assembles it once, which costs one verify (its own signature comes
+// first and is not checked), however many consumers then read it. Every
+// delivered candidate list verifies at f+1.
 func TestSignatureLedger(t *testing.T) {
 	const batches = 6
-	tc := newTestCluster(t, 1)
-	var verifies atomic.Int64
-	for _, r := range tc.replicas {
-		r.verify = func(pub ed25519.PublicKey, msg, sig []byte) bool {
-			verifies.Add(1)
-			return cryptoutil.Verify(pub, msg, sig)
-		}
-	}
-	signs0, sent0 := cryptoutil.SignOps(), tc.net.Stats.Sent.Load()
-	prev := protocol.Digest{}
-	for id := int64(1); id <= batches; id++ {
-		b := testBatch(id, prev)
-		if err := tc.propose(b); err != nil {
-			t.Fatalf("propose %d: %v", id, err)
-		}
-		if !tc.waitDelivered(int(id), allReplicas(4), 5*time.Second) {
-			t.Fatalf("batch %d not delivered everywhere", id)
-		}
-		prev = b.Digest()
-	}
-	signs, sent := cryptoutil.SignOps()-signs0, tc.net.Stats.Sent.Load()-sent0
-	// Votes sent after a replica delivered may still be in flight; let
-	// them land before counting (they are dropped unverified).
-	time.Sleep(20 * time.Millisecond)
-	for _, c := range []struct {
-		what      string
-		got, want int64
+	for _, tt := range []struct {
+		name      string
+		consumers map[int32]int // replica -> certificate reads per batch
+		verifies  int64         // per batch
 	}{
-		{"signs", int64(signs), 8},
-		{"verifies", verifies.Load(), 12},
-		{"envelopes", int64(sent), 24},
+		{"no consumer", nil, 8},
+		{"one consumer at replicas 0 and 2", map[int32]int{0: 1, 2: 1}, 8 + 2},
+		{"a second consumer adds none", map[int32]int{0: 2, 2: 2}, 8 + 2},
 	} {
-		if c.got != c.want*batches {
-			t.Errorf("%s: %d over %d batches (%.2f per batch), want %d per batch", c.what, c.got, batches, float64(c.got)/batches, c.want)
-		}
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	for r := int32(0); r < 4; r++ {
-		for _, cb := range tc.delivered[r] {
-			d := cb.Batch.Digest()
-			if err := cryptoutil.VerifyCertificate(tc.ring, cb.Cert, d[:], tc.f+1); err != nil {
-				t.Fatalf("replica %d: batch %d certificate invalid: %v", r, cb.Batch.ID, err)
+		t.Run(tt.name, func(t *testing.T) {
+			// Each consumer reads the certificate through one per-batch
+			// memo, as a core log entry hands it out.
+			consume := func(i int32, cfg *Config) {
+				deliver := cfg.Deliver
+				cfg.Deliver = func(cb protocol.CertifiedBatch) {
+					d := cb.Batch.Digest()
+					cert := sync.OnceValues(func() (cryptoutil.Certificate, bool) {
+						return cryptoutil.AssembleCertificate(cfg.Ring, cb.Cert, d[:], cfg.F+1, NodeID{Cluster: 0, Replica: i})
+					})
+					for range tt.consumers[i] {
+						if _, ok := cert(); !ok {
+							t.Errorf("replica %d: batch %d certificate does not assemble", i, cb.Batch.ID)
+						}
+					}
+					deliver(cb)
+				}
 			}
-		}
+			tc := newTestCluster(t, 1, consume)
+			signs0, verifies0, sent0 := cryptoutil.SignOps(), cryptoutil.VerifyOps(), tc.net.Stats.Sent.Load()
+			prev := protocol.Digest{}
+			for id := int64(1); id <= batches; id++ {
+				b := testBatch(id, prev)
+				if err := tc.propose(b); err != nil {
+					t.Fatalf("propose %d: %v", id, err)
+				}
+				if !tc.waitDelivered(int(id), allReplicas(4), 5*time.Second) {
+					t.Fatalf("batch %d not delivered everywhere", id)
+				}
+				prev = b.Digest()
+			}
+			signs, sent := cryptoutil.SignOps()-signs0, tc.net.Stats.Sent.Load()-sent0
+			// Votes sent after a replica delivered may still be in flight; let
+			// them land before counting (they are dropped unverified).
+			time.Sleep(20 * time.Millisecond)
+			for _, c := range []struct {
+				what      string
+				got, want int64
+			}{
+				{"signs", int64(signs), 8},
+				{"verifies", int64(cryptoutil.VerifyOps() - verifies0), tt.verifies},
+				{"envelopes", int64(sent), 24},
+			} {
+				if c.got != c.want*batches {
+					t.Errorf("%s: %d over %d batches (%.2f per batch), want %d per batch", c.what, c.got, batches, float64(c.got)/batches, c.want)
+				}
+			}
+			tc.mu.Lock()
+			defer tc.mu.Unlock()
+			for r := int32(0); r < 4; r++ {
+				for _, cb := range tc.delivered[r] {
+					d := cb.Batch.Digest()
+					if err := cryptoutil.VerifyCertificate(tc.ring, cb.Cert, d[:], tc.f+1); err != nil {
+						t.Fatalf("replica %d: batch %d certificate invalid: %v", r, cb.Batch.ID, err)
+					}
+				}
+			}
+		})
 	}
 }
 

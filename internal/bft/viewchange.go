@@ -5,7 +5,8 @@ package bft
 //
 // The enclosing node suspects a stalled leader and calls SuspectLeader.
 // The replica stops accepting proposals, signs a ViewChange vote carrying
-// its certified tip (newest delivered header + f+1 certificate) and its
+// its certified tip (newest delivered header + the f+1 certificate it
+// assembles from that batch's commit signatures) and its
 // prepared frontier (every validated-but-undelivered slot with the
 // prepare signatures it verified), and broadcasts it. The leader of the
 // target view assembles any 2f+1 verified votes into a NewView
@@ -40,14 +41,19 @@ func (r *Replica) SuspectLeader() {
 // deactivates the current view — no further proposals are accepted until
 // a NewView installs — but prepares and commits for already-validated
 // slots still flow, so slots that reached their quorums mid-suspicion
-// deliver normally.
+// deliver normally. A replica whose tip certificate cannot be assembled
+// (more than f faulty commit signers) casts no vote: every receiver would
+// refuse it.
 func (r *Replica) voteViewChange(v uint64) {
 	if v <= r.view || v <= r.votedFor {
 		return
 	}
+	vc := r.buildViewChange(v)
+	if vc == nil {
+		return
+	}
 	r.votedFor = v
 	r.viewActive = false
-	vc := r.buildViewChange(v)
 	r.recordViewChange(vc)
 	r.broadcast(vc)
 	r.maybeAssembleNewView(v)
@@ -57,14 +63,20 @@ func (r *Replica) voteViewChange(v uint64) {
 // the certified tip plus every validated undelivered slot with the
 // prepare signatures verified for (slot view, digest) — the leader's
 // pre-prepare signature among them. A prepare held but never counted is
-// unverified and stays out.
+// unverified and stays out. The tip's f+1 certificate is assembled here,
+// from the candidates delivery listed; nil if fewer than f+1 verify.
 func (r *Replica) buildViewChange(v uint64) *protocol.ViewChange {
+	tip := r.lastHeader.Digest()
+	cert, ok := cryptoutil.AssembleCertificate(r.cfg.Ring, r.lastCert, tip[:], r.cfg.F+1, r.self)
+	if !ok {
+		return nil
+	}
 	vc := &protocol.ViewChange{
 		Cluster:   r.cfg.Cluster,
 		Replica:   r.cfg.Replica,
 		View:      v,
 		TipHeader: r.lastHeader,
-		TipCert:   r.lastCert,
+		TipCert:   cert,
 	}
 	ids := make([]int64, 0, len(r.instances))
 	for id, in := range r.instances {

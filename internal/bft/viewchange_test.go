@@ -510,3 +510,59 @@ func TestBareDigestPrePrepareIsNoPrepare(t *testing.T) {
 		t.Fatalf("frontier %+v, want empty: a bare-digest signature is no prepare", fr)
 	}
 }
+
+// TestViewChangeLedger pins the crypto and message cost of one view
+// change at N = 4 with a silent leader, after a batch has delivered
+// everywhere. Each of the three survivors assembles its tip certificate
+// from the delivered candidates (one verify: its own signature comes
+// first and is not checked) and signs its vote: 3 signs, 3 verifies. Each
+// survivor checks the two votes it receives, the vote signature and the
+// f+1 tip certificate: 6 × 3 = 18 verifies. The view-1 leader
+// broadcasts the NewView and every survivor re-checks its three votes
+// the same way before installing it: 3 × 9 = 27 verifies. That is 48
+// verifies and 12 envelopes (9 votes, 3 NewViews), the silent leader
+// counted as a destination.
+func TestViewChangeLedger(t *testing.T) {
+	c := newVCCluster(t)
+	all, live := []int{0, 1, 2, 3}, []int{1, 2, 3}
+	b := &protocol.Batch{Cluster: 0, ID: 1, PrevDigest: c.reps[0].LastDigest(),
+		Timestamp: 1, CD: protocol.NewCDVector(1), LCE: -1}
+	if err := c.reps[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	c.pump(all, func() bool {
+		for _, i := range all {
+			if len(c.delivered[i]) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	c.settle(all)
+
+	signs0, verifies0, sent0 := cryptoutil.SignOps(), cryptoutil.VerifyOps(), c.net.Stats.Sent.Load()
+	for _, i := range live {
+		c.reps[i].SuspectLeader()
+	}
+	c.pump(live, func() bool {
+		for _, i := range live {
+			if c.reps[i].CurrentView() != 1 || !c.reps[i].ViewActive() {
+				return false
+			}
+		}
+		return true
+	})
+	c.settle(live)
+	for _, x := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"signs", cryptoutil.SignOps() - signs0, 3},
+		{"verifies", cryptoutil.VerifyOps() - verifies0, 48},
+		{"envelopes", uint64(c.net.Stats.Sent.Load() - sent0), 12},
+	} {
+		if x.got != x.want {
+			t.Errorf("%s: %d for one view change, want %d", x.what, x.got, x.want)
+		}
+	}
+}

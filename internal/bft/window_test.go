@@ -19,9 +19,17 @@ func soloReplica(t *testing.T, maxInFlight int) (*Replica, []cryptoutil.KeyPair)
 		keys[i] = cryptoutil.DeriveKeyPair(id, 99)
 		ring.Add(id, keys[i].Public)
 	}
+	// A certified genesis tip, so the replica can cast a view-change vote.
+	genesis := protocol.BatchHeader{Cluster: 0, CD: protocol.NewCDVector(1), LCE: -1}
+	gd := genesis.Digest()
+	cert := cryptoutil.Certificate{Cluster: 0}
+	for _, rep := range []int32{0, 1} {
+		cert.Signatures = append(cert.Signatures, cryptoutil.SignCertificate(keys[rep], NodeID{Cluster: 0, Replica: rep}, gd[:]))
+	}
 	r := New(Config{
 		Cluster: 0, Replica: 1, N: 4, F: 1,
 		Keys: keys[1], Ring: ring, Net: transport.NewNetwork(),
+		GenesisHeader: genesis, GenesisCert: cert,
 		MaxInFlight: maxInFlight,
 	})
 	return r, keys

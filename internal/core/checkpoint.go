@@ -86,12 +86,18 @@ func (n *Node) maybeCheckpoint(e *logEntry) {
 	if id%int64(n.cfg.CheckpointInterval) != 0 || id == 0 || n.replaying {
 		return
 	}
+	// A checkpoint hands its header certificate to state transfers and the
+	// checkpoint file; one that cannot be assembled is never derived.
+	headerCert, ok := n.certificate(e)
+	if !ok {
+		return
+	}
 	groups := n.openGroups()
 	cs := &checkpointState{
 		id:         id,
 		digest:     protocol.CheckpointDigest(n.cfg.Cluster, id, e.digest, protocol.GroupsDigest(groups)),
 		header:     e.header,
-		headerCert: e.cert,
+		headerCert: headerCert,
 		groups:     groups,
 		votes:      map[int32][]byte{},
 	}
@@ -344,7 +350,11 @@ func (n *Node) onStateRequest(m *protocol.StateRequest) {
 			resp.Suffix = nil // cannot happen above the base; stay safe
 			break
 		}
-		resp.Suffix = append(resp.Suffix, protocol.CertifiedBatch{Batch: e.batch, Cert: e.cert})
+		cert, ok := n.certificate(e)
+		if !ok {
+			break // serve the prefix it can prove
+		}
+		resp.Suffix = append(resp.Suffix, protocol.CertifiedBatch{Batch: e.batch, Cert: cert})
 	}
 	if behind == nil {
 		n.cfg.Net.Send(n.self, m.From, resp)
@@ -448,7 +458,8 @@ func (n *Node) onStateResponse(from NodeID, m *protocol.StateResponse) {
 	// missed) re-triggers a sync via the lagging signal.
 	n.rollbackInFlight()
 	tipEntry := n.log.last()
-	n.consensus.Reset(n.log.lastID(), tipEntry.digest, tipEntry.header, tipEntry.cert)
+	tipCert, _ := n.certificate(tipEntry) // verified on replay or install
+	n.consensus.Reset(n.log.lastID(), tipEntry.digest, tipEntry.header, tipCert)
 	// Rejoin at the view the responder runs in, not view 0: without this a
 	// recovered replica would reject the current leader's proposals until
 	// the next view change swept it along. The field is unauthenticated —
@@ -536,7 +547,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	n.drainPersister()
 	n.rollbackInFlight()
 	n.st.ImportAsOf(id, entries)
-	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert, tree: tree})
+	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert, certOK: true, tree: tree})
 	n.tip.Store(id)
 	n.pruneCursor, n.pruneBoundary, n.prunedThrough = 0, 0, 0
 
@@ -593,6 +604,6 @@ func (n *Node) replayCertified(cb protocol.CertifiedBatch) error {
 		return errSync("suffix batch %d certificate: %v", b.ID, err)
 	}
 	n.Metrics.SuffixReplayed++
-	n.onDeliver(cb)
+	n.deliver(cb, true)
 	return nil
 }

@@ -90,13 +90,14 @@ func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
 }
 
 // deliverWrite hands n the next batch as a follower would receive it: one
-// local transaction writing key. The unstarted node's consensus instance
-// never advances, so it cannot propose a batch of its own.
+// local transaction writing key, with the commit signatures of replicas
+// 0-2 as the certificate candidates. The unstarted node's consensus
+// instance never advances, so it cannot propose a batch of its own.
 func deliverWrite(n *Node, seq uint32, key string) {
 	tip := n.log.last().header
 	cd := tip.CD.Clone()
 	cd[0] = tip.ID + 1
-	n.onDeliver(protocol.CertifiedBatch{Batch: &protocol.Batch{
+	b := (&protocol.Batch{
 		Cluster: 0, ID: tip.ID + 1, PrevDigest: tip.Digest(),
 		Timestamp: time.Now().UnixNano(), CD: cd, LCE: tip.LCE,
 		Local: []protocol.Transaction{{
@@ -104,7 +105,14 @@ func deliverWrite(n *Node, seq uint32, key string) {
 			Writes:     []protocol.WriteOp{{Key: key, Value: []byte(fmt.Sprintf("v%d", seq))}},
 			Partitions: []int32{0},
 		}},
-	}})
+	}).Seal()
+	d := b.Digest()
+	cands := cryptoutil.Certificate{Cluster: 0}
+	for r := int32(0); r < 3; r++ {
+		id := NodeID{Cluster: 0, Replica: r}
+		cands.Signatures = append(cands.Signatures, cryptoutil.SignCertificate(cryptoutil.DeriveKeyPair(id, 99), id, d[:]))
+	}
+	n.onDeliver(protocol.CertifiedBatch{Batch: b, Cert: cands})
 }
 
 // TestVotingCheckpointClampsPruner: a derived checkpoint keeps no copy of

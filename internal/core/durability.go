@@ -82,7 +82,8 @@ func (n *Node) openDurability() {
 	// recovering sync's StateResponse.View adoption closes the rest).
 	n.rollbackInFlight()
 	tip := n.log.last()
-	n.consensus.Reset(n.log.lastID(), tip.digest, tip.header, tip.cert)
+	cert, _ := n.certificate(tip) // verified on replay or install
+	n.consensus.Reset(n.log.lastID(), tip.digest, tip.header, cert)
 	n.consensus.AdoptView(recoveredView)
 	n.Metrics.ColdRestarts++
 }
@@ -236,16 +237,24 @@ func atomicWrite(dir, name string, data []byte) error {
 	return nil
 }
 
-// walAppend logs one certified batch ahead of its delivery. Failures
-// degrade the replica to in-memory operation rather than halting it.
-// Suppressed while the WAL itself is being replayed (the records are
-// already on disk); peer state-transfer suffixes DO append — they are
-// deliveries this replica would otherwise lose again on the next crash.
-func (n *Node) walAppend(cb *protocol.CertifiedBatch) {
+// walAppend logs one certified batch ahead of its delivery, with the f+1
+// certificate assembled now, so a durable replica verifies at delivery.
+// Failures degrade the replica to in-memory operation rather than halting
+// it; so does a certificate that cannot be assembled, since replay would
+// refuse the record. Suppressed while the WAL itself is being replayed
+// (the records are already on disk); peer state-transfer suffixes DO
+// append — they are deliveries this replica would otherwise lose again
+// on the next crash.
+func (n *Node) walAppend(e *logEntry) {
 	if n.wal == nil || n.walReplay {
 		return
 	}
-	if err := n.wal.Append(cb.Batch.ID, protocol.EncodeCertifiedBatch(cb)); err != nil {
+	cert, ok := n.certificate(e)
+	if !ok {
+		n.dropWAL()
+		return
+	}
+	if err := n.wal.Append(e.batch.ID, protocol.EncodeCertifiedBatch(&protocol.CertifiedBatch{Batch: e.batch, Cert: cert})); err != nil {
 		n.dropWAL()
 		return
 	}

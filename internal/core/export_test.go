@@ -22,7 +22,10 @@ func (n *Node) SetPersistHook(persist func(id int64)) { n.hookPersist = persist 
 // Stop.
 func (n *Node) LogRecords() []LogRecord {
 	var rec []LogRecord
-	n.log.each(func(e *logEntry) { rec = append(rec, LogRecord{Header: e.header, Cert: e.cert}) })
+	n.log.each(func(e *logEntry) {
+		cert, _ := n.certificate(e)
+		rec = append(rec, LogRecord{Header: e.header, Cert: cert})
+	})
 	return rec
 }
 

@@ -224,7 +224,11 @@ func (n *Node) provenPrepare(p *protocol.PrepareProof, cluster int32, id protoco
 // Receivers deduplicate.
 func (n *Node) drivePrepared(dt *distTxn, e *logEntry) {
 	id := dt.rec.Txn.ID
-	proof := protocol.PrepareProof{Header: e.header, Cert: e.cert, Prepared: e.batch.Prepared}
+	cert, ok := n.certificate(e)
+	if !ok {
+		return // no proof to send: more than f faulty commit signers
+	}
+	proof := protocol.PrepareProof{Header: e.header, Cert: cert, Prepared: e.batch.Prepared}
 	if dt.rec.CoordCluster != n.cfg.Cluster {
 		n.cfg.Net.Send(n.self, leaderOf(dt.rec.CoordCluster), &protocol.PreparedVote{
 			TxnID: id, FromCluster: n.cfg.Cluster,

@@ -5,20 +5,25 @@ import (
 	"transedge/internal/protocol"
 )
 
-// onDeliver applies a consensus-committed batch to the replica's state:
-// the storage and Merkle tree versions, the prepared-key reservations, the
+// onDeliver applies a batch consensus delivered; cb.Cert lists the
+// commit signatures consensus counted, unverified.
+func (n *Node) onDeliver(cb protocol.CertifiedBatch) { n.deliver(cb, false) }
+
+// deliver applies a committed batch to the replica's state: the storage
+// and Merkle tree versions, the prepared-key reservations, the
 // prepare-group queue, and — on the leader — the 2PC driving steps that
 // become due once a batch is durably in the SMR log (steps 3, 5, and 7 of
-// Fig. 3 all fire "after the batch is written").
-func (n *Node) onDeliver(cb protocol.CertifiedBatch) {
+// Fig. 3 all fire "after the batch is written"). verified says cb.Cert is
+// an f+1 certificate checked already, not delivery's candidate list.
+func (n *Node) deliver(cb protocol.CertifiedBatch, verified bool) {
 	b := cb.Batch
+	// Header and digest are memoized on the sealed batch: this re-reads
+	// what consensus already computed instead of re-hashing the segments.
+	entry := &logEntry{batch: b, header: b.Header(), digest: b.Digest(), cert: cb.Cert, certOK: verified}
 	// Write-ahead: the certified batch reaches the log before any state
 	// change below, so a crash at any point replays it on restart
 	// (durability follows the group-commit fsync policy; DESIGN.md §8).
-	n.walAppend(&cb)
-	// Header and digest are memoized on the sealed batch: this re-reads
-	// what consensus already computed instead of re-hashing the segments.
-	entry := &logEntry{batch: b, header: b.Header(), digest: b.Digest(), cert: cb.Cert}
+	n.walAppend(entry)
 
 	// Retire the in-flight slot (the leader's proposal or a follower's
 	// validated batch). If it holds other content than the delivered

@@ -62,12 +62,21 @@ type NodeConfig struct {
 // re-hash the header), the consensus certificate, the full batch for
 // segment serving, and the Merkle version after the batch, which read-only
 // snapshots at this batch prove against.
+//
+// The certificate is read only through Node.certificate. An entry that
+// consensus delivered holds the commit signatures it counted, unverified,
+// until the certificate first leaves the replica; every other entry
+// (genesis, an installed checkpoint, a replayed batch) holds one that
+// was verified on arrival, with certOK set.
 type logEntry struct {
 	batch  *protocol.Batch
 	header protocol.BatchHeader
 	digest protocol.Digest
-	cert   cryptoutil.Certificate
 	tree   *merkle.Tree
+
+	certOnce sync.Once
+	cert     cryptoutil.Certificate
+	certOK   bool
 }
 
 // distTxn tracks one distributed transaction at this node, in both the
@@ -259,8 +268,9 @@ type Node struct {
 }
 
 // Metrics counts node-level protocol events. The event loop writes all
-// fields except ROServed, which read executors update atomically; read
-// totals after Stop (which drains the executors) for exact values.
+// fields except ROServed and CertsAssembled, which read executors update
+// atomically too; read totals after Stop (which drains the executors) for
+// exact values.
 type Metrics struct {
 	BatchesCommitted   int64
 	LocalCommitted     int64
@@ -308,6 +318,15 @@ type Metrics struct {
 	ColdRestarts int64
 	// CheckpointsPersisted counts stable checkpoints written to disk.
 	CheckpointsPersisted int64
+	// CertsAssembled counts f+1 certificates assembled from delivered
+	// commit signatures, each verifying peer signatures until f+1 hold:
+	// once per log entry whose certificate left the replica. Read
+	// executors update it atomically.
+	CertsAssembled int64
+	// HeaderCertHits and HeaderCertMisses count verifyHeaderCert calls
+	// answered from its memo and calls that checked the certificate.
+	HeaderCertHits   int64
+	HeaderCertMisses int64
 }
 
 // NewNode builds (but does not start) a replica.
@@ -370,6 +389,7 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		header: cfg.GenesisHeader,
 		digest: genesisDigest,
 		cert:   cfg.GenesisCert,
+		certOK: true,
 		tree:   tree,
 	})
 	n.consensus = bft.New(bft.Config{
@@ -543,8 +563,10 @@ const certCacheLimit = 4096
 func (n *Node) verifyHeaderCert(h *protocol.BatchHeader, cert cryptoutil.Certificate) bool {
 	d := h.Digest()
 	if _, ok := n.certCache[d]; ok {
+		n.Metrics.HeaderCertHits++
 		return true
 	}
+	n.Metrics.HeaderCertMisses++
 	size := n.cfg.Ring.ClusterSize(h.Cluster)
 	if size == 0 {
 		return false
@@ -558,6 +580,23 @@ func (n *Node) verifyHeaderCert(h *protocol.BatchHeader, cert cryptoutil.Certifi
 	}
 	n.certCache[d] = struct{}{}
 	return true
+}
+
+// certificate returns e's f+1 certificate and whether it holds one. An
+// entry consensus delivered assembles it from the delivered commit
+// signatures on first use, from the loop or a read executor, exactly
+// once; later calls share the result. It fails only with more than f
+// faulty commit signers, and then every consumer refuses to hand the
+// certificate on.
+func (n *Node) certificate(e *logEntry) (cryptoutil.Certificate, bool) {
+	e.certOnce.Do(func() {
+		if e.certOK {
+			return
+		}
+		e.cert, e.certOK = cryptoutil.AssembleCertificate(n.cfg.Ring, e.cert, e.digest[:], n.cfg.F+1, n.self)
+		atomic.AddInt64(&n.Metrics.CertsAssembled, 1)
+	})
+	return e.cert, e.certOK
 }
 
 // ownedKeys filters the keys of a read/write set belonging to this

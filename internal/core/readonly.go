@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 )
@@ -101,17 +100,17 @@ func (n *Node) resolveROTarget(m *protocol.RORequest) (int64, bool) {
 }
 
 // roSnapshot is everything an executor needs to answer from one batch's
-// snapshot: the certified header and the Merkle tree version are captured
-// on the event loop, after which they are immutable — the tree is a
-// persistent structure, and the snapshot holds copies of the log entry's
-// fields, which a later compaction does not touch — so executors read
-// them without synchronization. Store versions at batchID are pinned
-// against pruning by the executor's target tracking.
+// snapshot: the log entry and its Merkle tree version, captured on the
+// event loop. The tree is a persistent structure, and the snapshot holds
+// the version itself, which a later compaction (rewriting the entry's
+// tree field) does not touch; the entry's header never changes. So
+// executors read both without synchronization. The certificate is read
+// through the entry (Node.certificate), which assembles it on the first
+// serve. Store versions at the batch are pinned against pruning by the
+// executor's target tracking.
 type roSnapshot struct {
-	batchID int64
-	header  protocol.BatchHeader
-	cert    cryptoutil.Certificate
-	tree    *merkle.Tree
+	entry *logEntry
+	tree  *merkle.Tree
 }
 
 // serveRO captures the snapshot resolveROTarget picked on the event loop
@@ -119,7 +118,7 @@ type roSnapshot struct {
 // pool is saturated, preserving liveness at the seed's behavior).
 func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
 	entry := n.log.get(batchID)
-	snap := roSnapshot{batchID: batchID, header: entry.header, cert: entry.cert, tree: entry.tree}
+	snap := roSnapshot{entry: entry, tree: entry.tree}
 	req := *m
 	task := func() { n.serveROSnapshot(&req, snap) }
 	if !n.readers.trySubmit(batchID, task) {
@@ -130,13 +129,18 @@ func (n *Node) serveRO(m *protocol.RORequest, batchID int64) {
 // serveROSnapshot answers a read-only request from a resolved snapshot.
 // It runs on a read executor (or inline on the loop when the pool is
 // full) and touches only executor-safe state: the immutable snapshot, the
-// sharded store at a batch <= StableBatch, the node's immutable config,
-// and atomic metrics.
+// log entry's once-assembled certificate, the sharded store at a batch
+// <= StableBatch, the node's immutable config, and atomic metrics.
 func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
+	cert, ok := n.certificate(snap.entry)
+	if !ok {
+		replyRO(m, protocol.ROReply{Cluster: n.cfg.Cluster, Err: "batch certificate: fewer than f+1 commit signatures verify"})
+		return
+	}
 	reply := protocol.ROReply{
 		Cluster: n.cfg.Cluster,
-		Header:  snap.header,
-		Cert:    snap.cert,
+		Header:  snap.entry.header,
+		Cert:    cert,
 	}
 	part := n.cfg.partitioner()
 	// One sharded pass for every local key's value, then one proof for all
@@ -150,7 +154,7 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			localKeys = append(localKeys, k)
 		}
 	}
-	vals := n.st.MultiGetAsOf(localKeys, snap.batchID)
+	vals := n.st.MultiGetAsOf(localKeys, snap.entry.header.ID)
 	reply.Values = make([]protocol.ROValue, 0, len(m.Keys))
 	next := 0
 	for i, k := range m.Keys {
@@ -187,6 +191,11 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 		}
 	}
 	atomic.AddInt64(&n.Metrics.ROServed, 1)
+	replyRO(m, reply)
+}
+
+// replyRO hands a reply to the requester without ever blocking.
+func replyRO(m *protocol.RORequest, reply protocol.ROReply) {
 	select {
 	case m.ReplyTo <- reply:
 	default:
@@ -223,10 +232,7 @@ func (n *Node) expireParked() {
 	for _, p := range n.parked {
 		if now.After(p.deadline) {
 			n.Metrics.ROParkedExpired++
-			select {
-			case p.req.ReplyTo <- protocol.ROReply{Cluster: n.cfg.Cluster, Err: "read-only dependency wait timed out"}:
-			default:
-			}
+			replyRO(&p.req, protocol.ROReply{Cluster: n.cfg.Cluster, Err: "read-only dependency wait timed out"})
 			continue
 		}
 		remaining = append(remaining, p)

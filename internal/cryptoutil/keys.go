@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -255,6 +256,29 @@ func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold in
 		}
 	}
 	return nil
+}
+
+// AssembleCertificate picks a threshold certificate out of candidate
+// signatures over msg: it keeps, in candidate order, the first threshold
+// signatures that verify, skipping bad, duplicate, unknown and
+// wrong-cluster signers. A signature by self is kept unverified: the
+// caller made it. It reports whether threshold signatures were found; if
+// not, the certificate holds those that were.
+func AssembleCertificate(ring *KeyRing, cands Certificate, msg []byte, threshold int, self NodeID) (Certificate, bool) {
+	cert := Certificate{Cluster: cands.Cluster, Signatures: make([]Signature, 0, threshold)}
+	for _, s := range cands.Signatures {
+		if len(cert.Signatures) == threshold {
+			break
+		}
+		if s.Signer.Cluster != cands.Cluster || slices.ContainsFunc(cert.Signatures, func(k Signature) bool { return k.Signer == s.Signer }) {
+			continue
+		}
+		if pub := ring.PublicKey(s.Signer); pub == nil || s.Signer != self && !Verify(pub, msg, s.Sig) {
+			continue
+		}
+		cert.Signatures = append(cert.Signatures, s)
+	}
+	return cert, len(cert.Signatures) == threshold
 }
 
 // Digest is a SHA-256 content digest used throughout the protocol.

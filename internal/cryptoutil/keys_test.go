@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +203,60 @@ func TestOpCounters(t *testing.T) {
 	}
 	if got := VerifyOps() - verifies; got != 2 {
 		t.Fatalf("VerifyOps advanced by %d, want 2", got)
+	}
+}
+
+// TestAssembleCertificate: assembly keeps the first f+1 candidates that
+// verify, in candidate order, skips every signer a certificate check
+// would refuse, and spends no verification on the caller's own
+// signature (the VerifyOps delta counts exactly the peers it checked).
+func TestAssembleCertificate(t *testing.T) {
+	ring, pairs := testRing(t, 2, 4, 1)
+	msg := []byte("batch header digest")
+	self := NodeID{Cluster: 0, Replica: 0}
+	sig := func(c, r int32) Signature {
+		id := NodeID{Cluster: c, Replica: r}
+		return SignCertificate(pairs[id], id, msg)
+	}
+	bad := func(c, r int32) Signature {
+		s := sig(c, r)
+		s.Sig[7] ^= 1
+		return s
+	}
+	ghost := NodeID{Cluster: 0, Replica: 9}
+	for _, tt := range []struct {
+		name     string
+		cands    []Signature
+		want     []int32 // kept signers' replicas, in order
+		ok       bool
+		verifies uint64
+	}{
+		{"honest, own first", []Signature{sig(0, 0), sig(0, 1), sig(0, 2)}, []int32{0, 1}, true, 1},
+		{"own signature not first", []Signature{sig(0, 1), sig(0, 0), sig(0, 2)}, []int32{1, 0}, true, 1},
+		{"corrupt signature in the prefix skipped", []Signature{sig(0, 0), bad(0, 1), sig(0, 2)}, []int32{0, 2}, true, 2},
+		{"too few valid", []Signature{bad(0, 1), bad(0, 2), sig(0, 3)}, []int32{3}, false, 3},
+		{"duplicate signer skipped", []Signature{sig(0, 1), sig(0, 1), sig(0, 2)}, []int32{1, 2}, true, 2},
+		{"unknown signer skipped", []Signature{SignCertificate(DeriveKeyPair(ghost, 1), ghost, msg), sig(0, 1), sig(0, 2)}, []int32{1, 2}, true, 2},
+		{"wrong-cluster signer skipped", []Signature{sig(1, 0), sig(0, 1), sig(0, 2)}, []int32{1, 2}, true, 2},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			verifies := VerifyOps()
+			cert, ok := AssembleCertificate(ring, Certificate{Cluster: 0, Signatures: tt.cands}, msg, 2, self)
+			if got := VerifyOps() - verifies; got != tt.verifies {
+				t.Errorf("%d verifications, want %d", got, tt.verifies)
+			}
+			var kept []int32
+			for _, s := range cert.Signatures {
+				kept = append(kept, s.Signer.Replica)
+			}
+			if ok != tt.ok || !slices.Equal(kept, tt.want) {
+				t.Fatalf("kept %v ok=%v, want %v ok=%v", kept, ok, tt.want, tt.ok)
+			}
+			if ok {
+				if err := VerifyCertificate(ring, cert, msg, 2); err != nil {
+					t.Fatalf("assembled certificate does not verify: %v", err)
+				}
+			}
+		})
 	}
 }
