@@ -440,8 +440,9 @@ func BenchmarkConsensusBatch(b *testing.B) {
 
 // BenchmarkSystemBoot — time to ready of the benchmark's deployment
 // shape: 3 clusters x 4 replicas over 20 000 keys x 256 B, from
-// core.NewSystem (genesis certification, twelve stores and Merkle trees)
-// to the last event loop started. Stop is outside the timer.
+// core.NewSystem (per cluster one sorted share, one Merkle build, three
+// arena copies and the genesis certification; twelve engine loads) to the
+// last event loop started. Stop is outside the timer.
 func BenchmarkSystemBoot(b *testing.B) {
 	data := make(map[string][]byte, 20000)
 	for i := 0; i < 20000; i++ {

@@ -210,6 +210,11 @@ type Replica struct {
 	// vcVotes holds at most one verified ViewChange vote per replica (its
 	// newest), keyed by target view then voter.
 	vcVotes map[uint64]map[int32]*protocol.ViewChange
+	// ownVotes holds every vote this replica cast for a view above the
+	// installed one, keyed by target view: a NewView may still carry one
+	// that a later vote replaced in vcVotes. One per view between view
+	// and votedFor.
+	ownVotes map[uint64]*protocol.ViewChange
 	// lastHeader/lastCert are the certified tip carried in view-change
 	// votes: the newest delivered batch header and the candidate
 	// signatures over its digest that delivery listed (genesis until the
@@ -264,6 +269,7 @@ func New(cfg Config) *Replica {
 		lastValidated:     cfg.GenesisDigest,
 		viewActive:        true,
 		vcVotes:           make(map[uint64]map[int32]*protocol.ViewChange),
+		ownVotes:          make(map[uint64]*protocol.ViewChange),
 		lastHeader:        cfg.GenesisHeader,
 		lastCert:          cfg.GenesisCert,
 	}

@@ -10,7 +10,8 @@ package bft
 // prepared frontier (every validated-but-undelivered slot with the
 // prepare signatures it verified), and broadcasts it. The leader of the
 // target view assembles any 2f+1 verified votes into a NewView
-// certificate and broadcasts it; every receiver re-verifies the votes and
+// certificate and broadcasts it; every receiver checks each vote it
+// does not already hold as checked on receipt (or cast itself) and
 // independently recomputes the re-proposal frontier from them, so a
 // byzantine new leader cannot add or drop slots. Frontier slots install
 // directly as validated instances (their 2f+1 prepare certificates prove
@@ -20,6 +21,8 @@ package bft
 // for holes never arises.
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"transedge/internal/cryptoutil"
@@ -54,6 +57,7 @@ func (r *Replica) voteViewChange(v uint64) {
 	}
 	r.votedFor = v
 	r.viewActive = false
+	r.ownVotes[v] = vc
 	r.recordViewChange(vc)
 	r.broadcast(vc)
 	r.maybeAssembleNewView(v)
@@ -137,8 +141,7 @@ func (r *Replica) verifyViewChange(m *protocol.ViewChange) bool {
 	if !cryptoutil.Verify(pub, vcd[:], m.Sig) {
 		return false
 	}
-	tip := m.TipHeader.Digest()
-	if err := cryptoutil.VerifyCertificate(r.cfg.Ring, m.TipCert, tip[:], r.cfg.F+1); err != nil {
+	if !r.verifyTipCert(m.TipHeader.Digest(), m.TipCert) {
 		return false
 	}
 	lastID := m.TipHeader.ID
@@ -153,6 +156,29 @@ func (r *Replica) verifyViewChange(m *protocol.ViewChange) bool {
 		}
 	}
 	return true
+}
+
+// verifyTipCert checks a vote's f+1 certificate over tip. This replica's
+// own signature is not checked when the replica holds it: over its own
+// certified tip, lastCert carries the signature it made, and Ed25519
+// signatures are deterministic, so an equal one is that signature (as
+// AssembleCertificate keeps it). Every other signature, this replica's
+// over any other header included, is verified.
+func (r *Replica) verifyTipCert(tip protocol.Digest, cert cryptoutil.Certificate) bool {
+	threshold := r.cfg.F + 1
+	isSelf := func(s cryptoutil.Signature) bool { return s.Signer == r.self }
+	if i := slices.IndexFunc(cert.Signatures, isSelf); i >= 0 && i < threshold &&
+		cert.Cluster == r.cfg.Cluster && tip == r.lastHeader.Digest() {
+		if j := slices.IndexFunc(r.lastCert.Signatures, isSelf); j >= 0 && bytes.Equal(r.lastCert.Signatures[j].Sig, cert.Signatures[i].Sig) {
+			rest := slices.Delete(slices.Clone(cert.Signatures), i, i+1)
+			if slices.ContainsFunc(rest, isSelf) {
+				return false // a duplicate signer
+			}
+			cert = cryptoutil.Certificate{Cluster: cert.Cluster, Signatures: rest}
+			threshold--
+		}
+	}
+	return cryptoutil.VerifyCertificate(r.cfg.Ring, cert, tip[:], threshold) == nil
 }
 
 // recordViewChange stores a verified vote, keeping at most one vote per
@@ -250,7 +276,7 @@ func (r *Replica) onNewView(from NodeID, m *protocol.NewView) {
 	r.adoptNewView(m)
 }
 
-// adoptNewView re-verifies a NewView certificate, recomputes the
+// adoptNewView vets a NewView certificate's votes, recomputes the
 // re-proposal frontier from its votes, and installs the new view: the
 // frontier slots become validated instances (their embedded 2f+1 prepare
 // certificates substitute for re-running Validate) and a fresh prepare
@@ -326,11 +352,7 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 	r.proposedDigest = make(map[int64]protocol.Digest)
 	r.nextValidate = r.nextDeliver
 	r.lastValidated = r.lastDigest
-	for v := range r.vcVotes {
-		if v <= nv.View {
-			delete(r.vcVotes, v)
-		}
-	}
+	r.dropVotesThrough(nv.View)
 
 	if r.cfg.Rebase != nil {
 		batches := make([]*protocol.Batch, len(entries))
@@ -377,20 +399,32 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 	}
 }
 
-// vetNewViewVotes re-verifies a NewView's votes (each receiver trusts
-// only what it checks itself) and returns them when they form a valid
-// 2f+1 quorum of distinct replicas for exactly nv.View.
+// vetNewViewVotes checks a NewView's votes (each receiver trusts only
+// what it checks itself) and returns them when they form a valid 2f+1
+// quorum of distinct replicas for exactly nv.View. A vote that is the one
+// this replica holds for its voter, its digest and signature equal, was
+// checked on receipt or cast here: the held copy is taken without a
+// second check. The replica's own vote is taken only that way, never
+// checked; any other vote is verified.
 func (r *Replica) vetNewViewVotes(nv *protocol.NewView) []*protocol.ViewChange {
 	if nv.Cluster != r.cfg.Cluster {
 		return nil
 	}
+	held := r.vcVotes[nv.View]
 	seen := make(map[int32]bool)
 	var votes []*protocol.ViewChange
 	for _, v := range nv.Votes {
 		if v == nil || v.View != nv.View || v.Replica < 0 || seen[v.Replica] {
 			continue
 		}
-		if !r.verifyViewChange(v) {
+		h := held[v.Replica]
+		if v.Replica == r.cfg.Replica {
+			h = r.ownVotes[nv.View]
+		}
+		switch {
+		case h != nil && bytes.Equal(h.Sig, v.Sig) && protocol.ViewChangeDigest(h) == protocol.ViewChangeDigest(v):
+			v = h
+		case v.Replica == r.cfg.Replica || !r.verifyViewChange(v):
 			continue
 		}
 		seen[v.Replica] = true
@@ -420,9 +454,20 @@ func (r *Replica) AdoptView(v uint64) {
 	if nv := r.pendingNewView; nv != nil && nv.View <= v {
 		r.pendingNewView = nil
 	}
+	r.dropVotesThrough(v)
+}
+
+// dropVotesThrough forgets the votes held for views up to v, once view v
+// is installed: no NewView at or below it is adopted any more.
+func (r *Replica) dropVotesThrough(v uint64) {
 	for vv := range r.vcVotes {
 		if vv <= v {
 			delete(r.vcVotes, vv)
+		}
+	}
+	for vv := range r.ownVotes {
+		if vv <= v {
+			delete(r.ownVotes, vv)
 		}
 	}
 }

@@ -513,15 +513,20 @@ func TestBareDigestPrePrepareIsNoPrepare(t *testing.T) {
 
 // TestViewChangeLedger pins the crypto and message cost of one view
 // change at N = 4 with a silent leader, after a batch has delivered
-// everywhere. Each of the three survivors assembles its tip certificate
-// from the delivered candidates (one verify: its own signature comes
-// first and is not checked) and signs its vote: 3 signs, 3 verifies. Each
-// survivor checks the two votes it receives, the vote signature and the
-// f+1 tip certificate: 6 × 3 = 18 verifies. The view-1 leader
-// broadcasts the NewView and every survivor re-checks its three votes
-// the same way before installing it: 3 × 9 = 27 verifies. That is 48
-// verifies and 12 envelopes (9 votes, 3 NewViews), the silent leader
-// counted as a destination.
+// everywhere. The leader's commit reaches the followers last, so each
+// survivor delivered on its own commit and its two fellow survivors', and
+// lists them in that order (1: [1 2 3], 2: [2 1 3], 3: [3 1 2]). Each
+// survivor assembles its tip certificate from those candidates (one
+// verify: its own signature comes first and is not checked) and signs its
+// vote: 3 signs, 3 verifies. Each survivor checks the two votes it
+// receives, the vote signature and the f+1 tip certificate, its own
+// signature in that certificate excepted (it holds the signature it made
+// over the same tip): replica 1 checks 2 + 2, replica 2 checks 2 + 3,
+// replica 3 checks 3 + 3, 15 verifies. The view-1 leader broadcasts the
+// NewView; every survivor holds each of its three votes already, two
+// checked on receipt and its own, so installing it verifies nothing. That
+// is 18 verifies and 12 envelopes (9 votes, 3 NewViews), the silent
+// leader counted as a destination.
 func TestViewChangeLedger(t *testing.T) {
 	c := newVCCluster(t)
 	all, live := []int{0, 1, 2, 3}, []int{1, 2, 3}
@@ -558,11 +563,107 @@ func TestViewChangeLedger(t *testing.T) {
 		got, want uint64
 	}{
 		{"signs", cryptoutil.SignOps() - signs0, 3},
-		{"verifies", cryptoutil.VerifyOps() - verifies0, 48},
+		{"verifies", cryptoutil.VerifyOps() - verifies0, 18},
 		{"envelopes", uint64(c.net.Stats.Sent.Load() - sent0), 12},
 	} {
 		if x.got != x.want {
 			t.Errorf("%s: %d for one view change, want %d", x.what, x.got, x.want)
 		}
+	}
+}
+
+// TestTipCertSkipsOnlyTheSignatureItHolds: a replica takes its own
+// signature in a tip certificate unchecked only when it is the one it
+// holds over its own tip; any other signature in its name, a forged one or
+// one over another header, is verified like a peer's.
+func TestTipCertSkipsOnlyTheSignatureItHolds(t *testing.T) {
+	c := newVCCluster(t)
+	r, f := c.reps[1], c.f // at genesis: lastCert holds all four signatures
+	tip, other := f.header.Digest(), f.batches[0].Digest()
+	self, peer := NodeID{Cluster: 0, Replica: 1}, NodeID{Cluster: 0, Replica: 2}
+	own, peerSig := f.cert.Signatures[1], f.cert.Signatures[2]
+	forged := cryptoutil.SignCertificate(f.keys[1], self, other[:])
+	cert := func(sigs ...cryptoutil.Signature) cryptoutil.Certificate {
+		return cryptoutil.Certificate{Cluster: 0, Signatures: sigs}
+	}
+	for _, x := range []struct {
+		what     string
+		tip      protocol.Digest
+		cert     cryptoutil.Certificate
+		ok       bool
+		verifies uint64
+	}{
+		{"own first", tip, cert(own, peerSig), true, 1},
+		{"own second", tip, cert(peerSig, own), true, 1},
+		{"own twice", tip, cert(own, own), false, 0},
+		{"own signature over another header", tip, cert(forged, peerSig), false, 2},
+		{"another tip", other, cert(forged, cryptoutil.SignCertificate(f.keys[2], peer, other[:])), true, 2},
+		{"another tip, own signature over this one", other, cert(own, cryptoutil.SignCertificate(f.keys[2], peer, other[:])), false, 2},
+	} {
+		v0 := cryptoutil.VerifyOps()
+		if got := r.verifyTipCert(x.tip, x.cert); got != x.ok {
+			t.Errorf("%s: accepted %v, want %v", x.what, got, x.ok)
+		}
+		if got := cryptoutil.VerifyOps() - v0; x.ok && got != x.verifies {
+			t.Errorf("%s: %d verifies, want %d", x.what, got, x.verifies)
+		}
+	}
+}
+
+// TestNewViewTakesHeldVotes: a NewView vote equal in digest and signature
+// to the vote a replica holds for its voter is taken as held — the copy
+// checked on receipt, whatever the relayed copy's unsigned tip
+// certificate says — with no verify; the replica's own vote counts only
+// as the one it cast for that view, never checked, also once a vote for a
+// later view has replaced it among the held votes.
+func TestNewViewTakesHeldVotes(t *testing.T) {
+	c := newVCCluster(t)
+	r, f := c.reps[2], c.f
+	signed := func(rep int32, tip protocol.BatchHeader, entries ...protocol.PreparedEntry) *protocol.ViewChange {
+		vc := vcVote(rep, tip, entries...)
+		vc.TipCert = cryptoutil.Certificate{Cluster: 0, Signatures: []cryptoutil.Signature{f.cert.Signatures[rep], f.cert.Signatures[0]}}
+		d := protocol.ViewChangeDigest(vc)
+		vc.Sig = f.keys[rep].Sign(d[:])
+		return vc
+	}
+	r.SuspectLeader()
+	v1, v3 := signed(1, f.header), signed(3, f.header)
+	r.Handle(NodeID{Cluster: 0, Replica: 1}, v1)
+	r.Handle(NodeID{Cluster: 0, Replica: 3}, v3)
+	own := r.vcVotes[1][2]
+	if own == nil || r.vcVotes[1][1] != v1 || r.vcVotes[1][3] != v3 {
+		t.Fatal("votes not held")
+	}
+
+	stripped, ownCopy := *v1, *own
+	stripped.TipCert = cryptoutil.Certificate{}
+	v0 := cryptoutil.VerifyOps()
+	votes := r.vetNewViewVotes(&protocol.NewView{Cluster: 0, View: 1, Votes: []*protocol.ViewChange{&stripped, &ownCopy, v3}})
+	if got := cryptoutil.VerifyOps() - v0; got != 0 {
+		t.Errorf("%d verifies on held votes, want 0", got)
+	}
+	if len(votes) != 3 || votes[0] != v1 || votes[1] != own || votes[2] != v3 {
+		t.Fatalf("vetted %v, want the three held votes", votes)
+	}
+
+	// Its view-1 vote still counts after a view-2 vote replaced it among
+	// the held votes, matched, not checked.
+	r.SuspectLeader()
+	if r.vcVotes[2][2] == nil || r.vcVotes[1][2] != nil {
+		t.Fatal("the view-2 vote did not replace the view-1 vote")
+	}
+	v0 = cryptoutil.VerifyOps()
+	if votes := r.vetNewViewVotes(&protocol.NewView{Cluster: 0, View: 1, Votes: []*protocol.ViewChange{v1, &ownCopy, v3}}); len(votes) != 3 || votes[1] != own {
+		t.Fatalf("vetted %v after a later vote, want the three held votes", votes)
+	}
+	if got := cryptoutil.VerifyOps() - v0; got != 0 {
+		t.Errorf("%d verifies on held votes after a later vote, want 0", got)
+	}
+
+	// A vote in this replica's name that it did not cast is not counted,
+	// however well signed.
+	other := signed(2, f.header, vcEntry(0, f.batches[0], f.preps(0, 1, f.batches[0].Digest(), 0, 1, 2)))
+	if votes := r.vetNewViewVotes(&protocol.NewView{Cluster: 0, View: 1, Votes: []*protocol.ViewChange{v1, other, v3}}); votes != nil {
+		t.Fatalf("vetted %d votes with a vote this replica never cast, want none", len(votes))
 	}
 }

@@ -17,10 +17,13 @@ import (
 // headers; every replica's tree reproduces the certified root, which is
 // the root the Insert oracle computes for that cluster's keys; no two
 // replicas hold the same tree or write into one Merkle arena, so each pays
-// — and a heap measurement counts — its own copy, and each event loop is
-// its lineage's one writer; and no replica, nor the configuration a restart
-// rebuilds it from, keeps its cluster's share of the initial data once
-// loaded.
+// — and a heap measurement counts — its own copy, each event loop is its
+// lineage's one writer, and a batch one replica applies to its tree and
+// store shows in no sibling's; and no replica, nor the configuration a
+// restart rebuilds it from, keeps its cluster's share of the initial data
+// once loaded. The genesis hashing is one tree build per cluster: the
+// other replicas copy that tree, they do not rebuild it. Not parallel:
+// merkle.HashOps counts every goroutine's hashes.
 func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 	const clusters, keys = 3, 300
 	cfg := SystemConfig{Clusters: clusters, F: 1, Seed: 7, DataDir: t.TempDir(),
@@ -29,8 +32,11 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 		cfg.InitialData[fmt.Sprintf("key-%03d", i)] = []byte(fmt.Sprintf("init-%d", i))
 	}
 
+	var bootHashes []uint64
 	boot := func() *System {
+		ops := merkle.HashOps()
 		sys := NewSystem(cfg)
+		bootHashes = append(bootHashes, merkle.HashOps()-ops)
 		sys.Start()
 		sys.Stop()
 		return sys
@@ -66,9 +72,10 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 				if own.Len() != want[c].Len() || n.st.Keys() != want[c].Len() {
 					t.Fatalf("%v: %d leaves, %d stored keys, want %d", id, own.Len(), n.st.Keys(), want[c].Len())
 				}
-				if n.cfg.InitialData != nil || sys.nodeCfgs[id].InitialData != nil {
+				if n.cfg.GenesisData != nil || sys.nodeCfgs[id].GenesisData != nil ||
+					n.cfg.InitialData != nil || sys.nodeCfgs[id].InitialData != nil {
 					t.Fatalf("%v: the genesis share outlives the boot (node %d keys, restart config %d keys)",
-						id, len(n.cfg.InitialData), len(sys.nodeCfgs[id].InitialData))
+						id, len(n.cfg.GenesisData), len(sys.nodeCfgs[id].GenesisData))
 				}
 				if other, dup := seen[own]; dup {
 					t.Fatalf("%v shares its tree with %v", id, other)
@@ -79,6 +86,57 @@ func TestBootIsDeterministicAndSharesNoTree(t *testing.T) {
 					}
 				}
 				seen[own] = id
+			}
+		}
+	}
+
+	// One build per cluster: the hashes NewSystem computes are those of
+	// building each cluster's tree once from its bindings.
+	var perCluster uint64
+	for c := range want {
+		ups := want[c].ExportLeaves()
+		ops := merkle.HashOps()
+		merkle.Build(ups)
+		perCluster += merkle.HashOps() - ops
+	}
+	for i, got := range bootHashes {
+		if got != perCluster {
+			t.Fatalf("boot %d hashed %d Merkle nodes, want %d: one genesis build per cluster", i+1, got, perCluster)
+		}
+	}
+
+	// A batch replica 0 applies reaches neither a sibling's arena nor its
+	// store.
+	for c := int32(0); c < clusters; c++ {
+		owner := first.nodes[NodeID{Cluster: c}]
+		var key string
+		for k := range cfg.InitialData {
+			if first.Part.Of(k) == c {
+				key = k
+				break
+			}
+		}
+		arenas := make(map[NodeID]int)
+		for r := int32(1); r < int32(first.ReplicasPerCluster()); r++ {
+			id := NodeID{Cluster: c, Replica: r}
+			arenas[id], _ = first.nodes[id].log.last().tree.Arena()
+		}
+		before, _ := owner.log.last().tree.Arena()
+		next := owner.log.last().tree.ApplyBulk([]merkle.Update{{
+			KeyHash: merkle.HashKey([]byte(key)),
+			ValHash: merkle.HashValue(protocol.LeafValue(nil, 1, []byte("written"))),
+		}})
+		owner.st.ApplyAll(1, map[string][]byte{key: []byte("written")})
+		if after, _ := next.Arena(); after <= before {
+			t.Fatalf("cluster %d: the applied batch added no node to replica 0's arena (%d → %d)", c, before, after)
+		}
+		for id, nodes := range arenas {
+			sib := first.nodes[id]
+			if got, _ := sib.log.last().tree.Arena(); got != nodes {
+				t.Fatalf("%v: replica 0's batch grew this replica's arena %d → %d", id, nodes, got)
+			}
+			if v, writer, _ := sib.st.Get(key); string(v) != string(cfg.InitialData[key]) || writer != store.GenesisBatch {
+				t.Fatalf("%v: reads %q written by %d, replica 0's batch reached its store", id, v, writer)
 			}
 		}
 	}

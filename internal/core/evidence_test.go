@@ -29,12 +29,12 @@ func evidenceKeys() (map[NodeID]cryptoutil.KeyPair, *cryptoutil.KeyRing) {
 func newEvidenceLeader(t *testing.T, keys map[NodeID]cryptoutil.KeyPair, ring *cryptoutil.KeyRing) *Node {
 	t.Helper()
 	data := specKeys(8)
-	header, cert := genesis(1, 2, newTreeFor(data).Root(), time.Now().UnixNano(), keys, 4)
+	share := genesisShare(data, protocol.Partitioner{N: 1}, 0) // every key
+	header, cert := genesis(1, 2, newTreeFor(share).Root(), time.Now().UnixNano(), keys, 4)
 	n := NewNode(NodeConfig{
 		SystemConfig: SystemConfig{
 			Clusters: 2, F: 1,
 			BatchInterval: time.Hour,
-			InitialData:   data,
 		},
 		Cluster: 1, Replica: 0,
 		Keys:          keys[NodeID{Cluster: 1, Replica: 0}],
@@ -42,6 +42,7 @@ func newEvidenceLeader(t *testing.T, keys map[NodeID]cryptoutil.KeyPair, ring *c
 		Net:           transport.NewNetwork(),
 		GenesisHeader: header,
 		GenesisCert:   cert,
+		GenesisData:   share,
 	})
 	if !n.IsLeader() {
 		t.Fatal("replica 0 does not lead view 0")

@@ -99,7 +99,7 @@ func captureStateResponse(t *testing.T) (*protocol.StateResponse, NodeConfig) {
 	}
 
 	cfg := sys.nodeCfgs[NodeID{Cluster: 0, Replica: 3}]
-	cfg.InitialData = clusterShare(sys.Cfg.InitialData, sys.Part, 0)
+	cfg.GenesisData = genesisShare(sys.Cfg.InitialData, sys.Part, 0)
 	return resp, cfg
 }
 

@@ -31,8 +31,8 @@ type NodeID = cryptoutil.NodeID
 
 // NodeConfig assembles one replica: the system's configuration narrowed
 // to it, plus what only this replica has. The embedded DataDir is the
-// replica's own subdirectory and InitialData its cluster's share, which
-// the replica drops once it has loaded it.
+// replica's own subdirectory; the embedded InitialData is not read (the
+// replica loads GenesisData).
 type NodeConfig struct {
 	SystemConfig
 
@@ -49,6 +49,10 @@ type NodeConfig struct {
 	// Genesis batch shared by every replica of the cluster.
 	GenesisHeader protocol.BatchHeader
 	GenesisCert   cryptoutil.Certificate
+	// GenesisData is the cluster's share of the initial data, key-sorted
+	// (genesisShare): what GenesisHeader's Merkle root certifies. The
+	// replica only reads it, and drops it once loaded.
+	GenesisData []store.KV
 
 	// Store overrides the storage backend with a caller-built instance
 	// (nil = build SystemConfig.Engine through the engine registry). The
@@ -329,13 +333,14 @@ type Metrics struct {
 	HeaderCertMisses int64
 }
 
-// NewNode builds (but does not start) a replica.
+// NewNode builds (but does not start) a replica, building its genesis
+// tree from cfg.GenesisData.
 func NewNode(cfg NodeConfig) *Node {
-	return newNode(cfg, newTreeFor(cfg.InitialData))
+	return newNode(cfg, newTreeFor(cfg.GenesisData))
 }
 
-// newNode is NewNode given the Merkle tree of cfg.InitialData, which
-// becomes the replica's own.
+// newNode is NewNode given a Merkle tree of cfg.GenesisData that no other
+// replica holds: it becomes the replica's own.
 func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 	cfg.SystemConfig = cfg.withDefaults()
 	engine := cfg.Store
@@ -378,11 +383,11 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		}
 	}
 
-	// Install genesis: initial data load as batch 0. The store and the
-	// tree now hold the share; a restart derives it again from the
-	// system's InitialData (System.RestartReplica).
-	n.st.Load(cfg.InitialData)
-	n.cfg.InitialData = nil
+	// Install genesis: initial data load as batch 0, already key-sorted.
+	// The store and the tree now hold the share; a restart derives it
+	// again from the system's InitialData (System.RestartReplica).
+	n.st.ImportAsOf(store.GenesisBatch, cfg.GenesisData)
+	n.cfg.GenesisData = nil
 	genesisDigest := cfg.GenesisHeader.Digest()
 	n.log.init(0, &logEntry{
 		batch:  &protocol.Batch{Cluster: cfg.Cluster, ID: 0, CD: cfg.GenesisHeader.CD.Clone(), LCE: cfg.GenesisHeader.LCE, MerkleRoot: cfg.GenesisHeader.MerkleRoot, Timestamp: cfg.GenesisHeader.Timestamp},

@@ -32,12 +32,12 @@ func newSpecLeader(t *testing.T, data map[string][]byte, opts ...func(*NodeConfi
 		keys[id] = kp
 		ring.Add(id, kp.Public)
 	}
-	header, cert := genesis(0, 1, newTreeFor(data).Root(), time.Now().UnixNano(), keys, replicas)
+	share := genesisShare(data, protocol.Partitioner{N: 1}, 0) // every key
+	header, cert := genesis(0, 1, newTreeFor(share).Root(), time.Now().UnixNano(), keys, replicas)
 	cfg := NodeConfig{
 		SystemConfig: SystemConfig{
 			Clusters: 1, F: 1,
 			BatchInterval: time.Hour,
-			InitialData:   data,
 		},
 		Cluster: 0, Replica: 0,
 		Keys:          keys[NodeID{Cluster: 0, Replica: 0}],
@@ -45,6 +45,7 @@ func newSpecLeader(t *testing.T, data map[string][]byte, opts ...func(*NodeConfi
 		Net:           transport.NewNetwork(),
 		GenesisHeader: header,
 		GenesisCert:   cert,
+		GenesisData:   share,
 	}
 	for _, o := range opts {
 		o(&cfg)

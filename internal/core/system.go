@@ -165,23 +165,24 @@ func NewSystem(cfg SystemConfig) *System {
 	net.SetLatency(transport.ClusterLatency(cfg.IntraLatency, cfg.InterLatency))
 
 	// One genesis per cluster, clusters side by side: the cluster's share
-	// of the initial data, its Merkle tree, and the batch-0 header every
-	// replica signs over its root.
+	// of the initial data, key-sorted once; its Merkle tree, built once,
+	// and 3f private copies of it; and the batch-0 header every replica
+	// signs over its root.
 	genesisTime := genesisTimestamp(cfg.DataDir)
-	perCluster := make([]map[string][]byte, cfg.Clusters)
-	trees := make([]*merkle.Tree, cfg.Clusters)
+	shares := make([][]store.KV, cfg.Clusters)
+	trees := make([][]*merkle.Tree, cfg.Clusters)
 	headers := make([]protocol.BatchHeader, cfg.Clusters)
 	certs := make([]cryptoutil.Certificate, cfg.Clusters)
 	forEachParallel(cfg.Clusters, func(c int) {
-		perCluster[c] = clusterShare(cfg.InitialData, part, int32(c))
-		trees[c] = newTreeFor(perCluster[c])
-		headers[c], certs[c] = genesis(int32(c), cfg.Clusters, trees[c].Root(), genesisTime, keys, n)
+		shares[c] = genesisShare(cfg.InitialData, part, int32(c))
+		trees[c] = genesisTrees(shares[c], n)
+		headers[c], certs[c] = genesis(int32(c), cfg.Clusters, trees[c][0].Root(), genesisTime, keys, n)
 	})
 
 	// Every replica, side by side (DESIGN.md §6, "Boot"): a replica under
-	// construction writes nothing another one reads. The genesis tree is
-	// handed to replica 0 alone, as its own; the others build theirs, so
-	// no two replicas ever share a tree.
+	// construction writes nothing another one reads. Each takes one of its
+	// cluster's trees as its own and loads its engine from the shared
+	// sorted share, which it only reads.
 	nodes := make([]*Node, cfg.Clusters*n)
 	ncfgs := make([]NodeConfig, len(nodes))
 	forEachParallel(len(nodes), func(i int) {
@@ -196,17 +197,14 @@ func NewSystem(cfg SystemConfig) *System {
 			Net:           net,
 			GenesisHeader: headers[c],
 			GenesisCert:   certs[c],
+			GenesisData:   shares[c],
 		}
 		ncfgs[i].DataDir = nodeDataDir(cfg.DataDir, id.Cluster, id.Replica)
-		ncfgs[i].InitialData = perCluster[c]
-		if r == 0 {
-			nodes[i] = newNode(ncfgs[i], trees[c])
-		} else {
-			nodes[i] = NewNode(ncfgs[i])
-		}
-		// Loaded: the share goes with perCluster (RestartReplica derives it
-		// again).
 		ncfgs[i].InitialData = nil
+		nodes[i] = newNode(ncfgs[i], trees[c][r])
+		// Loaded: the share goes with shares (RestartReplica derives it
+		// again).
+		ncfgs[i].GenesisData = nil
 	})
 
 	sys := &System{Cfg: cfg, Net: net, Ring: ring, Part: part,
@@ -252,7 +250,7 @@ func (s *System) StopReplica(id NodeID) {
 }
 
 // RestartReplica rebuilds a crashed replica from its original
-// configuration — fresh genesis state, its cluster's share of
+// configuration — fresh genesis state, its cluster's sorted share of
 // InitialData split off again, empty mailbox — and starts it in recovery
 // mode: it immediately requests a state transfer, installs the latest
 // stable checkpoint, replays the suffix, and rejoins consensus.
@@ -263,7 +261,7 @@ func (s *System) RestartReplica(id NodeID) *Node {
 	if !ok {
 		return nil
 	}
-	cfg.InitialData = clusterShare(s.Cfg.InitialData, s.Part, id.Cluster)
+	cfg.GenesisData = genesisShare(s.Cfg.InitialData, s.Part, id.Cluster)
 	cfg.Recovering = true
 	node := NewNode(cfg)
 	s.nodes[id] = node
@@ -271,16 +269,32 @@ func (s *System) RestartReplica(id NodeID) *Node {
 	return node
 }
 
-// clusterShare returns the keys of data that part assigns to cluster c:
-// the initial data the cluster's genesis root certifies.
-func clusterShare(data map[string][]byte, part protocol.Partitioner, c int32) map[string][]byte {
-	share := make(map[string][]byte, len(data)/int(part.N))
+// genesisShare returns the entries of data that part assigns to cluster
+// c, key-sorted, each written by the genesis batch: the initial data the
+// cluster's genesis root certifies, in the order ImportAsOf takes without
+// sorting again.
+func genesisShare(data map[string][]byte, part protocol.Partitioner, c int32) []store.KV {
+	share := make([]store.KV, 0, len(data)/int(part.N))
 	for k, v := range data {
 		if part.Of(k) == c {
-			share[k] = v
+			share = append(share, store.KV{Key: k, Value: v, Writer: store.GenesisBatch})
 		}
 	}
+	slices.SortFunc(share, func(a, b store.KV) int { return strings.Compare(a.Key, b.Key) })
 	return share
+}
+
+// genesisTrees builds the Merkle tree of a genesis share once and returns
+// it with n-1 copies, one per replica: every copy has the root and the
+// proofs of the original and an arena of its own, so no two replicas share
+// a tree.
+func genesisTrees(share []store.KV, n int) []*merkle.Tree {
+	trees := make([]*merkle.Tree, n)
+	trees[0] = newTreeFor(share)
+	for r := 1; r < n; r++ {
+		trees[r] = merkle.Compact([]*merkle.Tree{trees[0]})[0]
+	}
+	return trees
 }
 
 // nodeDataDir derives one replica's data directory (empty in = empty
@@ -398,16 +412,16 @@ func (s *System) Leader(cluster int32) NodeID {
 // ReplicasPerCluster returns the cluster size.
 func (s *System) ReplicasPerCluster() int { return s.Cfg.replicas() }
 
-// newTreeFor builds the Merkle tree of an initial data load in one bulk
-// pass (initial loads are the largest tree builds in the system). Every
-// leaf binds its value to the genesis batch, the writer the store records
-// for the load.
-func newTreeFor(data map[string][]byte) *merkle.Tree {
-	ups := make([]merkle.Update, 0, len(data))
+// newTreeFor builds the Merkle tree of a genesis share in one bulk pass
+// (initial loads are the largest tree builds in the system). Every leaf
+// binds its value to the genesis batch, the writer the store records for
+// the load.
+func newTreeFor(share []store.KV) *merkle.Tree {
+	ups := make([]merkle.Update, len(share))
 	var leaf []byte
-	for k, v := range data {
-		leaf = protocol.LeafValue(leaf[:0], store.GenesisBatch, v)
-		ups = append(ups, merkle.Update{KeyHash: merkle.HashKey([]byte(k)), ValHash: merkle.HashValue(leaf)})
+	for i, e := range share {
+		leaf = protocol.LeafValue(leaf[:0], store.GenesisBatch, e.Value)
+		ups[i] = merkle.Update{KeyHash: merkle.HashKey([]byte(e.Key)), ValHash: merkle.HashValue(leaf)}
 	}
 	return merkle.Build(ups)
 }

@@ -235,12 +235,21 @@ func TestStopDropsPendingAndReleasesEverything(t *testing.T) {
 func TestCrashDropsInFlightAndCountsThem(t *testing.T) {
 	n := NewNetwork()
 	defer n.Stop()
-	n.SetLatency(func(NodeID, NodeID) time.Duration { return 2 * time.Millisecond })
-	a, b := id(0, 0), id(0, 1)
+	a, b, c := id(0, 0), id(0, 1), id(0, 2)
+	// The in-flight envelopes travel from c on a link they cannot outlive
+	// before the crash, however slowly the 100 sends run; "new" travels
+	// from a on a longer one, so it falls due after all of them.
+	const oldLatency, newLatency = 200 * time.Millisecond, 250 * time.Millisecond
+	n.SetLatency(func(from, _ NodeID) time.Duration {
+		if from == c {
+			return oldLatency
+		}
+		return newLatency
+	})
 	n.Register(b)
 	const inFlight = 100
 	for i := 0; i < inFlight; i++ {
-		n.Send(a, b, "old")
+		n.Send(c, b, "old")
 	}
 	n.Deregister(b)
 	fresh := n.Register(b)
@@ -254,7 +263,7 @@ func TestCrashDropsInFlightAndCountsThem(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("new incarnation received nothing")
 	}
-	// "new" was sent last at the same latency, so everything before it
+	// "new" was sent last on the longer link, so everything before it
 	// has been handled.
 	select {
 	case e := <-fresh:
