@@ -35,13 +35,11 @@ import (
 
 	"transedge/internal/client"
 	"transedge/internal/core"
-	"transedge/internal/store"
 	"transedge/internal/transport"
 )
 
 func main() {
 	datadir := flag.String("datadir", "", "persist WAL+checkpoints here and demo a cold restart")
-	engine := flag.String("engine", "", "storage backend per replica (default: sharded)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address while the demo runs (off when empty)")
 	flag.Parse()
 
@@ -66,10 +64,6 @@ func main() {
 		}
 	}
 
-	if err := store.CheckEngine(*engine); err != nil {
-		log.Fatal(err)
-	}
-
 	data := map[string][]byte{}
 	for i := 0; i < 100; i++ {
 		data[fmt.Sprintf("key-%03d", i)] = []byte("v0")
@@ -78,7 +72,6 @@ func main() {
 		Clusters: 2, F: 1, Seed: 5,
 		InitialData: data,
 		DataDir:     *datadir,
-		Engine:      *engine,
 	}
 	sys := core.NewSystem(cfg)
 	sys.Start()

@@ -8,11 +8,6 @@
 // disk to show the committed transfer surviving a full shutdown:
 //
 //	go run ./examples/quickstart -datadir /tmp/transedge-quickstart
-//
-// With -engine the replicas run on a different storage backend, e.g.
-// the log-structured engine:
-//
-//	go run ./examples/quickstart -engine lsm
 package main
 
 import (
@@ -22,13 +17,10 @@ import (
 	"time"
 
 	"transedge/transedge"
-
-	_ "transedge/internal/store/lsm" // registers the "lsm" engine for -engine
 )
 
 func main() {
 	datadir := flag.String("datadir", "", "persist WAL+checkpoints here and demo a cold restart")
-	engine := flag.String("engine", "", "storage backend per replica (default: sharded); see internal/store engine registry")
 	flag.Parse()
 
 	// Three partitions, each replicated on a 4-node byzantine cluster
@@ -38,7 +30,6 @@ func main() {
 		F:        1,
 		Seed:     1,
 		DataDir:  *datadir,
-		Engine:   *engine, // Start validates the name against the registry
 		InitialData: map[string][]byte{
 			"alice": []byte("100"),
 			"bob":   []byte("100"),

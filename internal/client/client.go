@@ -79,11 +79,6 @@ type Client struct {
 	// freshness bound is still enforced per reply).
 	certMu   sync.Mutex
 	certSeen map[cryptoutil.Digest]struct{}
-	// roots holds the newest verified checkpoint per cluster — the batch
-	// ID and full header (Merkle root, CD, LCE) of the freshest reply this
-	// client has authenticated. Sessions pin reads to it; tests and tools
-	// inspect it via VerifiedCheckpoint.
-	roots map[int32]Checkpoint
 
 	// certChecks counts full certificate verifications (threshold Ed25519
 	// checks actually performed, cache hits excluded).
@@ -124,34 +119,6 @@ func (c *Client) rememberCert(d cryptoutil.Digest) {
 	c.certSeen[d] = struct{}{}
 }
 
-// Checkpoint is a client-verified snapshot identity for one cluster: the
-// newest batch whose certificate this client checked, with its full
-// header (Merkle root, CD vector, LCE, timestamp).
-type Checkpoint struct {
-	BatchID int64
-	Header  protocol.BatchHeader
-}
-
-// VerifiedCheckpoint returns the newest verified checkpoint for a
-// cluster, if any: empty until a read-only reply from it has verified.
-func (c *Client) VerifiedCheckpoint(cluster int32) (Checkpoint, bool) {
-	c.certMu.Lock()
-	defer c.certMu.Unlock()
-	cp, ok := c.roots[cluster]
-	return cp, ok
-}
-
-// advanceCheckpoint records a verified header if it is newer than the
-// cached checkpoint for its cluster (advance-only: a stale-but-valid
-// reply never regresses the cache).
-func (c *Client) advanceCheckpoint(cluster int32, h protocol.BatchHeader) {
-	c.certMu.Lock()
-	defer c.certMu.Unlock()
-	if cur, ok := c.roots[cluster]; !ok || h.ID > cur.BatchID {
-		c.roots[cluster] = Checkpoint{BatchID: h.ID, Header: h}
-	}
-}
-
 // CertVerifications reports how many full certificate verifications this
 // client has performed (root-cache hits excluded).
 func (c *Client) CertVerifications() int64 { return c.certChecks.Load() }
@@ -179,7 +146,6 @@ func New(cfg Config) *Client {
 		self:     NodeID{Cluster: transport.ClientCluster, Replica: int32(cfg.ID)},
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID))),
 		certSeen: make(map[cryptoutil.Digest]struct{}),
-		roots:    make(map[int32]Checkpoint),
 		pref:     make(map[int32]int32),
 	}
 }

@@ -254,7 +254,6 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 		c.proofReqs.Add(1)
 		c.proofBytes.Add(int64(n))
 	}
-	c.advanceCheckpoint(cluster, r.Header)
 	return &roundReply{header: r.Header, values: r.Values}, nil
 }
 

@@ -29,11 +29,7 @@ func (e *countingEngine) ExportAsOf(asOf int64) []store.KV {
 // — state requests are unauthenticated and retried on a timer — they
 // share one export. A requester already at the checkpoint costs none.
 func TestStateRequestExportsOncePerCheckpoint(t *testing.T) {
-	inner, err := store.NewEngine("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &countingEngine{Engine: inner}
+	eng := &countingEngine{Engine: store.NewSharded(0)}
 	data := specKeys(64)
 	n := newSpecLeader(t, data, func(cfg *NodeConfig) { cfg.Store = eng })
 
@@ -151,11 +147,7 @@ func TestVotingCheckpointClampsPruner(t *testing.T) {
 // nobody asks for state exports its keyspace zero times.
 func TestCheckpointsExportNothing(t *testing.T) {
 	const interval, checkpoints = 4, 3
-	inner, err := store.NewEngine("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &countingEngine{Engine: inner}
+	eng := &countingEngine{Engine: store.NewSharded(0)}
 	n := newSpecLeader(t, specKeys(8), func(cfg *NodeConfig) {
 		cfg.CheckpointInterval = interval
 		cfg.Store = eng

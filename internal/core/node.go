@@ -11,7 +11,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 	"transedge/internal/store"
-	_ "transedge/internal/store/lsm" // registers the "lsm" engine
 	"transedge/internal/transport"
 	"transedge/internal/wal"
 )
@@ -55,9 +53,8 @@ type NodeConfig struct {
 	GenesisData []store.KV
 
 	// Store overrides the storage backend with a caller-built instance
-	// (nil = build SystemConfig.Engine through the engine registry). The
-	// node does not manage an injected engine's lifecycle — the caller
-	// closes it.
+	// (nil = a fresh sharded store, store.NewSharded). It is a test seam:
+	// the caller owns an injected engine.
 	Store store.Engine
 }
 
@@ -134,10 +131,6 @@ type Node struct {
 	peers []NodeID
 
 	st store.Engine
-	// ownsEngine marks engines the node built itself (via the registry)
-	// and must therefore shut down when its loop exits; injected
-	// engines belong to the caller.
-	ownsEngine bool
 	// log is the retained window of committed batches: everything below
 	// the latest stable checkpoint is truncated (entry 0 starts as
 	// genesis; after a state transfer the base is the installed
@@ -276,15 +269,14 @@ type Node struct {
 // atomically too; read totals after Stop (which drains the executors) for
 // exact values.
 type Metrics struct {
-	BatchesCommitted   int64
-	LocalCommitted     int64
-	DistCommitted      int64
-	DistAborted        int64
-	AdmissionAborts    int64
-	ROServed           int64
-	ROSecondRound      int64
-	ROParkedExpired    int64
-	DecisionsValidated int64
+	BatchesCommitted int64
+	LocalCommitted   int64
+	DistCommitted    int64
+	DistAborted      int64
+	AdmissionAborts  int64
+	ROServed         int64
+	ROSecondRound    int64
+	ROParkedExpired  int64
 	// PipelineStalls counts batch-build attempts, with work pending,
 	// refused because the one batch was still in flight.
 	PipelineStalls int64
@@ -344,22 +336,13 @@ func NewNode(cfg NodeConfig) *Node {
 func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 	cfg.SystemConfig = cfg.withDefaults()
 	engine := cfg.Store
-	ownsEngine := false
 	if engine == nil {
-		var err error
-		engine, err = store.NewEngine(cfg.Engine, store.DefaultShards)
-		if err != nil {
-			// Public entry points validate the name before building
-			// nodes; reaching here is a programming error.
-			panic(fmt.Sprintf("core: %v", err))
-		}
-		ownsEngine = true
+		engine = store.NewSharded(store.DefaultShards)
 	}
 	n := &Node{
 		cfg:              cfg,
 		self:             NodeID{Cluster: cfg.Cluster, Replica: cfg.Replica},
 		st:               engine,
-		ownsEngine:       ownsEngine,
 		readers:          newReadExecutor(0, 0),
 		preparedReads:    make(keyRefs),
 		preparedWrites:   make(keyRefs),
@@ -456,15 +439,6 @@ func (n *Node) Stop() {
 
 func (n *Node) run() {
 	defer close(n.done)
-	// Engines with background machinery (the LSM compactor) stop with
-	// the node — but only if the node built the engine; injected ones
-	// are the caller's to close. Runs after the read executors drain
-	// (LIFO), so no read is in flight when the engine shuts down.
-	defer func() {
-		if c, ok := n.st.(interface{ Close() }); ok && n.ownsEngine {
-			c.Close()
-		}
-	}()
 	// Close the WAL after the loop exits: the final sync makes everything
 	// delivered before Stop durable (a graceful shutdown; crashes are
 	// simulated with the wal crash hooks, which drop the unsynced tail).

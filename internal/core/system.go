@@ -45,11 +45,6 @@ type SystemConfig struct {
 	// ROParkTimeout bounds how long a second-round read-only request may
 	// wait for a dependency batch to commit (default 5s).
 	ROParkTimeout time.Duration
-	// Engine names every replica's storage backend, resolved through
-	// the store engine registry ("" = store.DefaultEngine). Check it with
-	// store.CheckEngine before building a system: NewNode panics on
-	// unknown names.
-	Engine string
 	// CheckpointInterval is how many batches apart replicas sign
 	// checkpoints (default DefaultCheckpointInterval). A 2f+1 checkpoint
 	// quorum becomes a stable checkpoint, which truncates the log window,

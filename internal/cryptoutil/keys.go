@@ -122,13 +122,12 @@ func (r *KeyRing) ClusterSize(cluster int32) int {
 
 // Errors returned by certificate verification.
 var (
-	ErrTooFewSignatures  = errors.New("cryptoutil: certificate has too few signatures")
-	ErrUnknownSigner     = errors.New("cryptoutil: certificate signed by unknown node")
-	ErrWrongCluster      = errors.New("cryptoutil: signer from wrong cluster")
-	ErrDuplicateSigner   = errors.New("cryptoutil: duplicate signer in certificate")
-	ErrInvalidSignature  = errors.New("cryptoutil: invalid signature in certificate")
-	ErrEmptyMessage      = errors.New("cryptoutil: empty message")
-	ErrMalformedEncoding = errors.New("cryptoutil: malformed certificate encoding")
+	ErrTooFewSignatures = errors.New("cryptoutil: certificate has too few signatures")
+	ErrUnknownSigner    = errors.New("cryptoutil: certificate signed by unknown node")
+	ErrWrongCluster     = errors.New("cryptoutil: signer from wrong cluster")
+	ErrDuplicateSigner  = errors.New("cryptoutil: duplicate signer in certificate")
+	ErrInvalidSignature = errors.New("cryptoutil: invalid signature in certificate")
+	ErrEmptyMessage     = errors.New("cryptoutil: empty message")
 )
 
 // Signature is a single replica's signature over some canonical message.

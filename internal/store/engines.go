@@ -2,20 +2,14 @@ package store
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// The engine registry maps backend names to constructors so the rest of
-// the system can select a storage engine by configuration string
-// ("sharded", "lsm", ...) instead of linking against a concrete type.
-// Alternate backends register themselves from an init function; whoever
-// builds nodes (internal/core) imports them for the side effect. Every
-// registered backend must pass the storetest conformance suite — the
-// registry is how a name in a config file becomes code the replica core
-// is allowed to trust.
+// The engine registry maps backend names to constructors. Every replica
+// runs the sharded store (NewSharded); the registry survives only so the
+// benchmark's store probes can build the conformance-tested lsm backend
+// by name, which registers itself from an init function. Every
+// registered backend must pass the storetest conformance suite.
 
 // DefaultEngine is the backend selected by an empty engine name: the
 // sharded in-memory MVCC store, the seed's semantics.
@@ -48,33 +42,8 @@ func RegisterEngine(name string, build EngineBuilder) {
 	engines[name] = build
 }
 
-// EngineNames returns the registered backend names, sorted.
-func EngineNames() []string {
-	enginesMu.RLock()
-	defer enginesMu.RUnlock()
-	names := make([]string, 0, len(engines))
-	for name := range engines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CheckEngine reports whether name ("" selects DefaultEngine) is a
-// registered backend. An unknown name is an error listing the valid
-// backends — callers surface it instead of silently falling back to the
-// default, so a typo in an -engine flag or Options.Engine can never
-// masquerade as a measurement of the sharded store.
-func CheckEngine(name string) error {
-	if name == "" || slices.Contains(EngineNames(), name) {
-		return nil
-	}
-	return fmt.Errorf("unknown storage engine %q (valid engines: %s)",
-		name, strings.Join(EngineNames(), ", "))
-}
-
-// NewEngine builds the named backend ("" selects DefaultEngine), failing
-// as CheckEngine does on an unknown name.
+// NewEngine builds the named backend ("" selects DefaultEngine). An
+// unknown name is an error, never a silent fallback to the default.
 func NewEngine(name string, shards int) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
@@ -83,7 +52,7 @@ func NewEngine(name string, shards int) (Engine, error) {
 	build, ok := engines[name]
 	enginesMu.RUnlock()
 	if !ok {
-		return nil, CheckEngine(name)
+		return nil, fmt.Errorf("unknown storage engine %q", name)
 	}
 	return build(shards), nil
 }

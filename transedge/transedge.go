@@ -41,7 +41,6 @@ import (
 
 	"transedge/internal/client"
 	"transedge/internal/core"
-	"transedge/internal/store"
 )
 
 // Options configures a deployment.
@@ -55,12 +54,6 @@ type Options struct {
 	// Seed makes node identities and client behavior reproducible.
 	Seed uint64
 
-	// Engine selects each replica's storage backend by registry name:
-	// "sharded" (the default in-memory MVCC store) or "lsm" (the
-	// log-structured engine with memtable, immutable runs, and
-	// background compaction). Unknown names fail Start with an error
-	// listing the valid backends.
-	Engine string
 	// ViewTimeout bounds how long each replica waits for leader progress
 	// on pending work before voting a PBFT view change, electing the next
 	// replica (round-robin) as leader. Zero disables leader failover: a
@@ -115,16 +108,10 @@ func Start(opts Options) (*System, error) {
 	if opts.F < 1 {
 		return nil, fmt.Errorf("%w: F must be >= 1", ErrBadOptions)
 	}
-	// Checked here, where it can be an error, instead of panicking deep
-	// inside node construction.
-	if err := store.CheckEngine(opts.Engine); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
 	sys := core.NewSystem(core.SystemConfig{
 		Clusters:        opts.Clusters,
 		F:               opts.F,
 		Seed:            opts.Seed,
-		Engine:          opts.Engine,
 		ViewTimeout:     opts.ViewTimeout,
 		DataDir:         opts.DataDir,
 		IntraLatency:    opts.IntraClusterLatency,

@@ -3,7 +3,6 @@ package transedge_test
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"transedge/transedge"
@@ -34,57 +33,6 @@ func TestStartValidatesOptions(t *testing.T) {
 	}
 	if _, err := transedge.Start(transedge.Options{Clusters: 1, F: 0}); !errors.Is(err, transedge.ErrBadOptions) {
 		t.Fatalf("F=0: err = %v", err)
-	}
-}
-
-// TestStartRejectsUnknownEngine pins the engine knob's edge: a typo'd
-// backend name must fail Start with an error naming the valid engines,
-// never fall back to the sharded default silently.
-func TestStartRejectsUnknownEngine(t *testing.T) {
-	_, err := transedge.Start(transedge.Options{Clusters: 1, F: 1, Engine: "rocksdb"})
-	if !errors.Is(err, transedge.ErrBadOptions) {
-		t.Fatalf("Engine=rocksdb: err = %v, want ErrBadOptions", err)
-	}
-	for _, want := range []string{"rocksdb", "sharded", "lsm"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
-	}
-}
-
-// TestStartAcceptsEveryRegisteredEngine boots a small system on each
-// registered backend and commits through it.
-func TestStartAcceptsEveryRegisteredEngine(t *testing.T) {
-	for _, engine := range []string{"", "sharded", "lsm"} {
-		t.Run("engine="+engine, func(t *testing.T) {
-			sys, err := transedge.Start(transedge.Options{
-				Clusters:    1,
-				F:           1,
-				Seed:        1,
-				Engine:      engine,
-				InitialData: map[string][]byte{"k": []byte("v0")},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Stop()
-			c := sys.NewClient()
-			txn := c.Begin()
-			if _, err := txn.Read("k"); err != nil {
-				t.Fatal(err)
-			}
-			txn.Write("k", []byte("v1"))
-			if err := txn.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := c.ReadOnly([]string{"k"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(snap.Values["k"]) != "v1" {
-				t.Fatalf("snapshot k = %q, want v1", snap.Values["k"])
-			}
-		})
 	}
 }
 
