@@ -64,7 +64,7 @@ func BenchmarkBatchDigest(b *testing.B) {
 
 // BenchmarkVerifyCertificate — an f=3 cluster's certificate carrying all
 // 10 commit signatures, verified at threshold f+1=4: verification stops
-// at the threshold and fans out across the worker pool.
+// at the threshold, checking each signature in turn.
 func BenchmarkVerifyCertificate(b *testing.B) {
 	ring := cryptoutil.NewKeyRing()
 	msg := []byte("benchmark-digest-benchmark-digest")

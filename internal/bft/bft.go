@@ -244,9 +244,8 @@ type Replica struct {
 	highestSeen int64
 	// Fault counters are atomic so tests and monitoring can read them
 	// while the event loop runs.
-	equivocations atomic.Int64
-	rejected      atomic.Int64
-	droppedAhead  atomic.Int64
+	rejected     atomic.Int64
+	droppedAhead atomic.Int64
 }
 
 // New creates a replica engine. Batch IDs start at 1 (batch 0 is the
@@ -335,10 +334,6 @@ func (r *Replica) InFlight() int { return int(r.nextPropose - r.nextDeliver) }
 // LastDigest returns the digest of the last delivered batch (zero digest
 // before any delivery), for chaining PrevDigest.
 func (r *Replica) LastDigest() protocol.Digest { return r.lastDigest }
-
-// Equivocations returns how many conflicting leader proposals this replica
-// has detected.
-func (r *Replica) Equivocations() int { return int(r.equivocations.Load()) }
 
 // Rejected returns how many proposals failed content validation here.
 func (r *Replica) Rejected() int { return int(r.rejected.Load()) }
@@ -565,9 +560,7 @@ func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 		return
 	}
 	if prev, ok := r.proposedDigest[b.ID]; ok && prev != d {
-		// Leader equivocation: conflicting proposals for the same slot.
-		r.equivocations.Add(1)
-		return
+		return // leader equivocation: conflicting proposals for the same slot
 	}
 	r.proposedDigest[b.ID] = d
 

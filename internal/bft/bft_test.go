@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"transedge/internal/adversary"
 	"transedge/internal/cryptoutil"
 	"transedge/internal/protocol"
 	"transedge/internal/transport"
@@ -188,80 +189,6 @@ func (tc *testCluster) propose(b *protocol.Batch) error {
 	return err
 }
 
-// attack is a faulty replica's wire behaviour: given a message it sends
-// and the destination, it returns what goes out in its place — msg
-// itself, a forgery under the replica's identity, or nil for nothing.
-type attack func(to NodeID, msg any) any
-
-// stage puts faulty replicas in the network, where honest replicas meet
-// them: a filter passes every message a listed replica sends through its
-// attack, drops the original and sends any forgery instead.
-// The filter knows its own forgeries by pointer and lets them through.
-func (tc *testCluster) stage(faulty map[int32]attack) {
-	var mu sync.Mutex
-	forged := make(map[any]bool)
-	tc.net.SetFilter(func(e transport.Envelope) bool {
-		a := faulty[e.From.Replica]
-		if a == nil {
-			return true
-		}
-		mu.Lock()
-		own := forged[e.Payload]
-		delete(forged, e.Payload)
-		mu.Unlock()
-		if own {
-			return true
-		}
-		msg := a(e.To, e.Payload)
-		if msg == e.Payload {
-			return true
-		}
-		if msg != nil {
-			mu.Lock()
-			forged[msg] = true
-			mu.Unlock()
-			tc.net.Send(e.From, e.To, msg)
-		}
-		return false
-	})
-}
-
-// silent sends nothing.
-func silent(NodeID, any) any { return nil }
-
-// corruptCertSig re-sends each Commit with a zeroed certificate
-// signature, on a copy: Broadcast hands one payload to every destination.
-func corruptCertSig(_ NodeID, msg any) any {
-	c, ok := msg.(*Commit)
-	if !ok {
-		return msg
-	}
-	forged := *c
-	forged.CertSig = make([]byte, len(c.CertSig))
-	return &forged
-}
-
-// repropose is a leader that sends each destination its own variant of
-// every proposal: edit changes a copy of the batch, which is re-signed
-// with key as the leader's prepare. The forger never mutates the
-// PrePrepare or its batch: Broadcast hands one payload to every
-// destination, and the batch sits sealed behind its cached digest in the
-// leader's own instance. It edits a MutableCopy, and edit must copy any
-// segment slice it changes.
-func repropose(key cryptoutil.KeyPair, edit func(to NodeID, b *protocol.Batch)) attack {
-	return func(to NodeID, msg any) any {
-		pp, ok := msg.(*PrePrepare)
-		if !ok {
-			return msg
-		}
-		b := pp.Batch.MutableCopy()
-		edit(to, b)
-		b.Seal()
-		psd := protocol.PrepareSigDigest(b.Cluster, pp.View, b.ID, b.Digest())
-		return &PrePrepare{View: pp.View, Batch: b, LeaderSig: key.Sign(psd[:])}
-	}
-}
-
 // eventually polls cond every millisecond until it holds, or reports
 // false once timeout has passed.
 func eventually(timeout time.Duration, cond func() bool) bool {
@@ -348,7 +275,7 @@ func TestNonLeaderCannotPropose(t *testing.T) {
 
 func TestToleratesSilentFollower(t *testing.T) {
 	tc := newTestCluster(t, 1)
-	tc.stage(map[int32]attack{3: silent})
+	adversary.Stage(tc.net, map[NodeID]adversary.Attack{{Replica: 3}: adversary.Drop})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +287,7 @@ func TestToleratesSilentFollower(t *testing.T) {
 
 func TestToleratesFSilentFollowersAtF2(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	tc.stage(map[int32]attack{5: silent, 6: silent})
+	adversary.Stage(tc.net, map[NodeID]adversary.Attack{{Replica: 5}: adversary.Drop, {Replica: 6}: adversary.Drop})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +298,10 @@ func TestToleratesFSilentFollowersAtF2(t *testing.T) {
 
 func TestEquivocatingLeaderCannotCommit(t *testing.T) {
 	tc := newTestCluster(t, 1)
-	tc.stage(map[int32]attack{0: repropose(tc.keys[0], func(to NodeID, b *protocol.Batch) {
-		b.Timestamp += int64(to.Replica)
+	adversary.Stage(tc.net, map[NodeID]adversary.Attack{{Replica: 0}: adversary.Rewrite(func(to NodeID, pp *PrePrepare) {
+		pp.Batch, pp.LeaderSig = adversary.Repropose(tc.keys[0], pp.View, pp.Batch, func(b *protocol.Batch) {
+			b.Timestamp += int64(to.Replica)
+		})
 	})})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
@@ -404,7 +333,9 @@ func TestEquivocatingLeaderCannotCommit(t *testing.T) {
 
 func TestCorruptCertSigExcludedFromCertificate(t *testing.T) {
 	tc := newTestCluster(t, 1)
-	tc.stage(map[int32]attack{2: corruptCertSig})
+	adversary.Stage(tc.net, map[NodeID]adversary.Attack{{Replica: 2}: adversary.Rewrite(func(_ NodeID, c *Commit) {
+		c.CertSig = make([]byte, len(c.CertSig))
+	})})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)
 	}
@@ -440,12 +371,14 @@ func TestContentValidationBlocksMaliciousLeader(t *testing.T) {
 		return nil
 	}
 	tc := newTestCluster(t, 1, withValidate(reject))
-	tc.stage(map[int32]attack{0: repropose(tc.keys[0], func(_ NodeID, b *protocol.Batch) {
-		local := append([]protocol.Transaction(nil), b.Local...)
-		writes := append([]protocol.WriteOp(nil), local[0].Writes...)
-		writes[0].Value = []byte("evil")
-		local[0].Writes = writes
-		b.Local = local
+	adversary.Stage(tc.net, map[NodeID]adversary.Attack{{Replica: 0}: adversary.Rewrite(func(_ NodeID, pp *PrePrepare) {
+		pp.Batch, pp.LeaderSig = adversary.Repropose(tc.keys[0], pp.View, pp.Batch, func(b *protocol.Batch) {
+			local := append([]protocol.Transaction(nil), b.Local...)
+			writes := append([]protocol.WriteOp(nil), local[0].Writes...)
+			writes[0].Value = []byte("evil")
+			local[0].Writes = writes
+			b.Local = local
+		})
 	})})
 	if err := tc.propose(testBatch(1, protocol.Digest{})); err != nil {
 		t.Fatal(err)

@@ -544,20 +544,11 @@ func computeFrontier(ring *cryptoutil.KeyRing, cluster int32, f int, votes []*pr
 				continue
 			}
 			psd := protocol.PrepareSigDigest(cluster, k.view, id, k.digest)
-			checks := make([]cryptoutil.SigCheck, 0, len(c.sigs))
-			reps := make([]int32, 0, len(c.sigs))
+			valid := make(map[int32]bool)
 			for _, s := range c.sigs {
 				pub := ring.PublicKey(NodeID{Cluster: cluster, Replica: s.Replica})
-				if pub == nil {
-					continue
-				}
-				checks = append(checks, cryptoutil.SigCheck{Pub: pub, Msg: psd[:], Sig: s.Sig})
-				reps = append(reps, s.Replica)
-			}
-			valid := make(map[int32]bool)
-			for i, ok := range cryptoutil.VerifyEach(checks) {
-				if ok {
-					valid[reps[i]] = true
+				if pub != nil && cryptoutil.Verify(pub, psd[:], s.Sig) {
+					valid[s.Replica] = true
 				}
 			}
 			if len(valid) < quorum {

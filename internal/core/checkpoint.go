@@ -552,8 +552,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	n.pruneCursor, n.pruneBoundary, n.prunedThrough = 0, 0, 0
 
 	n.groups = n.groups[:0]
-	n.preparedReads = make(keyRefs)
-	n.preparedWrites = make(keyRefs)
+	n.prepared = newFootprint()
 	n.distTxns = make(map[protocol.TxnID]*distTxn)
 	n.pendingDecisions = make(map[protocol.TxnID]*protocol.CommitDecision)
 	for _, cg := range groups {
@@ -563,12 +562,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 			tid := rec.Txn.ID
 			g.ids = append(g.ids, tid)
 			n.distTxns[tid] = &distTxn{rec: rec, prepareBatch: cg.PrepareBatch}
-			for _, r := range n.localReads(&rec.Txn) {
-				n.preparedReads.add(r.Key)
-			}
-			for _, w := range n.localWrites(&rec.Txn) {
-				n.preparedWrites.add(w.Key)
-			}
+			n.prepared.add(n.localReads(&rec.Txn), n.localWrites(&rec.Txn))
 		}
 		n.groups = append(n.groups, g)
 	}

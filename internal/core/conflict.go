@@ -37,15 +37,38 @@ func (r keyRefs) release(k string) {
 	}
 }
 
+// footprint is the OCC footprint of a set of transactions: the keys
+// they read and the keys they write, each refcounted.
+type footprint struct{ reads, writes keyRefs }
+
+func newFootprint() footprint { return footprint{reads: make(keyRefs), writes: make(keyRefs)} }
+
+// add reserves one transaction's footprint.
+func (f footprint) add(reads []protocol.ReadEntry, writes []protocol.WriteOp) {
+	for _, r := range reads {
+		f.reads.add(r.Key)
+	}
+	for _, w := range writes {
+		f.writes.add(w.Key)
+	}
+}
+
+// release drops one transaction's footprint.
+func (f footprint) release(reads []protocol.ReadEntry, writes []protocol.WriteOp) {
+	for _, r := range reads {
+		f.reads.release(r.Key)
+	}
+	for _, w := range writes {
+		f.writes.release(w.Key)
+	}
+}
+
 // conflictEnv is the environment a transaction's local footprint is
 // checked against: the committed store plus the pending (in-progress /
 // in-flight batch) and prepared (undecided 2PC) footprints.
 type conflictEnv struct {
-	lastWriter     func(key string) int64
-	pendingReads   keyRefs
-	pendingWrites  keyRefs
-	preparedReads  keyRefs
-	preparedWrites keyRefs
+	lastWriter        func(key string) int64
+	pending, prepared footprint
 }
 
 // check applies Def. 3.1 to the given local read and write footprint.
@@ -57,29 +80,19 @@ func (e *conflictEnv) check(reads []protocol.ReadEntry, writes []protocol.WriteO
 				ErrConflict, r.Key, r.Version, got)
 		}
 		// Rules 2+3: reading a key a pending or prepared txn writes (wr).
-		if e.pendingWrites.has(r.Key) || e.preparedWrites.has(r.Key) {
+		if e.pending.writes.has(r.Key) || e.prepared.writes.has(r.Key) {
 			return fmt.Errorf("%w: read of %q overlaps an in-flight write", ErrConflict, r.Key)
 		}
 	}
 	for _, w := range writes {
 		// Rules 2+3: writing a key a pending or prepared txn reads (rw)
 		// or writes (ww).
-		if e.pendingWrites.has(w.Key) || e.preparedWrites.has(w.Key) {
+		if e.pending.writes.has(w.Key) || e.prepared.writes.has(w.Key) {
 			return fmt.Errorf("%w: write of %q overlaps an in-flight write", ErrConflict, w.Key)
 		}
-		if e.pendingReads.has(w.Key) || e.preparedReads.has(w.Key) {
+		if e.pending.reads.has(w.Key) || e.prepared.reads.has(w.Key) {
 			return fmt.Errorf("%w: write of %q overlaps an in-flight read", ErrConflict, w.Key)
 		}
 	}
 	return nil
-}
-
-// reserve adds a footprint to the pending sets after admission.
-func (e *conflictEnv) reserve(reads []protocol.ReadEntry, writes []protocol.WriteOp) {
-	for _, r := range reads {
-		e.pendingReads.add(r.Key)
-	}
-	for _, w := range writes {
-		e.pendingWrites.add(w.Key)
-	}
 }

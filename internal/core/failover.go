@@ -124,33 +124,24 @@ func (n *Node) rebaseOnView(view uint64, frontier []*protocol.Batch) {
 // unbatched admissions. A new leader starts with empty pending sets; a
 // retained leader's old sets may count a batch the frontier dropped.
 func (n *Node) rebuildReservations() {
-	n.pendingReads = make(keyRefs)
-	n.pendingWrites = make(keyRefs)
-	reserve := func(reads []protocol.ReadEntry, writes []protocol.WriteOp) {
-		for _, r := range reads {
-			n.pendingReads.add(r.Key)
-		}
-		for _, w := range writes {
-			n.pendingWrites.add(w.Key)
-		}
-	}
+	n.pending = newFootprint()
 	if s := n.spec; s != nil {
 		for i := range s.batch.Local {
 			t := &s.batch.Local[i]
-			reserve(t.Reads, t.Writes)
+			n.pending.add(t.Reads, t.Writes)
 		}
 		for i := range s.batch.Prepared {
 			t := &s.batch.Prepared[i].Txn
-			reserve(n.localReads(t), n.localWrites(t))
+			n.pending.add(n.localReads(t), n.localWrites(t))
 		}
 	}
 	for i := range n.pendingLocal {
 		t := &n.pendingLocal[i]
-		reserve(t.Reads, t.Writes)
+		n.pending.add(t.Reads, t.Writes)
 	}
 	for i := range n.pendingPrepared {
 		t := &n.pendingPrepared[i].Txn
-		reserve(n.localReads(t), n.localWrites(t))
+		n.pending.add(n.localReads(t), n.localWrites(t))
 	}
 }
 
@@ -174,8 +165,7 @@ func (n *Node) dropPendingAdmissions() {
 	}
 	n.pendingLocal = nil
 	n.pendingPrepared = nil
-	n.pendingReads = make(keyRefs)
-	n.pendingWrites = make(keyRefs)
+	n.pending = newFootprint()
 }
 
 // rekindleDistTxns re-drives every undecided distributed transaction

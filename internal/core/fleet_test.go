@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"transedge/internal/adversary"
 	"transedge/internal/bft"
 	"transedge/internal/client"
 	"transedge/internal/core"
@@ -74,120 +75,14 @@ func TestByzantineFleet(t *testing.T) {
 	}
 }
 
-// rewriteROReplies makes evil lie on the read-only path with no hook in
-// the serving code. For each read-only request addressed to it, a network
-// filter swaps the reply channel for a fresh one, and a goroutine forwards
-// the honest reply, rewritten, to the channel the client awaits. The swap
-// is invisible to both ends: the filter runs on the sender's goroutine
-// before dispatch, and the client waits on its own copy of the channel.
-func rewriteROReplies(t *testing.T, sys *core.System, rewrite func(protocol.ROReply) protocol.ROReply) {
-	done := make(chan struct{})
-	t.Cleanup(func() { close(done) })
-	sys.Net.SetFilter(func(e transport.Envelope) bool {
-		req, ok := e.Payload.(*protocol.RORequest)
-		if !ok || e.To != evil {
-			return true
-		}
-		to, honest := req.ReplyTo, make(chan protocol.ROReply, 1)
-		req.ReplyTo = honest
-		go func() {
-			select {
-			case r := <-honest:
-				if r.Err == "" {
-					r = rewrite(r)
-				}
-				select {
-				case to <- r:
-				default:
-				}
-			case <-done:
-			}
-		}()
-		return true
-	})
-}
-
-// attack is a faulty replica's consensus behaviour on the wire: given a
-// consensus message it sends and the destination, it returns what goes
-// out in its place — msg itself, a forgery under the replica's identity,
-// or nil for nothing.
-type attack func(to core.NodeID, msg any) any
-
-// stageAttacks puts faulty replicas in the network, where honest replicas
-// meet them: a filter passes every consensus message a listed replica
-// sends (the five types bft.Replica.Handle consumes) through its attack,
-// drops the original and sends any forgery instead. Everything else the
-// replica sends passes unchanged. The filter knows its own forgeries by
-// pointer and lets them through.
-func stageAttacks(sys *core.System, faulty map[core.NodeID]attack) {
-	var mu sync.Mutex
-	forged := make(map[any]bool)
-	sys.Net.SetFilter(func(e transport.Envelope) bool {
-		a := faulty[e.From]
-		if a == nil {
-			return true
-		}
-		switch e.Payload.(type) {
-		case *bft.PrePrepare, *bft.Prepare, *bft.Commit, *protocol.ViewChange, *protocol.NewView:
-		default:
-			return true
-		}
-		mu.Lock()
-		own := forged[e.Payload]
-		delete(forged, e.Payload)
-		mu.Unlock()
-		if own {
-			return true
-		}
-		msg := a(e.To, e.Payload)
-		if msg == e.Payload {
-			return true
-		}
-		if msg != nil {
-			mu.Lock()
-			forged[msg] = true
-			mu.Unlock()
-			sys.Net.Send(e.From, e.To, msg)
-		}
-		return false
-	})
-}
-
-// mute withholds every consensus message.
-func mute(core.NodeID, any) any { return nil }
-
-// corruptCertSig re-sends each Commit with a zeroed certificate
-// signature, on a copy: Broadcast hands one payload to every destination.
-func corruptCertSig(_ core.NodeID, msg any) any {
-	c, ok := msg.(*bft.Commit)
-	if !ok {
-		return msg
+// mute withholds every consensus message (the five types
+// bft.Replica.Handle consumes) and nothing else.
+func mute(_ core.NodeID, msg any) any {
+	switch msg.(type) {
+	case *bft.PrePrepare, *bft.Prepare, *bft.Commit, *protocol.ViewChange, *protocol.NewView:
+		return nil
 	}
-	forged := *c
-	forged.CertSig = make([]byte, len(c.CertSig))
-	return &forged
-}
-
-// repropose is a leader that sends each destination its own variant of
-// every proposal: edit changes a copy of the batch, which is re-signed
-// with the leader's key, derived as NewSystem derives it. The forger
-// never mutates the PrePrepare or its batch: Broadcast hands one payload
-// to every destination, and the batch sits sealed behind its cached
-// digest in the leader's own core. It edits a MutableCopy, and edit must
-// copy any segment slice it changes.
-func repropose(sys *core.System, leader core.NodeID, edit func(to core.NodeID, b *protocol.Batch)) attack {
-	key := cryptoutil.DeriveKeyPair(leader, sys.Cfg.Seed)
-	return func(to core.NodeID, msg any) any {
-		pp, ok := msg.(*bft.PrePrepare)
-		if !ok {
-			return msg
-		}
-		b := pp.Batch.MutableCopy()
-		edit(to, b)
-		b.Seal()
-		psd := protocol.PrepareSigDigest(b.Cluster, pp.View, b.ID, b.Digest())
-		return &bft.PrePrepare{View: pp.View, Batch: b, LeaderSig: key.Sign(psd[:])}
-	}
+	return msg
 }
 
 // readPathAttack is a row in which evil rewrites every read-only reply
@@ -196,7 +91,7 @@ func repropose(sys *core.System, leader core.NodeID, edit func(to core.NodeID, b
 func readPathAttack(rewrite func(protocol.ROReply) protocol.ROReply) func(*testing.T, string) {
 	return func(t *testing.T, dataDir string) {
 		sys := testSystem(t, 2, 1, 100, inDir(dataDir))
-		rewriteROReplies(t, sys, rewrite)
+		adversary.RewriteROReplies(t, sys.Net, evil, rewrite)
 		keys := keysOn(sys, 0, 3)
 		for i := 0; len(keys) == 3; i++ {
 			if k := fmt.Sprintf("absent-%d", i); sys.Part.Of(k) == 0 {
@@ -219,7 +114,7 @@ func staleReplay(t *testing.T, dataDir string) {
 	sys := testSystem(t, 2, 1, 100, inDir(dataDir))
 	var once sync.Once
 	var first protocol.ROReply
-	rewriteROReplies(t, sys, func(r protocol.ROReply) protocol.ROReply {
+	adversary.RewriteROReplies(t, sys.Net, evil, func(r protocol.ROReply) protocol.ROReply {
 		once.Do(func() { first = r })
 		return first
 	})
@@ -352,8 +247,11 @@ func asymmetricPartition(t *testing.T, dataDir string) {
 // until the progress timers depose it.
 func equivocatingLeader(t *testing.T, dataDir string) {
 	sys, c, keys := failoverSystem(t, dataDir)
-	stageAttacks(sys, map[core.NodeID]attack{evil: repropose(sys, evil, func(to core.NodeID, b *protocol.Batch) {
-		b.Timestamp += int64(to.Replica)
+	leaderKey := cryptoutil.DeriveKeyPair(evil, sys.Cfg.Seed) // as NewSystem derives it
+	adversary.Stage(sys.Net, map[core.NodeID]adversary.Attack{evil: adversary.Rewrite(func(to core.NodeID, pp *bft.PrePrepare) {
+		pp.Batch, pp.LeaderSig = adversary.Repropose(leaderKey, pp.View, pp.Batch, func(b *protocol.Batch) {
+			b.Timestamp += int64(to.Replica)
+		})
 	})})
 	pokeUntilCommit(t, c, keys, 20*time.Second)
 
@@ -399,7 +297,7 @@ func muteFollower(t *testing.T, dataDir string) {
 		// headroom against race-detector scheduling stalls.
 		cfg.ViewTimeout = 500 * time.Millisecond
 	})
-	stageAttacks(sys, map[core.NodeID]attack{{Cluster: 0, Replica: 3}: mute})
+	adversary.Stage(sys.Net, map[core.NodeID]adversary.Attack{{Cluster: 0, Replica: 3}: mute})
 	commitN(t, c, keys, 0, 20)
 	for r := int32(0); r < 3; r++ {
 		if v := sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView(); v != 0 {

@@ -12,13 +12,7 @@ import (
 
 // leaderEnv builds the conflict environment for admission decisions.
 func (n *Node) leaderEnv() *conflictEnv {
-	return &conflictEnv{
-		lastWriter:     n.st.LastWriter,
-		pendingReads:   n.pendingReads,
-		pendingWrites:  n.pendingWrites,
-		preparedReads:  n.preparedReads,
-		preparedWrites: n.preparedWrites,
-	}
+	return &conflictEnv{lastWriter: n.st.LastWriter, pending: n.pending, prepared: n.prepared}
 }
 
 // onCommitRequest admits a client transaction: local transactions join the
@@ -58,7 +52,7 @@ func (n *Node) onCommitRequest(m *protocol.CommitRequest) {
 		})
 		return
 	}
-	n.leaderEnv().reserve(reads, writes)
+	n.pending.add(reads, writes)
 
 	if t.IsLocal() {
 		n.pendingLocal = append(n.pendingLocal, t)
@@ -131,7 +125,7 @@ func (n *Node) onCoordinatorPrepare(from NodeID, m *protocol.CoordinatorPrepare)
 		})
 		return
 	}
-	n.leaderEnv().reserve(reads, writes)
+	n.pending.add(reads, writes)
 	prec := protocol.PrepareRecord{Txn: t, CoordCluster: m.CoordCluster}
 	n.pendingPrepared = append(n.pendingPrepared, prec)
 	proof := m.Proof
@@ -455,12 +449,12 @@ func (n *Node) maybeBuildBatch(force bool) {
 func (n *Node) rollbackBatch(b *protocol.Batch) {
 	for i := range b.Local {
 		t := &b.Local[i]
-		n.releasePending(t.Reads, t.Writes)
+		n.pending.release(t.Reads, t.Writes)
 		n.failWaiter(t.ID, "pipeline rollback")
 	}
 	for i := range b.Prepared {
 		t := &b.Prepared[i].Txn
-		n.releasePending(n.localReads(t), n.localWrites(t))
+		n.pending.release(n.localReads(t), n.localWrites(t))
 		delete(n.pendingEvidence, t.ID)
 		if dt := n.distTxns[t.ID]; dt != nil && dt.prepareBatch < 0 {
 			delete(n.distTxns, t.ID)

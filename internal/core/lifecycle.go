@@ -82,7 +82,7 @@ func (n *Node) deliver(cb protocol.CertifiedBatch, verified bool) {
 	for i := range b.Local {
 		t := &b.Local[i]
 		n.Metrics.LocalCommitted++
-		n.releasePending(t.Reads, t.Writes)
+		n.pending.release(t.Reads, t.Writes)
 		if ch, ok := n.waiters[t.ID]; ok {
 			delete(n.waiters, t.ID)
 			n.reply(ch, protocol.CommitReply{
@@ -99,12 +99,7 @@ func (n *Node) deliver(cb protocol.CertifiedBatch, verified bool) {
 			rec := b.Prepared[i]
 			id := rec.Txn.ID
 			reads, wr := n.localReads(&rec.Txn), n.localWrites(&rec.Txn)
-			for _, r := range reads {
-				n.preparedReads.add(r.Key)
-			}
-			for _, w := range wr {
-				n.preparedWrites.add(w.Key)
-			}
+			n.prepared.add(reads, wr)
 			dt := n.distTxns[id]
 			if dt == nil {
 				dt = &distTxn{rec: rec}
@@ -113,7 +108,7 @@ func (n *Node) deliver(cb protocol.CertifiedBatch, verified bool) {
 			dt.prepareBatch = b.ID
 			g.ids = append(g.ids, id)
 			delete(n.pendingEvidence, id)
-			n.releasePending(reads, wr) // moved into the prepared sets
+			n.pending.release(reads, wr) // moved into the prepared sets
 
 			if n.IsLeader() {
 				n.drivePrepared(dt, entry)
@@ -130,12 +125,7 @@ func (n *Node) deliver(cb protocol.CertifiedBatch, verified bool) {
 			rec := &b.Committed[i]
 			id := rec.Txn.ID
 			if dt := n.distTxns[id]; dt != nil {
-				for _, r := range n.localReads(&dt.rec.Txn) {
-					n.preparedReads.release(r.Key)
-				}
-				for _, w := range n.localWrites(&dt.rec.Txn) {
-					n.preparedWrites.release(w.Key)
-				}
+				n.prepared.release(n.localReads(&dt.rec.Txn), n.localWrites(&dt.rec.Txn))
 				// Presence-based, not leader-gated: a deposed leader
 				// still holds the client's channel and must answer.
 				if ch, ok := n.waiters[id]; ok {
@@ -208,15 +198,4 @@ func reasonFor(d protocol.Decision) string {
 		return ""
 	}
 	return "2PC participant voted abort"
-}
-
-// releasePending drops a footprint from the leader's pending sets once the
-// batch carrying it is durable.
-func (n *Node) releasePending(reads []protocol.ReadEntry, writes []protocol.WriteOp) {
-	for _, r := range reads {
-		n.pendingReads.release(r.Key)
-	}
-	for _, w := range writes {
-		n.pendingWrites.release(w.Key)
-	}
 }

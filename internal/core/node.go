@@ -139,12 +139,10 @@ type Node struct {
 
 	consensus *bft.Replica
 
-	// preparedReads/preparedWrites hold the footprints reserved by
-	// prepared-but-undecided distributed transactions (rule 3 of
-	// Def. 3.1), maintained identically by every replica from delivered
-	// batches.
-	preparedReads  keyRefs
-	preparedWrites keyRefs
+	// prepared holds the footprints reserved by prepared-but-undecided
+	// distributed transactions (rule 3 of Def. 3.1), maintained
+	// identically by every replica from delivered batches.
+	prepared footprint
 	// groups is the prepared-batches structure of Fig. 2, oldest first.
 	groups []*group
 	// distTxns indexes distributed-transaction state by ID.
@@ -163,8 +161,7 @@ type Node struct {
 	pendingLocal    []protocol.Transaction
 	pendingPrepared []protocol.PrepareRecord
 	pendingEvidence map[protocol.TxnID]*protocol.PrepareProof
-	pendingReads    keyRefs // reads reserved by the in-progress and in-flight batches
-	pendingWrites   keyRefs // writes reserved by the in-progress and in-flight batches
+	pending         footprint // reserved by the in-progress and in-flight batches
 	waiters         map[protocol.TxnID]chan protocol.CommitReply
 	lastFlush       time.Time
 
@@ -344,14 +341,12 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 		self:             NodeID{Cluster: cfg.Cluster, Replica: cfg.Replica},
 		st:               engine,
 		readers:          newReadExecutor(0, 0),
-		preparedReads:    make(keyRefs),
-		preparedWrites:   make(keyRefs),
+		prepared:         newFootprint(),
 		distTxns:         make(map[protocol.TxnID]*distTxn),
 		pendingDecisions: make(map[protocol.TxnID]*protocol.CommitDecision),
 		certCache:        make(map[protocol.Digest]struct{}),
 		pendingEvidence:  make(map[protocol.TxnID]*protocol.PrepareProof),
-		pendingReads:     make(keyRefs),
-		pendingWrites:    make(keyRefs),
+		pending:          newFootprint(),
 		waiters:          make(map[protocol.TxnID]chan protocol.CommitReply),
 		chkVotes:         make(map[int64]map[int32]*protocol.Checkpoint),
 		persistDone:      make(chan persistResult, 1),
@@ -397,9 +392,6 @@ func newNode(cfg NodeConfig, tree *merkle.Tree) *Node {
 	})
 	return n
 }
-
-// Self returns this node's identity.
-func (n *Node) Self() NodeID { return n.self }
 
 // IsLeader reports whether this node leads its cluster in its current
 // view.

@@ -171,7 +171,7 @@ func TestPipelineDeliveryRetiresSlot(t *testing.T) {
 	default:
 		t.Fatal("client not notified on delivery")
 	}
-	if n.pendingWrites.has("k0") {
+	if n.pending.writes.has("k0") {
 		t.Fatal("footprint not released on delivery")
 	}
 	if got := n.st.LastWriter("k0"); got != 1 {
@@ -199,9 +199,9 @@ func TestPipelineRollbackReleasesReservations(t *testing.T) {
 	if n.spec != nil {
 		t.Fatal("rollback left the slot filled")
 	}
-	if len(n.pendingWrites) != 0 || len(n.pendingReads) != 0 {
+	if len(n.pending.writes) != 0 || len(n.pending.reads) != 0 {
 		t.Fatalf("rollback leaked reservations: %d writes, %d reads",
-			len(n.pendingWrites), len(n.pendingReads))
+			len(n.pending.writes), len(n.pending.reads))
 	}
 	if n.Metrics.PipelineRollbacks != 1 {
 		t.Fatalf("PipelineRollbacks = %d, want 1", n.Metrics.PipelineRollbacks)
@@ -232,7 +232,7 @@ func TestPipelineDivergentDeliveryRollsBack(t *testing.T) {
 		t.Fatalf("PipelineRollbacks = %d, want 1", n.Metrics.PipelineRollbacks)
 	}
 	wantReply(t, ch, protocol.StatusAborted, "txn of the divergent slot")
-	if len(n.pendingWrites) != 0 {
+	if len(n.pending.writes) != 0 {
 		t.Fatal("divergence rollback leaked write reservations")
 	}
 	if got := n.st.LastWriter("k0"); got != 0 {

@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"transedge/internal/adversary"
+	"transedge/internal/bft"
 	"transedge/internal/client"
 	"transedge/internal/core"
+	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
 	"transedge/internal/transport"
@@ -145,9 +148,11 @@ func TestCDVectorsTrackDependencies(t *testing.T) {
 
 func TestClusterSurvivesByzantineFollowers(t *testing.T) {
 	sys := testSystem(t, 2, 1, 100)
-	stageAttacks(sys, map[core.NodeID]attack{
+	adversary.Stage(sys.Net, map[core.NodeID]adversary.Attack{
 		{Cluster: 0, Replica: 3}: mute,
-		{Cluster: 1, Replica: 2}: corruptCertSig,
+		{Cluster: 1, Replica: 2}: adversary.Rewrite(func(_ core.NodeID, c *bft.Commit) {
+			c.CertSig = make([]byte, len(c.CertSig))
+		}),
 	})
 	c := testClient(sys, 1)
 	k0 := keysOn(sys, 0, 1)[0]
@@ -180,8 +185,11 @@ func TestByzantineLeaderTimestampRejected(t *testing.T) {
 		cfg.FreshnessWindow = time.Minute
 	})
 	leader := core.NodeID{Cluster: 0, Replica: 0}
-	stageAttacks(sys, map[core.NodeID]attack{leader: repropose(sys, leader, func(_ core.NodeID, b *protocol.Batch) {
-		b.Timestamp -= (10 * time.Minute).Nanoseconds()
+	leaderKey := cryptoutil.DeriveKeyPair(leader, sys.Cfg.Seed) // as NewSystem derives it
+	adversary.Stage(sys.Net, map[core.NodeID]adversary.Attack{leader: adversary.Rewrite(func(_ core.NodeID, pp *bft.PrePrepare) {
+		pp.Batch, pp.LeaderSig = adversary.Repropose(leaderKey, pp.View, pp.Batch, func(b *protocol.Batch) {
+			b.Timestamp -= (10 * time.Minute).Nanoseconds()
+		})
 	})})
 	c := client.New(client.Config{
 		ID: 1, Net: sys.Net, Ring: sys.Ring, Part: sys.Part,

@@ -95,13 +95,7 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 	}
 
 	// --- Local and prepared segments: conflict detection (Def. 3.1) ---
-	env := &conflictEnv{
-		lastWriter:     n.prefetchWriters(b),
-		pendingReads:   make(keyRefs),
-		pendingWrites:  make(keyRefs),
-		preparedReads:  n.preparedReads,
-		preparedWrites: n.preparedWrites,
-	}
+	env := &conflictEnv{lastWriter: n.prefetchWriters(b), pending: newFootprint(), prepared: n.prepared}
 	part := n.cfg.partitioner()
 	for i := range b.Local {
 		t := &b.Local[i]
@@ -121,7 +115,7 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 		if err := env.check(t.Reads, t.Writes); err != nil {
 			return err
 		}
-		env.reserve(t.Reads, t.Writes)
+		env.pending.add(t.Reads, t.Writes)
 	}
 	for i := range b.Prepared {
 		rec := &b.Prepared[i]
@@ -132,7 +126,7 @@ func (n *Node) validateBatch(b *protocol.Batch) error {
 		if err := env.check(reads, writes); err != nil {
 			return err
 		}
-		env.reserve(reads, writes)
+		env.pending.add(reads, writes)
 		if rec.CoordCluster != n.cfg.Cluster {
 			// Authenticity of foreign-coordinated prepares (Sec. 3.3.3:
 			// "each replica ... verifies the authenticity of the prepare

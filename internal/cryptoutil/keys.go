@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -151,55 +150,6 @@ func SignCertificate(kp KeyPair, id NodeID, msg []byte) Signature {
 	return Signature{Signer: id, Sig: kp.Sign(msg)}
 }
 
-// maxVerifyWorkers bounds the signature-verification worker pool.
-var maxVerifyWorkers = runtime.GOMAXPROCS(0)
-
-// parallelVerifyMin is the smallest signature batch worth fanning out;
-// below it the goroutine handoff costs more than a serial loop.
-const parallelVerifyMin = 3
-
-// SigCheck is one independent Ed25519 verification job.
-type SigCheck struct {
-	Pub ed25519.PublicKey
-	Msg []byte
-	Sig []byte
-}
-
-// VerifyEach verifies independent signatures, fanning out across a
-// bounded worker pool when the batch is large enough, and reports each
-// signature's validity. The input order is preserved in the result.
-func VerifyEach(checks []SigCheck) []bool {
-	ok := make([]bool, len(checks))
-	workers := maxVerifyWorkers
-	if workers > len(checks) {
-		workers = len(checks)
-	}
-	if len(checks) < parallelVerifyMin || workers < 2 {
-		for i, c := range checks {
-			ok[i] = Verify(c.Pub, c.Msg, c.Sig)
-		}
-		return ok
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(checks) {
-					return
-				}
-				c := checks[i]
-				ok[i] = Verify(c.Pub, c.Msg, c.Sig)
-			}
-		}()
-	}
-	wg.Wait()
-	return ok
-}
-
 // VerifyCertificate checks that cert carries at least threshold valid
 // signatures over msg by distinct replicas of cert.Cluster, all registered
 // in the key ring.
@@ -210,8 +160,7 @@ func VerifyEach(checks []SigCheck) []bool {
 // nor structurally checked, so a certificate whose first
 // threshold entries are valid is accepted even if trailing entries are
 // malformed — the quorum proof the protocol needs is already in hand.
-// When the threshold is large enough, the Ed25519 checks fan out across
-// a bounded worker pool.
+// The structural checks of that prefix all run before any Ed25519 work.
 func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold int) error {
 	if len(msg) == 0 {
 		return ErrEmptyMessage
@@ -222,16 +171,11 @@ func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold in
 	if threshold <= 0 {
 		return nil
 	}
-	// Structural pass over the prefix needed to reach the threshold:
-	// cluster membership, distinct signers, registered keys. Cheap map
-	// work compared to Ed25519, so it runs serially.
+	// Structural pass over the threshold prefix: cluster membership,
+	// distinct signers, registered keys.
 	seen := make(map[NodeID]bool, threshold)
-	checks := make([]SigCheck, 0, threshold)
-	signers := make([]NodeID, 0, threshold)
-	for _, s := range cert.Signatures {
-		if len(checks) == threshold {
-			break
-		}
+	pubs := make([]ed25519.PublicKey, 0, threshold)
+	for _, s := range cert.Signatures[:threshold] {
 		if s.Signer.Cluster != cert.Cluster {
 			return fmt.Errorf("%w: %v in certificate for cluster %d", ErrWrongCluster, s.Signer, cert.Cluster)
 		}
@@ -243,15 +187,11 @@ func VerifyCertificate(ring *KeyRing, cert Certificate, msg []byte, threshold in
 		if pub == nil {
 			return fmt.Errorf("%w: %v", ErrUnknownSigner, s.Signer)
 		}
-		checks = append(checks, SigCheck{Pub: pub, Msg: msg, Sig: s.Sig})
-		signers = append(signers, s.Signer)
+		pubs = append(pubs, pub)
 	}
-	if len(checks) < threshold {
-		return fmt.Errorf("%w: %d valid, need %d", ErrTooFewSignatures, len(checks), threshold)
-	}
-	for i, ok := range VerifyEach(checks) {
-		if !ok {
-			return fmt.Errorf("%w: from %v", ErrInvalidSignature, signers[i])
+	for i, pub := range pubs {
+		if s := cert.Signatures[i]; !Verify(pub, msg, s.Sig) {
+			return fmt.Errorf("%w: from %v", ErrInvalidSignature, s.Signer)
 		}
 	}
 	return nil
